@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .linalg import PureState, reduced_density_pure
+from .linalg import PureState, kron_vectors, reduced_density_pure
 
 
 def _basis_index(digits, d):
@@ -61,8 +61,7 @@ def psi_ghz_plus(alpha: float, beta: float, gamma: float) -> PureState:
         np.array([math.cos(t), math.sin(t)], dtype=complex)
         for t in (alpha, beta, gamma)
     ]
-    prod = np.kron(np.kron(locals_[0], locals_[1]), locals_[2])
-    vec = prod.copy()
+    vec = kron_vectors(locals_)
     vec[0] += 1.0
     k = 1.0 / (2.0 * (1.0 + math.cos(alpha) * math.cos(beta) * math.cos(gamma)))
     return PureState(3, 2, math.sqrt(k) * vec)

@@ -28,11 +28,14 @@ from .report import run_claims
 DEFAULT_SEED_ENV = "ENTACTIC_SEED"
 
 
-def _default_seed() -> int:
+def _default_seed(parser: argparse.ArgumentParser) -> int:
+    """The seed for commands run without --seed: ENTACTIC_SEED, else 2024.
+    A non-integer value is a usage error (exit 2)."""
+    text = os.environ.get(DEFAULT_SEED_ENV, "2024")
     try:
-        return int(os.environ.get(DEFAULT_SEED_ENV, "2024"))
+        return int(text)
     except ValueError:
-        return 2024
+        parser.exit(2, f"error: {DEFAULT_SEED_ENV} must be an integer, got {text!r}\n")
 
 
 def _emit(obj, verbose_note=None, verbose=False):
@@ -58,7 +61,7 @@ def _wrap_density(psi) -> DensityMatrix:
     return psi.density()
 
 
-def _parse_cut(text: str, n: int) -> Bipartition:
+def _cut_arg(text: str, n: int) -> Bipartition:
     parties = frozenset(int(x) for x in text.split(",") if x)
     return Bipartition(n, parties)
 
@@ -97,7 +100,7 @@ def _cmd_measure(args):
     elif args.kind == "rpure":
         if not args.cut:
             raise ValueError("rpure needs --cut")
-        cut = _parse_cut(args.cut, psi.n)
+        cut = _cut_arg(args.cut, psi.n)
         value = measures.robustness_bipartite_pure(psi, cut)
         _emit({"kind": args.kind, "value": value, "cut": str(cut)}, verbose=args.verbose)
         return 0
@@ -189,14 +192,14 @@ def _cmd_convert(args):
         if theory == conversion.BSP:
             mixer, _, cut = conversion._bs_mixer_details(psi2)
             prep = conversion.build_filter_map(
-                cert, psi1, psi2, p, mixer, mixer_cut=str(cut), mixer_certified=True
+                cert, psi1, psi2, p, mixer, mixer_cut=cut, mixer_certified=True
             )
         else:
             raise ValueError(
                 "building an FSP map needs a certified separable mixer; "
                 "only the BSP route is automated"
             )
-        out["built"] = {"p": prep.p, "mixer_cut": prep.mixer_cut}
+        out["built"] = {"p": prep.p, "mixer_cut": str(prep.mixer_cut)}
         if args.verify:
             rep = conversion.verify_preservation_sampled(prep, args.verify, args.seed)
             out["preservation"] = {
@@ -239,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=["gfs", "gbs", "rbs-upper", "rpure"])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--cut")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.set_defaults(fn=_cmd_measure)
 
     p = sub.add_parser("twirl", help="project a 3-qubit state onto the symmetric family")
@@ -254,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True, choices=["ghz", "w"])
     p.add_argument("--check", action="store_true")
     p.add_argument("--eval")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.set_defaults(fn=_cmd_witness)
 
     p = sub.add_parser("convert", help="conversion certificate and optional build")
@@ -265,13 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--build", action="store_true")
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--verify", type=int, default=0)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.set_defaults(fn=_cmd_convert)
 
     p = sub.add_parser("reproduce", help="re-derive the headline numbers")
     p.add_argument("--all", action="store_true")
     p.add_argument("--select", help="comma-separated claim ids")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--timing", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_reproduce)
@@ -282,6 +285,8 @@ def run_command(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) is None:
+            args.seed = _default_seed(parser)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

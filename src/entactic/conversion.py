@@ -22,7 +22,10 @@ from .linalg import (
     all_bipartitions,
     apply_channel,
     cut_matrix,
+    from_cut_order,
+    haar_vectors,
     is_ppt,
+    kron_vectors,
 )
 from .measures import (
     CERTIFIED_FS,
@@ -68,7 +71,7 @@ class PreparationMap:
     theory: str
     g_source: float
     r_target: float
-    mixer_cut: Optional[str] = None
+    mixer_cut: Optional[Bipartition] = None
     notes: str = ""
 
     def __post_init__(self):
@@ -141,15 +144,6 @@ def max_probability(
 # Robustness-achieving biseparable mixer
 
 
-def _permute_parties(mat: np.ndarray, order: list[int], n: int, d: int) -> np.ndarray:
-    """Reinterpret a matrix whose tensor axes follow `order` (party labels)
-    into ascending party order."""
-    t = mat.reshape((d,) * (2 * n))
-    pos = [order.index(p) for p in sorted(order)]
-    t = t.transpose(pos + [n + q for q in pos])
-    return t.reshape(d**n, d**n)
-
-
 def _bs_mixer_details(psi2: PureState):
     """Mixer, robustness value and cut realizing the biseparable bound.
 
@@ -175,9 +169,7 @@ def _bs_mixer_details(psi2: PureState):
                 continue
             pj = np.outer(vh[j, :], vh[j, :].conj())
             mix += (sv[i] * sv[j]) * np.kron(pi, pj)
-    mix /= s
-    order = sorted(cut.parties) + sorted(cut.complement)
-    mix = _permute_parties(mix, order, psi2.n, psi2.d)
+    mix = from_cut_order(mix / s, cut, psi2.d)
     mix = (mix + mix.conj().T) / 2
     mixer = DensityMatrix(psi2.n, psi2.d, mix)
     # the boundary mixture must be PPT across the construction cut
@@ -205,7 +197,7 @@ def build_filter_map(
     psi2: PureState,
     p: float,
     mixer: DensityMatrix,
-    mixer_cut: Optional[str] = None,
+    mixer_cut: Optional[Bipartition] = None,
     mixer_certified: bool = False,
     certifier: FsCertifierOptions = FsCertifierOptions(),
     notes: str = "",
@@ -219,9 +211,7 @@ def build_filter_map(
         if res.verdict != CERTIFIED_FS:
             raise ValueError(f"mixer not certified fully separable: {res.verdict}")
     if cert.theory == BSP and not mixer_certified:
-        if mixer_cut is None or not is_ppt(
-            mixer, sorted(Bipartition(psi2.n, _parse_cut(mixer_cut)).parties), tol=1e-8
-        ):
+        if mixer_cut is None or not is_ppt(mixer, sorted(mixer_cut.parties), tol=1e-8):
             raise ValueError("biseparable mixer needs a PPT construction cut")
     return PreparationMap(
         psi1=psi1,
@@ -234,11 +224,6 @@ def build_filter_map(
         mixer_cut=mixer_cut,
         notes=notes,
     )
-
-
-def _parse_cut(text: str) -> frozenset:
-    left = text.split("|")[0].strip().strip("{}")
-    return frozenset(int(x) for x in left.split(",") if x)
 
 
 def ghz_to_any_bsp(psi: PureState) -> PreparationMap:
@@ -262,17 +247,12 @@ def ghz_to_any_bsp(psi: PureState) -> PreparationMap:
         provenance={"g_route": "cut-enumeration", "r_route": f"min-cut-schmidt:{cut}"},
     )
     return build_filter_map(
-        cert, source, psi, 1.0, mixer, mixer_cut=str(cut), mixer_certified=True
+        cert, source, psi, 1.0, mixer, mixer_cut=cut, mixer_certified=True
     )
 
 
 # ---------------------------------------------------------------------------
 # Free-state sampling and preservation verification
-
-
-def _haar_vector(dim: int, rng) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
 
 
 def random_free_state(theory: str, n: int, d: int, seed) -> PureState:
@@ -281,33 +261,22 @@ def random_free_state(theory: str, n: int, d: int, seed) -> PureState:
     (entanglement inside the blocks allowed) for the biseparable set."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if theory == FSP:
-        v = _haar_vector(d, rng)
-        for _ in range(n - 1):
-            v = np.kron(v, _haar_vector(d, rng))
-        return PureState(n, d, v)
+        return PureState(n, d, kron_vectors([haar_vectors(rng, d) for _ in range(n)]))
     cuts = all_bipartitions(n)
     cut = cuts[rng.integers(len(cuts))]
-    left = _haar_vector(d ** len(cut.parties), rng)
-    right = _haar_vector(d ** len(cut.complement), rng)
-    order = sorted(cut.parties) + sorted(cut.complement)
-    t = np.outer(left, right).reshape((d,) * n)
-    pos = [order.index(p) for p in sorted(order)]
-    return PureState(n, d, t.transpose(pos).reshape(d**n))
+    left = haar_vectors(rng, d ** len(cut.parties))
+    right = haar_vectors(rng, d ** len(cut.complement))
+    return PureState(n, d, from_cut_order(kron_vectors([left, right]), cut, d))
 
 
 def _batch_free_overlaps(psi1: PureState, theory: str, k: int, rng) -> np.ndarray:
     """Squared overlaps tr(psi1 sigma) for k random free pure states."""
     n, d = psi1.n, psi1.d
-
-    def haar_rows(count, dim):
-        m = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
-        return m / np.linalg.norm(m, axis=1, keepdims=True)
-
     if theory == FSP:
         t = psi1.tensor()
-        x = np.tensordot(haar_rows(k, d).conj(), t, axes=([1], [0]))
+        x = np.tensordot(haar_vectors(rng, d, k).conj(), t, axes=([1], [0]))
         for _ in range(n - 1):
-            a = haar_rows(k, d).conj()
+            a = haar_vectors(rng, d, k).conj()
             x = np.einsum("ki...,ki->k...", x, a)
         return np.abs(x) ** 2
     cuts = all_bipartitions(n)
@@ -318,33 +287,26 @@ def _batch_free_overlaps(psi1: PureState, theory: str, k: int, rng) -> np.ndarra
         if idx.size == 0:
             continue
         a_mat = cut_matrix(psi1, cut)
-        left = haar_rows(idx.size, a_mat.shape[0])
-        right = haar_rows(idx.size, a_mat.shape[1])
+        left = haar_vectors(rng, a_mat.shape[0], idx.size)
+        right = haar_vectors(rng, a_mat.shape[1], idx.size)
         c = np.einsum("ki,ij,kj->k", left.conj(), a_mat, right.conj())
         out[idx] = np.abs(c) ** 2
     return out
 
 
-def _extremal_free_overlap(prep_map: PreparationMap) -> float:
+def _extremal_free_overlap(prep_map: PreparationMap, seed: int) -> float:
     """Overlap of psi1 with the best free state we can name: the top Schmidt
-    product across the best cut (BSP) or the optimizer's product certificate
-    (FSP).  Deterministic probe prepended to the random samples."""
+    product across the best cut (BSP) or the product certificate of the
+    optimizer seeded with `seed` (FSP).  Deterministic probe prepended to the
+    random samples."""
     psi1 = prep_map.psi1
     if prep_map.theory == BSP:
-        res = geometric_bs(psi1)
-        cut: Bipartition = res.certificate
-        a_mat = cut_matrix(psi1, cut)
-        u, sv, vh = np.linalg.svd(a_mat, full_matrices=False)
-        probe = np.outer(u[:, 0], vh[0, :])
-        order = sorted(cut.parties) + sorted(cut.complement)
-        pos = [order.index(p) for p in sorted(order)]
-        vec = probe.reshape((psi1.d,) * psi1.n).transpose(pos).reshape(psi1.dim)
-        return float(abs(np.vdot(psi1.amplitudes, vec)) ** 2)
-    res = geometric_fs(psi1)
-    v = res.certificate[0]
-    for u in res.certificate[1:]:
-        v = np.kron(v, u)
-    return float(abs(np.vdot(psi1.amplitudes, v / np.linalg.norm(v))) ** 2)
+        cut: Bipartition = geometric_bs(psi1).certificate
+        u, _, vh = np.linalg.svd(cut_matrix(psi1, cut), full_matrices=False)
+        vec = from_cut_order(kron_vectors([u[:, 0], vh[0, :]]), cut, psi1.d)
+    else:
+        vec = kron_vectors(geometric_fs(psi1, OptimizerOptions(seed=seed)).certificate)
+    return float(abs(np.vdot(psi1.amplitudes, vec)) ** 2)
 
 
 def verify_preservation_sampled(
@@ -365,7 +327,7 @@ def verify_preservation_sampled(
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     q = np.empty(samples)
-    q[0] = _extremal_free_overlap(prep_map)
+    q[0] = _extremal_free_overlap(prep_map, seed)
     if samples > 1:
         q[1:] = _batch_free_overlaps(prep_map.psi1, prep_map.theory, samples - 1, rng)
     g, r, p = prep_map.g_source, prep_map.r_target, prep_map.p

@@ -144,6 +144,41 @@ class SchmidtSpectrum:
         object.__setattr__(self, "values", v)
 
 
+def haar_vectors(rng: np.random.Generator, dim: int, count: int | None = None) -> np.ndarray:
+    """Haar-random unit vectors in C^dim from normalized complex Gaussians:
+    one vector of shape (dim,), or `count` of them as rows."""
+    shape = (dim,) if count is None else (count, dim)
+    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # a single draw takes the whole-array norm and rows the row-wise one; the
+    # two can differ in the last bit, and seeded results (the certifier fit's
+    # dictionary among them) depend on those bits
+    norm = np.linalg.norm(v) if count is None else np.linalg.norm(v, axis=1, keepdims=True)
+    return v / norm
+
+
+def kron_vectors(vecs: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product of local vectors, the first one most significant.
+
+    Leading axes are batch axes: local vectors of shape (..., d_k) give
+    product vectors of shape (..., prod d_k).
+    """
+    out = vecs[0]
+    for u in vecs[1:]:
+        out = (out[..., :, None] * u[..., None, :]).reshape(out.shape[:-1] + (-1,))
+    return out
+
+
+def from_cut_order(array: np.ndarray, cut: Bipartition, d: int) -> np.ndarray:
+    """Reorder a vector or square matrix whose tensor factors run over the
+    cut's parties and then its complement into ascending party order."""
+    n = cut.n
+    order = sorted(cut.parties) + sorted(cut.complement)
+    pos = [order.index(p) for p in range(1, n + 1)]
+    if array.ndim == 2:
+        pos = pos + [n + q for q in pos]
+    return array.reshape((d,) * len(pos)).transpose(pos).reshape(array.shape)
+
+
 def tensor_product(a: PureState, b: PureState) -> PureState:
     if a.d != b.d:
         raise ShapeError(f"local dimensions differ: {a.d} vs {b.d}")
@@ -257,16 +292,31 @@ def state_to_json(psi: PureState) -> str:
     )
 
 
-def state_from_json(text: str) -> PureState:
+def _parse_wire(text: str, kind: str, key: str) -> tuple[int, int, np.ndarray]:
+    """(n, d, complex values) from the JSON wire format; every shape error
+    becomes a one-line ValueError."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed state JSON: {exc}") from exc
-    for key in ("n", "d", "amplitudes"):
-        if key not in obj:
-            raise ValueError(f"malformed state JSON: missing field '{key}'")
-    amps = np.array([complex(re, im) for re, im in obj["amplitudes"]])
-    return PureState(int(obj["n"]), int(obj["d"]), amps)
+        raise ValueError(f"malformed {kind} JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"malformed {kind} JSON: expected an object")
+    for name in ("n", "d", key):
+        if name not in obj:
+            raise ValueError(f"malformed {kind} JSON: missing field '{name}'")
+    for name in ("n", "d"):
+        if not isinstance(obj[name], int) or isinstance(obj[name], bool):
+            raise ValueError(f"malformed {kind} JSON: '{name}' must be an integer")
+    try:
+        values = np.array([complex(re, im) for re, im in obj[key]])
+    except (TypeError, ValueError):
+        raise ValueError(f"malformed {kind} JSON: '{key}' must be a list of [re, im] pairs") from None
+    return obj["n"], obj["d"], values
+
+
+def state_from_json(text: str) -> PureState:
+    n, d, amps = _parse_wire(text, "state", "amplitudes")
+    return PureState(n, d, amps)
 
 
 def density_to_json(rho: DensityMatrix) -> str:
@@ -281,13 +331,8 @@ def density_to_json(rho: DensityMatrix) -> str:
 
 
 def density_from_json(text: str) -> DensityMatrix:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed density JSON: {exc}") from exc
-    for key in ("n", "d", "entries"):
-        if key not in obj:
-            raise ValueError(f"malformed density JSON: missing field '{key}'")
-    dim = int(obj["d"]) ** int(obj["n"])
-    flat = np.array([complex(re, im) for re, im in obj["entries"]])
-    return DensityMatrix(int(obj["n"]), int(obj["d"]), flat.reshape(dim, dim))
+    n, d, flat = _parse_wire(text, "density", "entries")
+    dim = d**n
+    if flat.size != dim * dim:
+        raise ValueError(f"malformed density JSON: expected {dim * dim} entries, got {flat.size}")
+    return DensityMatrix(n, d, flat.reshape(dim, dim))

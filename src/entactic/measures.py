@@ -9,10 +9,9 @@ through certified mixtures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import permutations
-from typing import Optional
 
 import numpy as np
 from scipy.optimize import nnls
@@ -24,7 +23,8 @@ from .linalg import (
     DensityMatrix,
     PureState,
     all_bipartitions,
-    is_ppt,
+    haar_vectors,
+    kron_vectors,
     min_pt_eigenvalue,
     schmidt_spectrum,
 )
@@ -90,60 +90,62 @@ def geometric_bs(psi: PureState) -> MeasureResult:
     return MeasureResult(value=1.0 - best_l1, certificate=best_cut)
 
 
-def _random_local_units(n, d, rng):
-    vecs = []
-    for _ in range(n):
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        vecs.append(v / np.linalg.norm(v))
-    return vecs
+def maximize_over_products(
+    terms: np.ndarray, weights, n: int, d: int, opts: OptimizerOptions = OptimizerOptions()
+) -> MeasureResult:
+    """Maximize sum_z w_z |<a_z|x_1 ... x_n>|^2 over product states.
 
-
-def _contract_except(tensor, vecs, k):
-    """Contract conj(vecs[j]) into every axis j != k; returns a d-vector."""
-    t = tensor
-    # contract from the last axis down so earlier axis numbers stay valid
-    for j in range(len(vecs) - 1, -1, -1):
-        if j == k:
-            continue
-        t = np.tensordot(t, vecs[j].conj(), axes=([j], [0]))
-    return t
+    `terms` holds the vectors a_z as rows.  Alternating single-party updates
+    (higher-order power iteration): with every party but k fixed the
+    objective is x_k^dag M x_k, M = sum_z w_z b_z b_z^dag for the contractions
+    b_z of a_z with the other local vectors, so the top eigenvector of M is
+    the optimal update and its eigenvalue the new value.  All seeded restarts
+    advance together; a restart whose sweep gained less than the tolerance
+    is frozen and leaves the batch.  Returns the best restart's value, local
+    vectors, sweep count and convergence flag.
+    """
+    rng = np.random.default_rng(opts.seed)
+    x = np.array([[haar_vectors(rng, d) for _ in range(n)] for _ in range(opts.restarts)])
+    a = np.asarray(terms, dtype=complex)
+    w = np.asarray(weights, dtype=float)
+    value = np.full(opts.restarts, -math.inf)
+    sweeps = np.zeros(opts.restarts, dtype=int)
+    converged = np.zeros(opts.restarts, dtype=bool)
+    active = np.arange(opts.restarts)
+    for sweep in range(1, opts.max_iterations + 1):
+        xs = x[active]
+        ones = np.ones((active.size, 1))
+        for k in range(n):
+            left = kron_vectors([ones] + [xs[:, j].conj() for j in range(k)])
+            right = kron_vectors([ones] + [xs[:, j].conj() for j in range(k + 1, n)])
+            t = a.reshape(-1, right.shape[1]) @ right.T
+            b = np.einsum("zlia,al->azi", t.reshape(len(a), left.shape[1], d, -1), left)
+            lam, vec = np.linalg.eigh(np.einsum("z,azi,azj->aij", w, b, b.conj()))
+            xs[:, k] = vec[:, :, -1]
+        gain = lam[:, -1] - value[active]
+        x[active], value[active], sweeps[active] = xs, lam[:, -1], sweep
+        done = gain < opts.tolerance
+        converged[active[done]] = True
+        active = active[~done]
+        if not active.size:
+            break
+    best = int(np.argmax(value))
+    return MeasureResult(
+        value=float(value[best]),
+        certificate=list(x[best]),
+        iterations=int(sweeps[best]),
+        converged=bool(converged[best]),
+    )
 
 
 def geometric_fs(psi: PureState, opts: OptimizerOptions = OptimizerOptions()) -> MeasureResult:
     """1 - squared maximal overlap with product states.
 
-    Alternating single-party updates (higher-order power iteration): holding
-    all parties but one fixed, the optimal local vector is the normalized
-    contraction of the state tensor.  Best over seeded random restarts.
+    The product-state maximum with the state as its only term; the
+    certificate is the best restart's list of local vectors.
     """
-    t = psi.tensor()
-    rng = np.random.default_rng(opts.seed)
-    best = (-1.0, None, 0, False)
-    for r in range(opts.restarts):
-        vecs = _random_local_units(psi.n, psi.d, rng)
-        prev = 0.0
-        converged = False
-        sweeps = 0
-        for sweeps in range(1, opts.max_iterations + 1):
-            c = 0.0
-            for k in range(psi.n):
-                w = _contract_except(t, vecs, k)
-                c = np.linalg.norm(w)
-                if c < 1e-15:
-                    vecs[k] = _random_local_units(1, psi.d, rng)[0]
-                else:
-                    vecs[k] = w / c
-            if c - prev < opts.tolerance:
-                converged = True
-                break
-            prev = c
-        overlap = float(abs(np.vdot(vecs[0], _contract_except(t, vecs, 0))))
-        if overlap > best[0]:
-            best = (overlap, [v.copy() for v in vecs], sweeps, converged)
-    value = max(0.0, 1.0 - best[0] ** 2)
-    return MeasureResult(
-        value=value, certificate=best[1], iterations=best[2], converged=best[3]
-    )
+    res = maximize_over_products(psi.amplitudes[None], [1.0], psi.n, psi.d, opts)
+    return replace(res, value=max(0.0, 1.0 - res.value))
 
 
 def robustness_bipartite_pure(psi: PureState, cut: Bipartition) -> float:
@@ -212,46 +214,6 @@ def _is_permutation_symmetric(rho: DensityMatrix, tol: float) -> bool:
     return True
 
 
-def _diag_family_weights(rho: DensityMatrix, tol: float):
-    """Weights if rho lies in the diagonal {000, 111, W, Wbar} family."""
-    w = w_state().amplitudes
-    wb = w_bar().amplitudes
-    weights = [
-        float(np.real(rho.entries[0, 0])),
-        float(np.real(rho.entries[7, 7])),
-        float(np.real(w.conj() @ rho.entries @ w)),
-        float(np.real(wb.conj() @ rho.entries @ wb)),
-    ]
-    recon = diag_family_state(*[max(x, 0.0) / max(sum(weights), 1e-300) for x in weights])
-    if np.max(np.abs(recon.entries - rho.entries)) > tol:
-        return None
-    return weights
-
-
-def _hayashi_feasible(weights, tol):
-    """Check weights = c0 |000> + c1 |111> + cf * (phi^x3 diagonal family).
-
-    The family member with local state cos(a)|0> + e^(ib) sin(a)|1> has
-    weights (c^6, s^6, 3c^4 s^2, 3c^2 s^4); the phase b drops out.  The W
-    and Wbar components fix a; leftover population may sit on the product
-    projectors |000> and |111>.
-    """
-    w000, w111, ww, wwb = weights
-    if ww < tol and wwb < tol:
-        return {"alpha": None}  # basis-diagonal mixture, trivially separable
-    tot = ww + wwb
-    s2 = wwb / tot  # sin^2(alpha)
-    c2 = 1.0 - s2
-    if c2 < 1e-15 or s2 < 1e-15:
-        return None
-    kappa = ww / (3 * c2**2 * s2)
-    r000 = w000 - kappa * c2**3
-    r111 = w111 - kappa * s2**3
-    if r000 >= -tol and r111 >= -tol:
-        return {"alpha": math.asin(math.sqrt(s2)), "scale": kappa}
-    return None
-
-
 def _fit_product_decomposition(rho: DensityMatrix, opts: FsCertifierOptions):
     """Heuristic constructive fit: nonnegative mixture of random product
     projectors, refined by nonnegative least squares over a dictionary.
@@ -262,12 +224,6 @@ def _fit_product_decomposition(rho: DensityMatrix, opts: FsCertifierOptions):
     rng = np.random.default_rng(opts.seed)
     n, d, dim = rho.n, rho.d, rho.dim
     target = np.concatenate([rho.entries.real.reshape(-1), rho.entries.imag.reshape(-1)])
-
-    def product_vec(vecs):
-        v = vecs[0]
-        for u in vecs[1:]:
-            v = np.kron(v, u)
-        return v
 
     def columns(states):
         cols = np.empty((2 * dim * dim, len(states)))
@@ -285,7 +241,7 @@ def _fit_product_decomposition(rho: DensityMatrix, opts: FsCertifierOptions):
     best_x, best_states, best_res = None, None, math.inf
     for _ in range(opts.fit_rounds):
         while len(states) < opts.fit_dictionary:
-            states.append(product_vec(_random_local_units(n, d, rng)))
+            states.append(kron_vectors([haar_vectors(rng, d) for _ in range(n)]))
         a = columns(states)
         x, res = nnls(a, target)
         if res < best_res:
@@ -298,7 +254,7 @@ def _fit_product_decomposition(rho: DensityMatrix, opts: FsCertifierOptions):
         states = list(keep)
         for v in keep:
             for _ in range(4):
-                noise = product_vec(_random_local_units(n, d, rng))
+                noise = kron_vectors([haar_vectors(rng, d) for _ in range(n)])
                 u = v + 0.15 * noise
                 states.append(u / np.linalg.norm(u))
     terms = [
@@ -313,8 +269,9 @@ def fs_certificate(
     """Decide full separability where a sufficient route applies.
 
     Routes, in order: exact criterion on the GHZ-symmetric family; negative
-    partial transpose across any cut; symmetric 3-qubit + PPT; the diagonal
-    single-qubit-power family; constructive product-decomposition fit.
+    partial transpose across any cut; symmetric 3-qubit + PPT; constructive
+    product-decomposition fit.  (Members of the diagonal {000, 111, W, Wbar}
+    family are permutation symmetric, so the first three routes decide them.)
     Returns UNKNOWN when no route fires; that is a value, not an error.
     """
     cuts = all_bipartitions(rho.n)
@@ -343,15 +300,6 @@ def fs_certificate(
         # all cuts already verified PPT above; for symmetric 3-qubit states
         # PPT is sufficient for full separability
         return CertResult(CERTIFIED_FS, route="symmetric-ppt", detail={})
-
-    if (rho.n, rho.d) == (3, 2):
-        weights = _diag_family_weights(rho, opts.structure_tol)
-        if weights is not None:
-            feas = _hayashi_feasible(weights, opts.ppt_tol)
-            if feas is not None:
-                return CertResult(
-                    CERTIFIED_FS, route="diagonal-family", detail=feas
-                )
 
     res, terms = _fit_product_decomposition(rho, opts)
     if res < opts.fit_tol:

@@ -25,6 +25,7 @@ from .linalg import (
     Bipartition,
     PureState,
     apply_channel,
+    haar_vectors,
     reduced_density_pure,
 )
 from .measures import geometric_bs, geometric_fs, robustness_bipartite_pure
@@ -43,8 +44,7 @@ def _compare(expected, computed, tol):
 
 
 def _haar_state(n, d, rng) -> PureState:
-    v = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
-    return PureState(n, d, v / np.linalg.norm(v))
+    return PureState(n, d, haar_vectors(rng, d**n))
 
 
 def _ghz_params(lp, lm, lr):
@@ -239,7 +239,7 @@ def _claim_eq4_consistency(seed):
             continue
         mixer, r, cut = conversion._bs_mixer_details(psi2)
         m = conversion.build_filter_map(
-            cert, psi1, psi2, cert.p_max, mixer, mixer_cut=str(cut), mixer_certified=True
+            cert, psi1, psi2, cert.p_max, mixer, mixer_cut=cut, mixer_certified=True
         )
         rep = conversion.verify_preservation_sampled(m, 2000, seed=seed + k)
         at_max_viol += rep.violations
@@ -252,7 +252,7 @@ def _claim_eq4_consistency(seed):
                 theory=conversion.BSP,
                 g_source=cert.g_source,
                 r_target=cert.r_target,
-                mixer_cut=str(cut),
+                mixer_cut=cut,
             )
             rep2 = conversion.verify_preservation_sampled(m2, 2000, seed=seed + k)
             above_max_ok = above_max_ok and rep2.violations >= 1

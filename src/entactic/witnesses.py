@@ -17,8 +17,8 @@ import numpy as np
 
 from .catalog import ghz, ghz_minus, w_bar, w_state
 from .ghz_symmetric import GhzSymmetricParams, polytope_vertices
-from .linalg import DensityMatrix, PureState
-from .measures import OptimizerOptions, _random_local_units
+from .linalg import DensityMatrix, PureState, kron_vectors
+from .measures import OptimizerOptions, maximize_over_products
 
 ADMISSION_TOL = 1e-8
 
@@ -133,57 +133,24 @@ def w_robustness_lower_exact() -> Fraction:
 # Product-state optimization and the dual bound
 
 
-def _effective_local_matrix(t, vecs, k, n):
-    """Contract every party but k into the 2n-axis operator tensor; yields
-    the d x d matrix whose top eigenvector is the optimal local update."""
-    m = t
-    for j in range(n - 1, -1, -1):  # ket axes, descending keeps indices valid
-        if j != k:
-            m = np.tensordot(m, vecs[j], axes=([n + j], [0]))
-    for j in range(n - 1, -1, -1):  # bra axes
-        if j != k:
-            m = np.tensordot(m, vecs[j].conj(), axes=([j], [0]))
-    return m
-
-
-def _product_extremum(op: np.ndarray, n: int, d: int, opts: OptimizerOptions):
-    """Maximize <prod| op |prod> over product states by alternating local
-    top-eigenvector updates; returns (value, local vectors)."""
-    t = op.reshape((d,) * (2 * n))
-    rng = np.random.default_rng(opts.seed)
-    best_val, best_vecs = -math.inf, None
-    for _ in range(opts.restarts):
-        vecs = _random_local_units(n, d, rng)
-        prev = -math.inf
-        val = prev
-        for _ in range(opts.max_iterations):
-            for k in range(n):
-                m = _effective_local_matrix(t, vecs, k, n)
-                w, v = np.linalg.eigh((m + m.conj().T) / 2)
-                vecs[k] = v[:, -1]
-                val = float(w[-1])
-            if val - prev < opts.tolerance:
-                break
-            prev = val
-        if val > best_val:
-            best_val, best_vecs = val, [v.copy() for v in vecs]
-    return best_val, best_vecs
-
-
 def witness_range_over_fs(
     w: Witness, opts: OptimizerOptions = OptimizerOptions()
 ) -> tuple[float, float, PureState, PureState]:
-    """Extrema of tr(w * product projector) over product pure states."""
-    hi, hi_vecs = _product_extremum(np.asarray(w.operator), w.n, w.d, opts)
-    lo_neg, lo_vecs = _product_extremum(-np.asarray(w.operator), w.n, w.d, opts)
+    """Extrema of tr(w * product projector) over product pure states.
 
-    def assemble(vecs):
-        v = vecs[0]
-        for u in vecs[1:]:
-            v = np.kron(v, u)
+    With w = sum_z l_z |a_z><a_z| from its eigendecomposition, the maximum is
+    the product-state maximum with weights l_z and the minimum minus the one
+    with weights -l_z.
+    """
+    lam, vecs = np.linalg.eigh(np.asarray(w.operator))
+    hi = maximize_over_products(vecs.T, lam, w.n, w.d, opts)
+    lo = maximize_over_products(vecs.T, -lam, w.n, w.d, opts)
+
+    def assemble(res):
+        v = kron_vectors(res.certificate)
         return PureState(w.n, w.d, v / np.linalg.norm(v))
 
-    return -lo_neg, hi, assemble(lo_vecs), assemble(hi_vecs)
+    return -lo.value, hi.value, assemble(lo), assemble(hi)
 
 
 def robustness_lower_from_witness(rho: DensityMatrix, w: Witness) -> float:
@@ -205,7 +172,7 @@ def symmetric_triform_value(alpha: float, beta: float = 0.0) -> float:
     value of the phase b (the independence is part of the contract).
     """
     a = np.array([math.cos(alpha), np.exp(1j * beta) * math.sin(alpha)])
-    v = np.kron(np.kron(a, a), a)
+    v = kron_vectors([a, a, a])
     op = np.asarray(w_robustness_witness().operator) - np.eye(8) / 2
     return float(np.real(v.conj() @ op @ v))
 

@@ -191,7 +191,7 @@ def test_ac12_conversion_bound_tightness():
             continue
         mixer, _, cut = conversion._bs_mixer_details(psi2)
         at_max = conversion.build_filter_map(
-            cert, psi1, psi2, cert.p_max, mixer, mixer_cut=str(cut), mixer_certified=True
+            cert, psi1, psi2, cert.p_max, mixer, mixer_cut=cut, mixer_certified=True
         )
         rep = conversion.verify_preservation_sampled(at_max, 10_000, seed=1212 + attempts)
         assert rep.violations == 0
@@ -204,7 +204,7 @@ def test_ac12_conversion_bound_tightness():
                 theory=conversion.BSP,
                 g_source=cert.g_source,
                 r_target=cert.r_target,
-                mixer_cut=str(cut),
+                mixer_cut=cut,
             )
             rep_over = conversion.verify_preservation_sampled(over, 10_000, seed=1212 + attempts)
             assert rep_over.violations >= 1

@@ -71,6 +71,42 @@ def test_measure_malformed_json_exit_one(tmp_path, capsys):
     assert run_command(["measure", "--kind", "gbs", "--in", str(bad)]) == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 3, "d": 2, "amplitudes": 5}',
+        '{"n": 3, "d": 2, "amplitudes": [[1, 0, 0]]}',
+        '{"n": 3, "d": 2, "amplitudes": [1, 0]}',
+        '{"n": 3, "d": 2, "amplitudes": [[1, 0], [0]]}',
+        '{"n": "three", "d": 2, "amplitudes": [[1, 0]]}',
+        '{"n": 2.5, "d": 2, "amplitudes": [[1, 0]]}',
+        '[3, 2]',
+    ],
+)
+def test_measure_malformed_state_shapes_exit_one(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert run_command(["measure", "--kind", "gbs", "--in", str(bad)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: malformed state JSON")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 1, "d": 2, "entries": 5}',
+        '{"n": 1, "d": 2, "entries": [[1, 0], [0, 0], [0, 0]]}',
+        '{"n": true, "d": 2, "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}',
+    ],
+)
+def test_malformed_density_shapes_exit_one(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert run_command(["witness", "--name", "w", "--eval", str(bad)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: malformed density JSON")
+
+
 def test_twirl_command(capsys, ghz_file):
     rc, data = run_json(capsys, ["twirl", "--in", ghz_file])
     assert rc == 0
@@ -173,3 +209,16 @@ def test_env_seed_default(monkeypatch, capsys, w_file):
     rc, data = run_json(capsys, ["measure", "--kind", "gfs", "--in", w_file])
     assert rc == 0
     assert data["value"] == pytest.approx(5 / 9, abs=1e-6)
+
+
+def test_env_seed_non_integer_exit_two(monkeypatch, capsys, w_file):
+    monkeypatch.setenv("ENTACTIC_SEED", "abc")
+    assert run_command(["measure", "--kind", "gfs", "--in", w_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "error: ENTACTIC_SEED must be an integer, got 'abc'"
+    ]
+    # an explicit --seed wins over the environment
+    rc, data = run_json(capsys, ["measure", "--kind", "gfs", "--in", w_file, "--seed", "3"])
+    assert rc == 0

@@ -98,15 +98,17 @@ def test_build_filter_map_rejects_p_above_certificate():
     mixer, _, cut = conversion._bs_mixer_details(ghz(3, 2))
     with pytest.raises(ValueError):
         conversion.build_filter_map(
-            cert, w_state(), ghz(3, 2), 0.9, mixer, mixer_cut=str(cut), mixer_certified=True
+            cert, w_state(), ghz(3, 2), 0.9, mixer, mixer_cut=cut, mixer_certified=True
         )
 
 
 def test_build_filter_map_checks_bsp_mixer_cut():
     cert = conversion.max_probability(w_state(), ghz(3, 2), conversion.BSP)
-    mixer, _, _ = conversion._bs_mixer_details(ghz(3, 2))
+    mixer, _, cut = conversion._bs_mixer_details(ghz(3, 2))
     with pytest.raises(ValueError):
         conversion.build_filter_map(cert, w_state(), ghz(3, 2), 0.5, mixer, mixer_cut=None)
+    m = conversion.build_filter_map(cert, w_state(), ghz(3, 2), 0.5, mixer, mixer_cut=cut)
+    assert m.mixer_cut == cut
 
 
 def test_preparation_map_rejects_bad_p():
@@ -173,10 +175,36 @@ def test_extremal_probe_attains_the_measure():
     mixer, r, cut = conversion._bs_mixer_details(ghz(3, 2))
     cert = conversion.max_probability(psi, ghz(3, 2), conversion.BSP)
     m = conversion.build_filter_map(
-        cert, psi, ghz(3, 2), cert.p_max, mixer, mixer_cut=str(cut), mixer_certified=True
+        cert, psi, ghz(3, 2), cert.p_max, mixer, mixer_cut=cut, mixer_certified=True
     )
-    probe = conversion._extremal_free_overlap(m)
+    probe = conversion._extremal_free_overlap(m, seed=0)
     assert probe == pytest.approx(1 - cert.g_source, abs=1e-9)
+
+
+def test_fsp_probe_uses_the_audit_seed(monkeypatch):
+    psi1 = random_state(3, 2, 21)
+    m = conversion.PreparationMap(
+        psi1=psi1,
+        p=0.1,
+        psi2=w_state(),
+        mixer=measures.w_robustness_mixer(),
+        theory=conversion.FSP,
+        g_source=0.5,
+        r_target=2.0,
+    )
+    seeds = []
+
+    def spy(psi, opts=measures.OptimizerOptions()):
+        seeds.append(opts.seed)
+        return measures.geometric_fs(psi, opts)
+
+    monkeypatch.setattr(conversion, "geometric_fs", spy)
+    for seed in (0, 9):
+        probe = conversion._extremal_free_overlap(m, seed)
+        gfs = measures.geometric_fs(psi1, measures.OptimizerOptions(seed=seed)).value
+        assert probe == pytest.approx(1 - gfs, abs=1e-12)
+    conversion.verify_preservation_sampled(m, 1, seed=5)
+    assert seeds == [0, 9, 5]
 
 
 def test_preservation_fails_above_certified_p():
@@ -193,7 +221,7 @@ def test_preservation_fails_above_certified_p():
         theory=conversion.BSP,
         g_source=cert.g_source,
         r_target=cert.r_target,
-        mixer_cut=str(cut),
+        mixer_cut=cut,
     )
     rep = conversion.verify_preservation_sampled(over, 2000, seed=1)
     assert rep.violations >= 1

@@ -53,6 +53,25 @@ def test_geometric_bs_zero_on_product():
     assert measures.geometric_bs(random_product_state(3, 2, 5)).value < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_geometric_fs_equals_geometric_bs_for_two_parties(d):
+    # for two parties product and biseparable states coincide
+    for seed in range(5):
+        psi = random_state(2, d, 100 * d + seed)
+        gfs = measures.geometric_fs(psi, measures.OptimizerOptions(seed=seed)).value
+        assert gfs == pytest.approx(measures.geometric_bs(psi).value, abs=1e-10)
+
+
+def test_maximize_over_products_best_restart_fields():
+    res = measures.maximize_over_products(
+        w_state().amplitudes[None], [1.0], 3, 2, measures.OptimizerOptions(seed=3)
+    )
+    assert res.value == pytest.approx(4 / 9, abs=1e-9)
+    assert res.converged and 1 <= res.iterations <= 500
+    prod = PureState(3, 2, np.kron(np.kron(*res.certificate[:2]), res.certificate[2]))
+    assert abs(prod.overlap(w_state())) ** 2 == pytest.approx(res.value, abs=1e-12)
+
+
 def test_geometric_fs_fixtures():
     opts = measures.OptimizerOptions(seed=7)
     assert measures.geometric_fs(ghz(3, 2), opts).value == pytest.approx(0.5, abs=1e-6)
@@ -153,20 +172,6 @@ def test_mixer_and_boundary_are_ppt_across_all_cuts():
         assert measures.ppt_all_cuts_min_eigenvalue(rho) >= -1e-10
 
 
-def test_hayashi_weights_at_special_angles():
-    # alpha = pi/3: weights (1/64, 27/64, 9/64, 27/64) in (c^6, s^6, 3c^4s^2, 3c^2s^4)
-    c2, s2 = 0.25, 0.75
-    w = (c2**3, s2**3, 3 * c2**2 * s2, 3 * c2 * s2**2)
-    assert measures._hayashi_feasible(w, 1e-10)
-
-
-def test_hayashi_rejects_non_member():
-    # W itself (all weight on the W projector) admits no such decomposition
-    assert not measures._hayashi_feasible((0.0, 0.0, 1.0, 0.0), 1e-10)
-    # not enough |000> population to carry the family's c^6 weight
-    assert not measures._hayashi_feasible((0.0, 0.0, 0.9, 0.1), 1e-10)
-
-
 # --- separability certification --------------------------------------------
 
 
@@ -193,6 +198,15 @@ def test_fs_certificate_symmetric_ppt_route():
     assert res.route == "symmetric-ppt"
     res = measures.fs_certificate(measures.w_robustness_mixer())
     assert res.verdict == "certified_fs"
+    # every member of the diagonal {000, 111, W, Wbar} family is permutation
+    # symmetric, so the NPT and symmetric-PPT routes decide all of them
+    rng = np.random.default_rng(11)
+    for weights in rng.dirichlet(np.ones(4), size=40):
+        res = measures.fs_certificate(measures.diag_family_state(*weights))
+        assert (res.verdict, res.route) in {
+            ("certified_fs", "symmetric-ppt"),
+            ("certified_not_fs", "npt-cut"),
+        }
 
 
 def test_fs_certificate_unknown_is_a_value():

@@ -76,6 +76,18 @@ def test_witness_range_over_fs_stays_in_unit_interval():
         assert w.expectation(arg_hi.density()) == pytest.approx(hi, abs=1e-8)
 
 
+def test_projector_witness_maximum_matches_geometric_fs():
+    # max over products of <prod|psi><psi|prod> is 1 - G_FS(psi)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=8) + 1j * rng.normal(size=8)
+        psi = PureState(3, 2, v / np.linalg.norm(v))
+        w = witnesses.Witness(np.outer(psi.amplitudes, psi.amplitudes.conj()), "proj", 3, 2)
+        opts = measures.OptimizerOptions(seed=seed)
+        _, hi, _, _ = witnesses.witness_range_over_fs(w, opts)
+        assert hi == pytest.approx(1 - measures.geometric_fs(psi, opts).value, abs=1e-9)
+
+
 def test_witness_sandwich_on_random_product_states():
     rng = np.random.default_rng(4)
     ops = [witnesses.ghz_robustness_witness(), witnesses.w_robustness_witness()]
