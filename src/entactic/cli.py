@@ -48,17 +48,17 @@ def _load_state(path: str):
     return state_from_json(Path(path).read_text())
 
 
-def _load_any(path: str):
-    """Pure-state JSON preferred; falls back to a density matrix."""
+def _load_any(path: str) -> DensityMatrix:
+    """A file with an "amplitudes" field is read as a pure state, any other
+    as a density matrix; errors come from the parser of the kind chosen."""
     text = Path(path).read_text()
     try:
-        return _wrap_density(state_from_json(text))
-    except ValueError:
-        return density_from_json(text)
-
-
-def _wrap_density(psi) -> DensityMatrix:
-    return psi.density()
+        obj = json.loads(text)
+    except json.JSONDecodeError:
+        obj = None
+    if isinstance(obj, dict) and "amplitudes" in obj:
+        return state_from_json(text).density()
+    return density_from_json(text)
 
 
 def _cut_arg(text: str, n: int) -> Bipartition:

@@ -29,8 +29,6 @@ from .linalg import (
 )
 from .measures import (
     CERTIFIED_FS,
-    FsCertifierOptions,
-    MeasureResult,
     OptimizerOptions,
     fs_certificate,
     geometric_bs,
@@ -43,6 +41,7 @@ BSP = "BSP"
 
 _P_SLACK = 1e-12
 _CLAMP_TOL = 1e-9
+AUDIT_TOL = 1e-9  # slack on both preservation inequalities before a violation
 
 
 class FreeSourceError(ValueError):
@@ -72,7 +71,6 @@ class PreparationMap:
     g_source: float
     r_target: float
     mixer_cut: Optional[Bipartition] = None
-    notes: str = ""
 
     def __post_init__(self):
         if not 0 < self.p <= 1:
@@ -93,10 +91,6 @@ class PreservationReport:
     theory: str
 
 
-def _source_measure(psi: PureState, theory: str, opts: OptimizerOptions) -> MeasureResult:
-    return geometric_bs(psi) if theory == BSP else geometric_fs(psi, opts)
-
-
 def max_probability(
     psi1: PureState,
     psi2: PureState,
@@ -109,8 +103,7 @@ def max_probability(
     upper bound on the target's robustness (from above, to stay sound)."""
     if theory not in (FSP, BSP):
         raise ValueError(f"theory must be FSP or BSP, got {theory}")
-    g_res = _source_measure(psi1, theory, opts)
-    g = g_res.value
+    g = (geometric_bs(psi1) if theory == BSP else geometric_fs(psi1, opts)).value
     if g <= 1e-9:
         raise FreeSourceError("source state is free within tolerance")
     provenance = {"g_route": "cut-enumeration" if theory == BSP else "product-optimizer"}
@@ -156,24 +149,19 @@ def _bs_mixer_details(psi2: PureState):
     s = bound.value
     if s < 1e-12:
         return psi2.density(), 0.0, cut
-    a_mat = cut_matrix(psi2, cut)
-    u, sv, vh = np.linalg.svd(a_mat, full_matrices=False)
+    u, sv, vh = np.linalg.svd(cut_matrix(psi2, cut), full_matrices=False)
     keep = sv > 1e-14
     u, sv, vh = u[:, keep], sv[keep], vh[keep, :]
-    dm, dc = a_mat.shape
-    mix = np.zeros((dm * dc, dm * dc), dtype=complex)
-    for i in range(len(sv)):
-        pi = np.outer(u[:, i], u[:, i].conj())
-        for j in range(len(sv)):
-            if i == j:
-                continue
-            pj = np.outer(vh[j, :], vh[j, :].conj())
-            mix += (sv[i] * sv[j]) * np.kron(pi, pj)
+    # row (i, j) is the product vector u_i v_j, weighted a_i a_j off the diagonal
+    products = (u.T[:, None, :, None] * vh[None, :, None, :]).reshape(len(sv) ** 2, -1)
+    weights = np.outer(sv, sv)
+    np.fill_diagonal(weights, 0.0)
+    mix = (products.T * weights.reshape(-1)) @ products.conj()
     mix = from_cut_order(mix / s, cut, psi2.d)
     mix = (mix + mix.conj().T) / 2
-    mixer = DensityMatrix(psi2.n, psi2.d, mix)
+    mixer = DensityMatrix.by_construction(psi2.n, psi2.d, mix)
     # the boundary mixture must be PPT across the construction cut
-    boundary = DensityMatrix(
+    boundary = DensityMatrix.by_construction(
         psi2.n,
         psi2.d,
         (psi2.density().entries + s * mixer.entries) / (1.0 + s),
@@ -181,10 +169,6 @@ def _bs_mixer_details(psi2: PureState):
     if not is_ppt(boundary, sorted(cut.parties), tol=1e-8):
         raise RuntimeError("mixer construction failed the boundary PPT check")
     return mixer, float(s), cut
-
-
-def bs_mixer_for(psi2: PureState) -> DensityMatrix:
-    return _bs_mixer_details(psi2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +183,13 @@ def build_filter_map(
     mixer: DensityMatrix,
     mixer_cut: Optional[Bipartition] = None,
     mixer_certified: bool = False,
-    certifier: FsCertifierOptions = FsCertifierOptions(),
-    notes: str = "",
 ) -> PreparationMap:
     """Assemble the channel after checking p against the certificate and the
     mixer against the relevant free-set certificate."""
     if p > cert.p_max + _P_SLACK:
         raise ValueError(f"p = {p} exceeds certified maximum {cert.p_max}")
     if cert.theory == FSP and not mixer_certified:
-        res = fs_certificate(mixer, certifier)
+        res = fs_certificate(mixer)
         if res.verdict != CERTIFIED_FS:
             raise ValueError(f"mixer not certified fully separable: {res.verdict}")
     if cert.theory == BSP and not mixer_certified:
@@ -222,7 +204,6 @@ def build_filter_map(
         g_source=cert.g_source,
         r_target=cert.r_target,
         mixer_cut=mixer_cut,
-        notes=notes,
     )
 
 
@@ -233,19 +214,10 @@ def ghz_to_any_bsp(psi: PureState) -> PreparationMap:
     which is exactly the source's conversion budget.
     """
     source = ghz(psi.n, psi.d)
-    mixer, r, cut = _bs_mixer_details(psi)
-    g = geometric_bs(source).value
-    p_max = 1.0 if r <= 0 else g / ((1.0 - g) * r)
-    if p_max < 1.0 - _CLAMP_TOL:
-        raise RuntimeError(f"budget violated: r = {r} > {g / (1 - g)}")
-    cert = ConversionCertificate(
-        g_source=g,
-        r_target=r,
-        p_max=1.0,
-        deterministic=True,
-        theory=BSP,
-        provenance={"g_route": "cut-enumeration", "r_route": f"min-cut-schmidt:{cut}"},
-    )
+    cert = max_probability(source, psi, BSP)
+    if not cert.deterministic:
+        raise RuntimeError(f"budget violated: p_max = {cert.p_max} < 1")
+    mixer, _, cut = _bs_mixer_details(psi)
     return build_filter_map(
         cert, source, psi, 1.0, mixer, mixer_cut=cut, mixer_certified=True
     )
@@ -313,12 +285,11 @@ def verify_preservation_sampled(
     prep_map: PreparationMap,
     samples: int,
     seed: int,
-    overlap_tol: float = 1e-9,
-    ratio_tol: float = 1e-9,
 ) -> PreservationReport:
     """Sample random free inputs and check the two preservation inequalities:
     the filter overlap never exceeds 1 - g, and the output's mixing weight
-    toward the mixer never drops below the target's robustness bound.
+    toward the mixer never drops below the target's robustness bound, each
+    up to AUDIT_TOL.
 
     Sample 0 is a deterministic extremal probe (the free state maximizing
     the filter overlap), so p above the certified maximum is always caught.
@@ -331,11 +302,11 @@ def verify_preservation_sampled(
     if samples > 1:
         q[1:] = _batch_free_overlaps(prep_map.psi1, prep_map.theory, samples - 1, rng)
     g, r, p = prep_map.g_source, prep_map.r_target, prep_map.p
-    overlap_margin = (1.0 - g) + overlap_tol - q
+    overlap_margin = (1.0 - g) + AUDIT_TOL - q
     pos = q > 1e-15
     s_out = np.full(samples, math.inf)
     s_out[pos] = (1.0 / p) * (1.0 / q[pos] - 1.0)
-    ratio_margin = s_out - (r - ratio_tol)
+    ratio_margin = s_out - (r - AUDIT_TOL)
     bad = (overlap_margin < 0) | (ratio_margin < 0)
     finite_ratio = ratio_margin[np.isfinite(ratio_margin)]
     return PreservationReport(

@@ -64,7 +64,7 @@ def params_to_density(p: GhzSymmetricParams) -> DensityMatrix:
     m = lp * np.outer(g, g.conj()) + lm * np.outer(gm, gm.conj())
     for i in range(1, 7):
         m[i, i] += lr / 6
-    return DensityMatrix(3, 2, m)
+    return DensityMatrix.by_construction(3, 2, m)
 
 
 def twirl(rho: DensityMatrix) -> GhzSymmetricParams:

@@ -24,16 +24,18 @@ class ShapeError(ValueError):
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized amplitude vector over n parties of local dimension d."""
+    """Normalized amplitude vector over n parties of local dimension d, held
+    as a read-only copy; its Schmidt spectra are kept on it once computed."""
 
     n: int
     d: int
     amplitudes: np.ndarray
+    _cuts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.d < 2:
             raise ValueError(f"invalid system shape n={self.n}, d={self.d}")
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex)
         if amps.shape != (self.d**self.n,):
             raise ValueError(
                 f"expected {self.d**self.n} amplitudes, got {amps.shape}"
@@ -53,7 +55,8 @@ class PureState:
         return self.amplitudes.reshape((self.d,) * self.n)
 
     def density(self) -> "DensityMatrix":
-        return DensityMatrix(self.n, self.d, np.outer(self.amplitudes, self.amplitudes.conj()))
+        v = self.amplitudes
+        return DensityMatrix.by_construction(self.n, self.d, np.outer(v, v.conj()))
 
     def overlap(self, other: "PureState") -> complex:
         if (self.n, self.d) != (other.n, other.d):
@@ -82,6 +85,16 @@ class DensityMatrix:
             raise ValueError(f"negative eigenvalue {np.linalg.eigvalsh(m)[0]:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
+
+    @classmethod
+    def by_construction(cls, n: int, d: int, entries: np.ndarray) -> "DensityMatrix":
+        """A matrix that is a density matrix by how it was built from validated
+        operands (a state's projector, a partial trace, a convex mixture),
+        wrapped without the constructor's checks and their O(D^3) eigvalsh."""
+        rho = object.__new__(cls)
+        rho.__dict__.update(n=n, d=d, entries=np.asarray(entries, dtype=complex))
+        rho.entries.setflags(write=False)
+        return rho
 
     @property
     def dim(self) -> int:
@@ -133,15 +146,6 @@ class SchmidtSpectrum:
 
     cut: Bipartition
     values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if abs(v.sum() - 1.0) > 1e-10:
-            raise ValueError(f"Schmidt spectrum sums to {v.sum()}")
-        if np.any(np.diff(v) > 1e-14):
-            raise ValueError("Schmidt spectrum not sorted descending")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
 
 def haar_vectors(rng: np.random.Generator, dim: int, count: int | None = None) -> np.ndarray:
@@ -201,11 +205,16 @@ def cut_matrix(psi: PureState, cut: Bipartition) -> np.ndarray:
 
 
 def schmidt_spectrum(psi: PureState, cut: Bipartition) -> SchmidtSpectrum:
-    sv = np.linalg.svd(cut_matrix(psi, cut), compute_uv=False)
-    vals = np.sort(sv**2)[::-1]
-    # clip float dust so the sum-to-one invariant holds verbatim
-    vals = vals / vals.sum()
-    return SchmidtSpectrum(cut, vals)
+    """Squared Schmidt coefficients across the cut, computed once per state."""
+    spec = psi._cuts.get(cut)
+    if spec is None:
+        sv = np.linalg.svd(cut_matrix(psi, cut), compute_uv=False)
+        vals = np.sort(sv**2)[::-1]
+        # clip float dust so the sum-to-one invariant holds verbatim
+        vals = vals / vals.sum()
+        vals.setflags(write=False)
+        spec = psi._cuts[cut] = SchmidtSpectrum(cut, vals)
+    return spec
 
 
 def reduced_density(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
@@ -219,7 +228,7 @@ def reduced_density(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     dim = d ** len(keep)
     out = t.reshape(dim, dim)
     out = (out + out.conj().T) / 2
-    return DensityMatrix(len(keep), d, out)
+    return DensityMatrix.by_construction(len(keep), d, out)
 
 
 def reduced_density_pure(psi: PureState, keep: Sequence[int]) -> DensityMatrix:
@@ -230,7 +239,7 @@ def reduced_density_pure(psi: PureState, keep: Sequence[int]) -> DensityMatrix:
     a = t.reshape(psi.d ** len(keep), psi.d ** len(rest))
     m = a @ a.conj().T
     m = (m + m.conj().T) / 2
-    return DensityMatrix(len(keep), psi.d, m)
+    return DensityMatrix.by_construction(len(keep), psi.d, m)
 
 
 def partial_transpose(rho: DensityMatrix, subset: Sequence[int]) -> np.ndarray:
@@ -247,8 +256,7 @@ def partial_transpose(rho: DensityMatrix, subset: Sequence[int]) -> np.ndarray:
 def is_ppt(rho: DensityMatrix, subset: Sequence[int], tol: float = PSD_TOL) -> bool:
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    w = np.linalg.eigvalsh(partial_transpose(rho, subset))
-    return bool(w[0] >= -tol)
+    return min_pt_eigenvalue(rho, subset) >= -tol
 
 
 def min_pt_eigenvalue(rho: DensityMatrix, subset: Sequence[int]) -> float:
@@ -275,7 +283,7 @@ def apply_channel(prep_map, rho: DensityMatrix) -> DensityMatrix:
         + ((1.0 - q) + (1.0 - p) * q) * prep_map.mixer.entries
     )
     out = (out + out.conj().T) / 2
-    return DensityMatrix(rho.n, rho.d, out)
+    return DensityMatrix.by_construction(rho.n, rho.d, out)
 
 
 # ---------------------------------------------------------------------------

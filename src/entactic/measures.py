@@ -80,14 +80,17 @@ class RobustnessCapError(RuntimeError):
 # Geometric measures
 
 
+def _best_cut(psi: PureState, score) -> tuple[float, Bipartition]:
+    """The smallest score(psi, cut) over all cuts and the first cut attaining it."""
+    if psi.n < 2:
+        raise ValueError(f"a state needs at least 2 parties to have a cut, got n={psi.n}")
+    return min(((score(psi, cut), cut) for cut in all_bipartitions(psi.n)), key=lambda t: t[0])
+
+
 def geometric_bs(psi: PureState) -> MeasureResult:
     """1 - (largest Schmidt value over all cuts); closed form, deterministic."""
-    best_cut, best_l1 = None, -1.0
-    for cut in all_bipartitions(psi.n):
-        l1 = float(schmidt_spectrum(psi, cut).values[0])
-        if l1 > best_l1:
-            best_cut, best_l1 = cut, l1
-    return MeasureResult(value=1.0 - best_l1, certificate=best_cut)
+    neg_l1, cut = _best_cut(psi, lambda psi, cut: -float(schmidt_spectrum(psi, cut).values[0]))
+    return MeasureResult(value=1.0 + neg_l1, certificate=cut)
 
 
 def maximize_over_products(
@@ -157,12 +160,8 @@ def robustness_bipartite_pure(psi: PureState, cut: Bipartition) -> float:
 def robustness_bs_upper(psi: PureState) -> MeasureResult:
     """Upper bound on the biseparable robustness: the minimum over cuts of
     the bipartite pure-state robustness."""
-    best_cut, best = None, math.inf
-    for cut in all_bipartitions(psi.n):
-        r = robustness_bipartite_pure(psi, cut)
-        if r < best:
-            best_cut, best = cut, r
-    return MeasureResult(value=best, certificate=best_cut)
+    value, cut = _best_cut(psi, robustness_bipartite_pure)
+    return MeasureResult(value=value, certificate=cut)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +181,7 @@ def diag_family_state(w000, w111, ww, wwb) -> DensityMatrix:
     wb = w_bar().amplitudes
     m += weights[2] * np.outer(w, w.conj())
     m += weights[3] * np.outer(wb, wb.conj())
-    return DensityMatrix(3, 2, m)
+    return DensityMatrix.by_construction(3, 2, m)
 
 
 def w_robustness_mixer() -> DensityMatrix:
@@ -314,28 +313,27 @@ def fs_certificate(
 def robustness_fs_upper_via_mix(
     psi: DensityMatrix,
     mixer: DensityMatrix,
-    certifier: FsCertifierOptions = FsCertifierOptions(),
     s_max: float = 16.0,
     bisect_tol: float = 1e-6,
 ) -> float:
     """Minimal s (bisection) with (psi + s mixer) / (1 + s) certified fully
     separable.  Upper-bounds the separability robustness for this mixer."""
-    cert = fs_certificate(mixer, certifier)
+    cert = fs_certificate(mixer)
     if cert.verdict != CERTIFIED_FS:
         raise ValueError(f"mixer not certified fully separable: {cert.verdict}")
 
     def mix(s):
         m = (psi.entries + s * mixer.entries) / (1.0 + s)
-        return DensityMatrix(psi.n, psi.d, (m + m.conj().T) / 2)
+        return DensityMatrix.by_construction(psi.n, psi.d, (m + m.conj().T) / 2)
 
-    if fs_certificate(psi, certifier).verdict == CERTIFIED_FS:
+    if fs_certificate(psi).verdict == CERTIFIED_FS:
         return 0.0
-    if fs_certificate(mix(s_max), certifier).verdict != CERTIFIED_FS:
+    if fs_certificate(mix(s_max)).verdict != CERTIFIED_FS:
         raise RobustnessCapError(f"no certified mixture below s = {s_max}")
     lo, hi = 0.0, s_max
     while hi - lo > bisect_tol:
         mid = (lo + hi) / 2
-        if fs_certificate(mix(mid), certifier).verdict == CERTIFIED_FS:
+        if fs_certificate(mix(mid)).verdict == CERTIFIED_FS:
             hi = mid
         else:
             lo = mid

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entactic.cli import run_command
-from entactic.linalg import state_from_json, state_to_json
+from entactic.linalg import density_to_json, state_from_json, state_to_json
 from entactic.catalog import ghz, w_state
 
 
@@ -107,10 +107,35 @@ def test_malformed_density_shapes_exit_one(tmp_path, capsys, text):
     assert len(err) == 1 and err[0].startswith("error: malformed density JSON")
 
 
-def test_twirl_command(capsys, ghz_file):
+@pytest.mark.parametrize("kind", ["gbs", "rbs-upper"])
+def test_measure_one_party_state_exit_one(tmp_path, capsys, kind):
+    path = tmp_path / "one.json"
+    path.write_text('{"n": 1, "d": 2, "amplitudes": [[1, 0], [0, 0]]}')
+    assert run_command(["measure", "--kind", kind, "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and "at least 2 parties" in err[0]
+
+
+@pytest.mark.parametrize("argv", [["twirl", "--in"], ["witness", "--name", "w", "--eval"]])
+def test_state_or_density_input_reports_the_state_error(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 3, "d": 2, "amplitudes": 5}')
+    assert run_command(argv + [str(bad)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: malformed state JSON")
+
+
+def test_twirl_command(tmp_path, capsys, ghz_file):
     rc, data = run_json(capsys, ["twirl", "--in", ghz_file])
     assert rc == 0
     assert data["lambda_plus"] == pytest.approx(1.0, abs=1e-12)
+    # the same state as a density matrix
+    rho_file = tmp_path / "ghz32-rho.json"
+    rho_file.write_text(density_to_json(ghz(3, 2).density()))
+    rc, from_rho = run_json(capsys, ["twirl", "--in", str(rho_file)])
+    assert rc == 0 and from_rho == data
 
 
 def test_symmetric_robustness_exact_output(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -235,6 +236,41 @@ def test_preservation_report_fields():
     assert math.isfinite(rep.worst_overlap_margin)
     with pytest.raises(ValueError):
         conversion.verify_preservation_sampled(m, 0, seed=3)
+
+
+@pytest.mark.parametrize("excess, violations", [(0.5, 0), (2.0, 1)])
+def test_audit_tolerance_edges(excess, violations):
+    # a free input beyond either inequality by excess * AUDIT_TOL
+    m = conversion.ghz_to_any_bsp(w_state())
+    q = conversion._extremal_free_overlap(m, seed=0)
+    slack = excess * conversion.AUDIT_TOL
+    overlap_edge = dataclasses.replace(m, g_source=1 - q + slack, r_target=0.0)
+    ratio_edge = dataclasses.replace(m, g_source=0.0, r_target=(1 / q - 1) / m.p + slack)
+    for edge in (overlap_edge, ratio_edge):
+        assert conversion.verify_preservation_sampled(edge, 1, seed=0).violations == violations
+
+
+def test_each_cut_is_decomposed_once_per_state(monkeypatch):
+    psi1, psi2 = random_state(4, 2, 31), random_state(4, 2, 32)
+    svd, calls = np.linalg.svd, []
+
+    def spy(a, *args, **kwargs):
+        calls.append((a.shape, a.tobytes(), kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    cert = conversion.max_probability(psi1, psi2, conversion.BSP)
+    mixer, _, cut = conversion._bs_mixer_details(psi2)
+    m = conversion.build_filter_map(
+        cert, psi1, psi2, cert.p_max, mixer, mixer_cut=cut, mixer_certified=True
+    )
+    conversion._extremal_free_overlap(m, seed=0)
+    measures.geometric_bs(psi1)
+    measures.robustness_bs_upper(psi2)
+    spectra = [call for call in calls if not call[2]]
+    assert len(spectra) == len(set(spectra)) == 2 * len(all_bipartitions(4))
+    # Schmidt vectors only on the two best cuts: the mixer's and the probe's
+    assert len([call for call in calls if call[2]]) == 2
 
 
 # --- tilted-GHZ closed form -------------------------------------------------

@@ -181,3 +181,70 @@ def test_apply_channel_output_is_density():
     out = apply_channel(m, ghz(3, 2).density())
     assert abs(np.trace(out.entries) - 1.0) < 1e-12
     assert np.min(np.linalg.eigvalsh(out.entries)) > -1e-10
+
+
+def test_pure_state_copies_its_amplitudes():
+    buf = np.array([1, 0, 0, 0], dtype=complex)
+    view = buf[:]
+    psi = PureState(2, 2, buf)
+    view[0] = 5
+    assert psi.amplitudes[0] == 1
+    assert not psi.amplitudes.flags.writeable
+
+
+def test_matrices_made_by_construction_pass_the_public_checks(monkeypatch):
+    # every site that skips the constructor's checks, fed back through them
+    from entactic import conversion, ghz_symmetric, measures
+    from entactic.catalog import w_state
+
+    rng = np.random.default_rng(2024)
+    made = []
+    for n, d in [(3, 2), (2, 3), (4, 2)]:
+        psi = random_state(n, d, int(rng.integers(10**6)))
+        rho = psi.density()
+        keep = sorted(rng.choice(np.arange(1, n + 1), size=n - 1, replace=False))
+        made += [rho, reduced_density(rho, keep), reduced_density_pure(psi, keep)]
+        wider = random_state(n + 2, d, int(rng.integers(10**6)))
+        mixed = reduced_density_pure(wider, range(1, n + 1))
+        made += [mixed, apply_channel(conversion.ghz_to_any_bsp(psi), mixed)]
+    for _ in range(5):
+        made.append(measures.diag_family_state(*rng.dirichlet(np.ones(4))))
+        params = ghz_symmetric.GhzSymmetricParams(*rng.dirichlet(np.ones(3)))
+        made.append(ghz_symmetric.params_to_density(params))
+
+    certify = measures.fs_certificate
+
+    def certify_spy(rho, *args):
+        made.append(rho)  # the bisection's mixtures
+        return certify(rho, *args)
+
+    monkeypatch.setattr(measures, "fs_certificate", certify_spy)
+    measures.robustness_fs_upper_via_mix(
+        w_state().density(), measures.w_robustness_mixer(), bisect_tol=1e-2
+    )
+
+    def ppt_spy(rho, *args, **kwargs):
+        made.append(rho)  # the boundary mixture
+        return is_ppt(rho, *args, **kwargs)
+
+    monkeypatch.setattr(conversion, "is_ppt", ppt_spy)
+    for seed in range(3):
+        made.append(conversion._bs_mixer_details(random_state(4, 2, seed))[0])
+
+    assert len(made) > 40
+    for rho in made:
+        DensityMatrix(rho.n, rho.d, np.array(rho.entries))
+
+
+def test_internal_density_matrices_skip_the_eigendecomposition(monkeypatch):
+    psi = random_state(10, 2, 1)
+
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    rho = psi.density()
+    reduced_density(rho, [1, 2])
+    reduced_density_pure(psi, [3, 4])
+    with pytest.raises(AssertionError):
+        DensityMatrix(rho.n, rho.d, rho.entries)

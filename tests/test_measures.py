@@ -147,6 +147,13 @@ def test_robustness_bs_upper_w_state():
     assert measures.robustness_bs_upper(w_state()).value == pytest.approx(expected, abs=1e-12)
 
 
+def test_cut_measures_reject_one_party_states():
+    psi = PureState(1, 2, np.array([1.0, 0.0]))
+    for measure in (measures.geometric_bs, measures.robustness_bs_upper):
+        with pytest.raises(ValueError, match="at least 2 parties"):
+            measure(psi)
+
+
 # --- diagonal family and its certified points ------------------------------
 
 
