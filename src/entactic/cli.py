@@ -29,9 +29,9 @@ DEFAULT_SEED_ENV = "ENTACTIC_SEED"
 
 
 def _default_seed(parser: argparse.ArgumentParser) -> int:
-    """The seed for commands run without --seed: ENTACTIC_SEED, else 2024.
-    A non-integer value is a usage error (exit 2)."""
-    text = os.environ.get(DEFAULT_SEED_ENV, "2024")
+    """The seed for commands run without --seed: ENTACTIC_SEED, else
+    measures.DEFAULT_SEED.  A non-integer value is a usage error (exit 2)."""
+    text = os.environ.get(DEFAULT_SEED_ENV, str(measures.DEFAULT_SEED))
     try:
         return int(text)
     except ValueError:
@@ -67,7 +67,10 @@ def _cut_arg(text: str, n: int) -> Bipartition:
 
 
 def _parse_params(text: str) -> gs.GhzSymmetricParams:
-    parts = [Fraction(x.strip()) for x in text.split(",")]
+    try:
+        parts = [Fraction(x.strip()) for x in text.split(",")]
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in --params {text!r}") from None
     if len(parts) != 3:
         raise ValueError("expected three comma-separated weights")
     return gs.GhzSymmetricParams(*parts)
@@ -87,12 +90,11 @@ def _cmd_catalog(args):
 
 def _cmd_measure(args):
     psi = _load_state(args.infile)
-    opts = measures.OptimizerOptions(seed=args.seed)
     if args.kind == "gbs":
         res = measures.geometric_bs(psi)
         cert = str(res.certificate)
     elif args.kind == "gfs":
-        res = measures.geometric_fs(psi, opts)
+        res = measures.geometric_fs(psi, args.seed)
         cert = "product-state"
     elif args.kind == "rbs-upper":
         res = measures.robustness_bs_upper(psi)
@@ -159,8 +161,7 @@ def _cmd_witness(args):
     )
     out = {"name": wit.name, "verified_range": list(wit.verified_range)}
     if args.check:
-        opts = measures.OptimizerOptions(seed=args.seed)
-        lo, hi, _, _ = witnesses.witness_range_over_fs(wit, opts)
+        lo, hi, _, _ = witnesses.witness_range_over_fs(wit, args.seed)
         out["optimizer_range"] = [lo, hi]
         from .catalog import ghz, w_state
 
@@ -177,8 +178,7 @@ def _cmd_convert(args):
     psi1 = _load_state(args.source)
     psi2 = _load_state(args.target)
     theory = conversion.FSP if args.theory == "fsp" else conversion.BSP
-    opts = measures.OptimizerOptions(seed=args.seed)
-    cert = conversion.max_probability(psi1, psi2, theory, opts, r_upper=args.r_upper)
+    cert = conversion.max_probability(psi1, psi2, theory, args.seed, r_upper=args.r_upper)
     out = {
         "g_source": cert.g_source,
         "r_target": cert.r_target,
@@ -189,16 +189,7 @@ def _cmd_convert(args):
     }
     if args.build:
         p = args.p if args.p is not None else cert.p_max
-        if theory == conversion.BSP:
-            mixer, _, cut = conversion._bs_mixer_details(psi2)
-            prep = conversion.build_filter_map(
-                cert, psi1, psi2, p, mixer, mixer_cut=cut, mixer_certified=True
-            )
-        else:
-            raise ValueError(
-                "building an FSP map needs a certified separable mixer; "
-                "only the BSP route is automated"
-            )
+        prep = conversion.build_filter_map(cert, psi1, psi2, p)
         out["built"] = {"p": prep.p, "mixer_cut": str(prep.mixer_cut)}
         if args.verify:
             rep = conversion.verify_preservation_sampled(prep, args.verify, args.seed)

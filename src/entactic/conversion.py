@@ -27,14 +27,7 @@ from .linalg import (
     is_ppt,
     kron_vectors,
 )
-from .measures import (
-    CERTIFIED_FS,
-    OptimizerOptions,
-    fs_certificate,
-    geometric_bs,
-    geometric_fs,
-    robustness_bs_upper,
-)
+from .measures import DEFAULT_SEED, geometric_bs, geometric_fs, robustness_bs_upper
 
 FSP = "FSP"
 BSP = "BSP"
@@ -95,15 +88,16 @@ def max_probability(
     psi1: PureState,
     psi2: PureState,
     theory: str,
-    opts: OptimizerOptions = OptimizerOptions(),
+    seed: int = DEFAULT_SEED,
     r_upper: Optional[float] = None,
 ) -> ConversionCertificate:
     """Largest conversion probability certified by the measure inequality:
     p <= g / ((1 - g) r) with g the source's geometric measure and r an
-    upper bound on the target's robustness (from above, to stay sound)."""
+    upper bound on the target's robustness (from above, to stay sound); an
+    FSP bound is supplied as `r_upper`, finite and >= 0."""
     if theory not in (FSP, BSP):
         raise ValueError(f"theory must be FSP or BSP, got {theory}")
-    g = (geometric_bs(psi1) if theory == BSP else geometric_fs(psi1, opts)).value
+    g = (geometric_bs(psi1) if theory == BSP else geometric_fs(psi1, seed)).value
     if g <= 1e-9:
         raise FreeSourceError("source state is free within tolerance")
     provenance = {"g_route": "cut-enumeration" if theory == BSP else "product-optimizer"}
@@ -115,6 +109,8 @@ def max_probability(
         if r_upper is None:
             raise ValueError("FSP conversion needs a certified robustness upper bound")
         r = float(r_upper)
+        if not 0.0 <= r < math.inf:
+            raise ValueError(f"robustness upper bound must be finite and >= 0, got {r}")
         provenance["r_route"] = "supplied-upper-bound"
     if r <= 0:
         # a free target needs no resource accounting; any p works
@@ -180,21 +176,19 @@ def build_filter_map(
     psi1: PureState,
     psi2: PureState,
     p: float,
-    mixer: DensityMatrix,
-    mixer_cut: Optional[Bipartition] = None,
-    mixer_certified: bool = False,
 ) -> PreparationMap:
-    """Assemble the channel after checking p against the certificate and the
-    mixer against the relevant free-set certificate."""
+    """Assemble the channel after checking p against the certificate; the
+    mixer is the target's robustness-achieving biseparable state across its
+    minimizing cut.  Only the BSP map is built: an FSP map would need a
+    certified fully separable mixer."""
+    if cert.theory != BSP:
+        raise ValueError(
+            "building an FSP map needs a certified separable mixer; "
+            "only the BSP route is automated"
+        )
     if p > cert.p_max + _P_SLACK:
         raise ValueError(f"p = {p} exceeds certified maximum {cert.p_max}")
-    if cert.theory == FSP and not mixer_certified:
-        res = fs_certificate(mixer)
-        if res.verdict != CERTIFIED_FS:
-            raise ValueError(f"mixer not certified fully separable: {res.verdict}")
-    if cert.theory == BSP and not mixer_certified:
-        if mixer_cut is None or not is_ppt(mixer, sorted(mixer_cut.parties), tol=1e-8):
-            raise ValueError("biseparable mixer needs a PPT construction cut")
+    mixer, _, mixer_cut = _bs_mixer_details(psi2)
     return PreparationMap(
         psi1=psi1,
         p=p,
@@ -217,10 +211,7 @@ def ghz_to_any_bsp(psi: PureState) -> PreparationMap:
     cert = max_probability(source, psi, BSP)
     if not cert.deterministic:
         raise RuntimeError(f"budget violated: p_max = {cert.p_max} < 1")
-    mixer, _, cut = _bs_mixer_details(psi)
-    return build_filter_map(
-        cert, source, psi, 1.0, mixer, mixer_cut=cut, mixer_certified=True
-    )
+    return build_filter_map(cert, source, psi, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +268,7 @@ def _extremal_free_overlap(prep_map: PreparationMap, seed: int) -> float:
         u, _, vh = np.linalg.svd(cut_matrix(psi1, cut), full_matrices=False)
         vec = from_cut_order(kron_vectors([u[:, 0], vh[0, :]]), cut, psi1.d)
     else:
-        vec = kron_vectors(geometric_fs(psi1, OptimizerOptions(seed=seed)).certificate)
+        vec = kron_vectors(geometric_fs(psi1, seed).certificate)
     return float(abs(np.vdot(psi1.amplitudes, vec)) ** 2)
 
 

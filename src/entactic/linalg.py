@@ -8,6 +8,7 @@ that serialized states are unambiguous.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -41,6 +42,9 @@ class PureState:
                 f"expected {self.d**self.n} amplitudes, got {amps.shape}"
             )
         nrm = np.linalg.norm(amps)
+        # NaN fails every comparison; the norm is finite iff every amplitude is
+        if not math.isfinite(nrm):
+            raise ValueError("state has non-finite amplitudes")
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(nrm - 1):.3e}")
         amps.setflags(write=False)
@@ -77,6 +81,8 @@ class DensityMatrix:
         m = np.asarray(self.entries, dtype=complex)
         if m.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("density matrix has non-finite entries")
         if np.max(np.abs(m - m.conj().T)) > NORM_TOL:
             raise ValueError("matrix not Hermitian")
         if abs(np.trace(m).real - 1.0) > NORM_TOL:

@@ -21,6 +21,7 @@ from .catalog import w_bar, w_state
 from .linalg import (
     Bipartition,
     DensityMatrix,
+    PSD_TOL,
     PureState,
     all_bipartitions,
     haar_vectors,
@@ -33,17 +34,22 @@ CERTIFIED_FS = "certified_fs"
 CERTIFIED_NOT_FS = "certified_not_fs"
 UNKNOWN = "unknown"
 
-
-@dataclass(frozen=True)
-class OptimizerOptions:
-    restarts: int = 32
-    max_iterations: int = 500
-    tolerance: float = 1e-12
-    seed: int = 2024
-
-    def __post_init__(self):
-        if self.restarts < 1 or self.tolerance <= 0:
-            raise ValueError("restarts must be >= 1 and tolerance > 0")
+DEFAULT_SEED = 2024
+# product-state optimizer: seeded restarts, sweep cap, and the per-sweep gain
+# below which a restart counts as converged
+RESTARTS = 32
+MAX_SWEEPS = 500
+SWEEP_TOL = 1e-12
+# full-separability certifier: entrywise match to the GHZ-symmetric family
+# and to permutation symmetry; the product-decomposition fit's kept terms,
+# residual threshold, rounds, dictionary size and seed
+STRUCTURE_TOL = 1e-10
+FIT_TERMS = 20
+FIT_TOL = 1e-6
+FIT_ROUNDS = 8
+FIT_DICTIONARY = 600
+FIT_SEED = 2024
+S_MAX = 16.0  # largest mixing weight the separable-mixture bisection tries
 
 
 @dataclass(frozen=True)
@@ -55,17 +61,6 @@ class MeasureResult:
 
 
 @dataclass(frozen=True)
-class FsCertifierOptions:
-    ppt_tol: float = 1e-10
-    structure_tol: float = 1e-10
-    fit_terms: int = 20
-    fit_tol: float = 1e-6
-    fit_rounds: int = 8
-    fit_dictionary: int = 600
-    seed: int = 2024
-
-
-@dataclass(frozen=True)
 class CertResult:
     verdict: str
     route: str
@@ -73,7 +68,7 @@ class CertResult:
 
 
 class RobustnessCapError(RuntimeError):
-    """No mixing weight below the configured cap makes the state free."""
+    """No mixing weight up to S_MAX makes the state free."""
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +89,7 @@ def geometric_bs(psi: PureState) -> MeasureResult:
 
 
 def maximize_over_products(
-    terms: np.ndarray, weights, n: int, d: int, opts: OptimizerOptions = OptimizerOptions()
+    terms: np.ndarray, weights, n: int, d: int, seed: int = DEFAULT_SEED
 ) -> MeasureResult:
     """Maximize sum_z w_z |<a_z|x_1 ... x_n>|^2 over product states.
 
@@ -103,19 +98,19 @@ def maximize_over_products(
     objective is x_k^dag M x_k, M = sum_z w_z b_z b_z^dag for the contractions
     b_z of a_z with the other local vectors, so the top eigenvector of M is
     the optimal update and its eigenvalue the new value.  All seeded restarts
-    advance together; a restart whose sweep gained less than the tolerance
+    advance together; a restart whose sweep gained less than SWEEP_TOL
     is frozen and leaves the batch.  Returns the best restart's value, local
     vectors, sweep count and convergence flag.
     """
-    rng = np.random.default_rng(opts.seed)
-    x = np.array([[haar_vectors(rng, d) for _ in range(n)] for _ in range(opts.restarts)])
+    rng = np.random.default_rng(seed)
+    x = np.array([[haar_vectors(rng, d) for _ in range(n)] for _ in range(RESTARTS)])
     a = np.asarray(terms, dtype=complex)
     w = np.asarray(weights, dtype=float)
-    value = np.full(opts.restarts, -math.inf)
-    sweeps = np.zeros(opts.restarts, dtype=int)
-    converged = np.zeros(opts.restarts, dtype=bool)
-    active = np.arange(opts.restarts)
-    for sweep in range(1, opts.max_iterations + 1):
+    value = np.full(RESTARTS, -math.inf)
+    sweeps = np.zeros(RESTARTS, dtype=int)
+    converged = np.zeros(RESTARTS, dtype=bool)
+    active = np.arange(RESTARTS)
+    for sweep in range(1, MAX_SWEEPS + 1):
         xs = x[active]
         ones = np.ones((active.size, 1))
         for k in range(n):
@@ -127,7 +122,7 @@ def maximize_over_products(
             xs[:, k] = vec[:, :, -1]
         gain = lam[:, -1] - value[active]
         x[active], value[active], sweeps[active] = xs, lam[:, -1], sweep
-        done = gain < opts.tolerance
+        done = gain < SWEEP_TOL
         converged[active[done]] = True
         active = active[~done]
         if not active.size:
@@ -141,13 +136,13 @@ def maximize_over_products(
     )
 
 
-def geometric_fs(psi: PureState, opts: OptimizerOptions = OptimizerOptions()) -> MeasureResult:
+def geometric_fs(psi: PureState, seed: int = DEFAULT_SEED) -> MeasureResult:
     """1 - squared maximal overlap with product states.
 
     The product-state maximum with the state as its only term; the
     certificate is the best restart's list of local vectors.
     """
-    res = maximize_over_products(psi.amplitudes[None], [1.0], psi.n, psi.d, opts)
+    res = maximize_over_products(psi.amplitudes[None], [1.0], psi.n, psi.d, seed)
     return replace(res, value=max(0.0, 1.0 - res.value))
 
 
@@ -213,14 +208,14 @@ def _is_permutation_symmetric(rho: DensityMatrix, tol: float) -> bool:
     return True
 
 
-def _fit_product_decomposition(rho: DensityMatrix, opts: FsCertifierOptions):
+def _fit_product_decomposition(rho: DensityMatrix):
     """Heuristic constructive fit: nonnegative mixture of random product
     projectors, refined by nonnegative least squares over a dictionary.
 
     Sufficient-only: a small residual certifies separability constructively,
     a large one proves nothing.
     """
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(FIT_SEED)
     n, d, dim = rho.n, rho.d, rho.dim
     target = np.concatenate([rho.entries.real.reshape(-1), rho.entries.imag.reshape(-1)])
 
@@ -238,18 +233,18 @@ def _fit_product_decomposition(rho: DensityMatrix, opts: FsCertifierOptions):
         v[i] = 1.0
         states.append(v)
     best_x, best_states, best_res = None, None, math.inf
-    for _ in range(opts.fit_rounds):
-        while len(states) < opts.fit_dictionary:
+    for _ in range(FIT_ROUNDS):
+        while len(states) < FIT_DICTIONARY:
             states.append(kron_vectors([haar_vectors(rng, d) for _ in range(n)]))
         a = columns(states)
         x, res = nnls(a, target)
         if res < best_res:
             best_x, best_states, best_res = x, list(states), res
-        if res < opts.fit_tol:
+        if res < FIT_TOL:
             break
         # keep the heavy terms, resample the rest near them
         order = np.argsort(x)[::-1]
-        keep = [states[i] for i in order[: opts.fit_terms] if x[i] > 1e-12]
+        keep = [states[i] for i in order[:FIT_TERMS] if x[i] > 1e-12]
         states = list(keep)
         for v in keep:
             for _ in range(4):
@@ -262,9 +257,7 @@ def _fit_product_decomposition(rho: DensityMatrix, opts: FsCertifierOptions):
     return best_res, terms
 
 
-def fs_certificate(
-    rho: DensityMatrix, opts: FsCertifierOptions = FsCertifierOptions()
-) -> CertResult:
+def fs_certificate(rho: DensityMatrix) -> CertResult:
     """Decide full separability where a sufficient route applies.
 
     Routes, in order: exact criterion on the GHZ-symmetric family; negative
@@ -278,8 +271,8 @@ def fs_certificate(
     if (rho.n, rho.d) == (3, 2):
         params = gs.twirl(rho)
         recon = gs.params_to_density(params)
-        if np.max(np.abs(recon.entries - rho.entries)) <= opts.structure_tol:
-            fs = gs.is_fs_symmetric(params, tol=opts.ppt_tol)
+        if np.max(np.abs(recon.entries - rho.entries)) <= STRUCTURE_TOL:
+            fs = gs.is_fs_symmetric(params, tol=PSD_TOL)
             return CertResult(
                 CERTIFIED_FS if fs else CERTIFIED_NOT_FS,
                 route="ghz-symmetric-polytope",
@@ -288,20 +281,20 @@ def fs_certificate(
 
     for cut in cuts:
         lam = min_pt_eigenvalue(rho, sorted(cut.parties))
-        if lam < -opts.ppt_tol:
+        if lam < -PSD_TOL:
             return CertResult(
                 CERTIFIED_NOT_FS,
                 route="npt-cut",
                 detail={"cut": str(cut), "min_eigenvalue": lam},
             )
 
-    if (rho.n, rho.d) == (3, 2) and _is_permutation_symmetric(rho, opts.structure_tol):
+    if (rho.n, rho.d) == (3, 2) and _is_permutation_symmetric(rho, STRUCTURE_TOL):
         # all cuts already verified PPT above; for symmetric 3-qubit states
         # PPT is sufficient for full separability
         return CertResult(CERTIFIED_FS, route="symmetric-ppt", detail={})
 
-    res, terms = _fit_product_decomposition(rho, opts)
-    if res < opts.fit_tol:
+    res, terms = _fit_product_decomposition(rho)
+    if res < FIT_TOL:
         return CertResult(
             CERTIFIED_FS,
             route="decomposition-fit",
@@ -313,7 +306,6 @@ def fs_certificate(
 def robustness_fs_upper_via_mix(
     psi: DensityMatrix,
     mixer: DensityMatrix,
-    s_max: float = 16.0,
     bisect_tol: float = 1e-6,
 ) -> float:
     """Minimal s (bisection) with (psi + s mixer) / (1 + s) certified fully
@@ -328,9 +320,9 @@ def robustness_fs_upper_via_mix(
 
     if fs_certificate(psi).verdict == CERTIFIED_FS:
         return 0.0
-    if fs_certificate(mix(s_max)).verdict != CERTIFIED_FS:
-        raise RobustnessCapError(f"no certified mixture below s = {s_max}")
-    lo, hi = 0.0, s_max
+    if fs_certificate(mix(S_MAX)).verdict != CERTIFIED_FS:
+        raise RobustnessCapError(f"no certified mixture below s = {S_MAX}")
+    lo, hi = 0.0, S_MAX
     while hi - lo > bisect_tol:
         mid = (lo + hi) / 2
         if fs_certificate(mix(mid)).verdict == CERTIFIED_FS:

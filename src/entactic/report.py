@@ -8,6 +8,7 @@ acceptance-test identifiers (AC1..AC12) so reports and tests cross-link.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -59,11 +60,10 @@ def _claim_gbs_ghz_grid(seed):
 
 
 def _claim_gfs_optimizer(seed):
-    opts = measures.OptimizerOptions(seed=seed)
     expected = [0.5, 5.0 / 9.0]
     computed = [
-        geometric_fs(ghz(3, 2), opts).value,
-        geometric_fs(w_state(), opts).value,
+        geometric_fs(ghz(3, 2), seed).value,
+        geometric_fs(w_state(), seed).value,
     ]
     return expected, computed, 1e-6
 
@@ -212,7 +212,7 @@ def _claim_prop1(seed):
         w_state(),
         psi_ghz_plus(angle, angle, angle),
         conversion.FSP,
-        measures.OptimizerOptions(seed=seed),
+        seed,
         r_upper=good["bound"],
     )
     quoted = conversion.ghz_plus_bound_report(math.pi / 2, math.pi / 2, 0.1)
@@ -237,23 +237,11 @@ def _claim_eq4_consistency(seed):
             cert = conversion.max_probability(psi1, psi2, conversion.BSP)
         except conversion.FreeSourceError:
             continue
-        mixer, r, cut = conversion._bs_mixer_details(psi2)
-        m = conversion.build_filter_map(
-            cert, psi1, psi2, cert.p_max, mixer, mixer_cut=cut, mixer_certified=True
-        )
+        m = conversion.build_filter_map(cert, psi1, psi2, cert.p_max)
         rep = conversion.verify_preservation_sampled(m, 2000, seed=seed + k)
         at_max_viol += rep.violations
         if cert.p_max < 1.0:
-            m2 = conversion.PreparationMap(
-                psi1=psi1,
-                p=min(1.0, 1.5 * cert.p_max),
-                psi2=psi2,
-                mixer=mixer,
-                theory=conversion.BSP,
-                g_source=cert.g_source,
-                r_target=cert.r_target,
-                mixer_cut=cut,
-            )
+            m2 = replace(m, p=min(1.0, 1.5 * cert.p_max))
             rep2 = conversion.verify_preservation_sampled(m2, 2000, seed=seed + k)
             above_max_ok = above_max_ok and rep2.violations >= 1
         pairs += 1

@@ -17,8 +17,8 @@ import numpy as np
 
 from .catalog import ghz, ghz_minus, w_bar, w_state
 from .ghz_symmetric import GhzSymmetricParams, polytope_vertices
-from .linalg import DensityMatrix, PureState, kron_vectors
-from .measures import OptimizerOptions, maximize_over_products
+from .linalg import DensityMatrix, PureState, ShapeError, kron_vectors
+from .measures import DEFAULT_SEED, maximize_over_products
 
 ADMISSION_TOL = 1e-8
 
@@ -30,7 +30,6 @@ class Witness:
     n: int
     d: int
     verified_range: Optional[tuple[float, float]] = None
-    verification: str = ""
 
     def __post_init__(self):
         op = np.asarray(self.operator, dtype=complex)
@@ -40,6 +39,11 @@ class Witness:
         object.__setattr__(self, "operator", op)
 
     def expectation(self, rho: DensityMatrix) -> float:
+        if (rho.n, rho.d) != (self.n, self.d):
+            raise ShapeError(
+                f"witness '{self.name}' acts on n={self.n}, d={self.d}; "
+                f"the state has n={rho.n}, d={rho.d}"
+            )
         return float(np.real(np.trace(self.operator @ rho.entries)))
 
 
@@ -66,7 +70,6 @@ def ghz_robustness_witness() -> Witness:
         n=3,
         d=2,
         verified_range=(float(lo), float(hi)),
-        verification="polytope-vertices-exact",
     )
 
 
@@ -88,7 +91,6 @@ def w_robustness_witness() -> Witness:
         n=3,
         d=2,
         verified_range=(0.0, 1.0),
-        verification="trilinear-form-closed-form",
     )
 
 
@@ -134,7 +136,7 @@ def w_robustness_lower_exact() -> Fraction:
 
 
 def witness_range_over_fs(
-    w: Witness, opts: OptimizerOptions = OptimizerOptions()
+    w: Witness, seed: int = DEFAULT_SEED
 ) -> tuple[float, float, PureState, PureState]:
     """Extrema of tr(w * product projector) over product pure states.
 
@@ -143,8 +145,8 @@ def witness_range_over_fs(
     with weights -l_z.
     """
     lam, vecs = np.linalg.eigh(np.asarray(w.operator))
-    hi = maximize_over_products(vecs.T, lam, w.n, w.d, opts)
-    lo = maximize_over_products(vecs.T, -lam, w.n, w.d, opts)
+    hi = maximize_over_products(vecs.T, lam, w.n, w.d, seed)
+    lo = maximize_over_products(vecs.T, -lam, w.n, w.d, seed)
 
     def assemble(res):
         v = kron_vectors(res.certificate)

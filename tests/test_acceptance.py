@@ -5,6 +5,7 @@ asserted against its overlap oracle (see tests for the derivation); the
 derivation notes live alongside the repository, not in this file.
 """
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -39,9 +40,9 @@ def test_ac1_geometric_bs_closed_form():
 
 
 def test_ac2_geometric_fs_optimizer():
-    opts = measures.OptimizerOptions()  # default restart budget
-    assert abs(measures.geometric_fs(ghz(3, 2), opts).value - 0.5) <= 1e-6
-    assert abs(measures.geometric_fs(w_state(), opts).value - 5 / 9) <= 1e-6
+    # default restart budget and seed
+    assert abs(measures.geometric_fs(ghz(3, 2)).value - 0.5) <= 1e-6
+    assert abs(measures.geometric_fs(w_state()).value - 5 / 9) <= 1e-6
 
 
 def test_ac3_ghz_robustness_exact():
@@ -167,7 +168,6 @@ def test_ac11_tilted_ghz_bound():
         w_state(),
         psi_ghz_plus(angle, angle, angle),
         conversion.FSP,
-        measures.OptimizerOptions(),
         r_upper=bound,
     )
     assert cert.deterministic
@@ -189,23 +189,11 @@ def test_ac12_conversion_bound_tightness():
             cert = conversion.max_probability(psi1, psi2, conversion.BSP)
         except conversion.FreeSourceError:
             continue
-        mixer, _, cut = conversion._bs_mixer_details(psi2)
-        at_max = conversion.build_filter_map(
-            cert, psi1, psi2, cert.p_max, mixer, mixer_cut=cut, mixer_certified=True
-        )
+        at_max = conversion.build_filter_map(cert, psi1, psi2, cert.p_max)
         rep = conversion.verify_preservation_sampled(at_max, 10_000, seed=1212 + attempts)
         assert rep.violations == 0
         if cert.p_max < 1.0:
-            over = conversion.PreparationMap(
-                psi1=psi1,
-                p=min(1.0, 1.5 * cert.p_max),
-                psi2=psi2,
-                mixer=mixer,
-                theory=conversion.BSP,
-                g_source=cert.g_source,
-                r_target=cert.r_target,
-                mixer_cut=cut,
-            )
+            over = dataclasses.replace(at_max, p=min(1.0, 1.5 * cert.p_max))
             rep_over = conversion.verify_preservation_sampled(over, 10_000, seed=1212 + attempts)
             assert rep_over.violations >= 1
         pairs += 1

@@ -127,6 +127,24 @@ def test_state_or_density_input_reports_the_state_error(tmp_path, capsys, argv):
     assert len(err) == 1 and err[0].startswith("error: malformed state JSON")
 
 
+def one_line_error(capsys, argv):
+    assert run_command(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    return err[0]
+
+
+def test_non_finite_amplitudes_exit_one(tmp_path, capsys):
+    # NaN must not load: G_FS would read 0.0 and call the state a product state
+    nan_file = tmp_path / "nan.json"
+    nan_file.write_text('{"n": 3, "d": 2, "amplitudes": [[NaN, 0]' + ", [0, 0]" * 7 + "]}")
+    err = one_line_error(capsys, ["measure", "--kind", "gfs", "--in", str(nan_file)])
+    assert "non-finite" in err
+    assert "non-finite" in one_line_error(capsys, ["catalog", "psi-w", "0.5", "0.5", "nan"])
+
+
 def test_twirl_command(tmp_path, capsys, ghz_file):
     rc, data = run_json(capsys, ["twirl", "--in", ghz_file])
     assert rc == 0
@@ -156,6 +174,18 @@ def test_symmetric_robustness_bad_params(capsys):
     assert run_command(["symmetric-robustness", "--params", "1,0"]) == 1
 
 
+def test_symmetric_robustness_zero_denominator(capsys):
+    err = one_line_error(capsys, ["symmetric-robustness", "--params", "1/0,0,0"])
+    assert "zero denominator" in err
+
+
+def test_witness_eval_on_wrong_shape(tmp_path, capsys):
+    bell = tmp_path / "bell.json"
+    bell.write_text(state_to_json(ghz(2, 2)))
+    err = one_line_error(capsys, ["witness", "--name", "w", "--eval", str(bell)])
+    assert "n=3, d=2" in err and "n=2, d=2" in err
+
+
 def test_witness_command(capsys, w_file):
     rc, data = run_json(capsys, ["witness", "--name", "w", "--eval", w_file])
     assert rc == 0
@@ -172,6 +202,13 @@ def test_convert_command(capsys, w_file, ghz_file):
     assert rc == 0
     assert data["p_max"] == pytest.approx(0.5, abs=1e-9)
     assert data["preservation"]["violations"] == 0
+
+
+@pytest.mark.parametrize("r_upper", ["nan", "-1", "inf"])
+def test_convert_fsp_rejects_bad_r_upper(capsys, w_file, ghz_file, r_upper):
+    # NaN and inf would print as invalid JSON, -1 as a bound below the least robustness 0
+    argv = ["convert", "--from", w_file, "--to", ghz_file, "--theory", "fsp", "--r-upper", r_upper]
+    assert "finite and >= 0" in one_line_error(capsys, argv)
 
 
 def test_convert_free_source_exit_one(tmp_path, capsys):

@@ -56,7 +56,7 @@ def test_max_probability_fsp_needs_r_upper():
 
 def test_max_probability_fsp_with_supplied_bound():
     cert = conversion.max_probability(
-        w_state(), ghz(3, 2), conversion.FSP, measures.OptimizerOptions(seed=3), r_upper=2.0
+        w_state(), ghz(3, 2), conversion.FSP, seed=3, r_upper=2.0
     )
     # g = 5/9, r = 2: p_max = (5/9) / ((4/9) * 2) = 5/8
     assert cert.p_max == pytest.approx(5 / 8, abs=1e-6)
@@ -96,20 +96,32 @@ def test_bs_mixer_for_product_target_is_the_target():
 
 def test_build_filter_map_rejects_p_above_certificate():
     cert = conversion.max_probability(w_state(), ghz(3, 2), conversion.BSP)
-    mixer, _, cut = conversion._bs_mixer_details(ghz(3, 2))
-    with pytest.raises(ValueError):
-        conversion.build_filter_map(
-            cert, w_state(), ghz(3, 2), 0.9, mixer, mixer_cut=cut, mixer_certified=True
-        )
+    with pytest.raises(ValueError, match="exceeds certified maximum"):
+        conversion.build_filter_map(cert, w_state(), ghz(3, 2), 0.9)
 
 
-def test_build_filter_map_checks_bsp_mixer_cut():
-    cert = conversion.max_probability(w_state(), ghz(3, 2), conversion.BSP)
-    mixer, _, cut = conversion._bs_mixer_details(ghz(3, 2))
-    with pytest.raises(ValueError):
-        conversion.build_filter_map(cert, w_state(), ghz(3, 2), 0.5, mixer, mixer_cut=None)
-    m = conversion.build_filter_map(cert, w_state(), ghz(3, 2), 0.5, mixer, mixer_cut=cut)
-    assert m.mixer_cut == cut
+def test_build_filter_map_carries_the_bs_mixer_and_cut(monkeypatch):
+    details, calls = conversion._bs_mixer_details, []
+
+    def spy(psi):
+        calls.append(psi)
+        return details(psi)
+
+    # looked up as a module global at call time, so a patched binding is used
+    monkeypatch.setattr(conversion, "_bs_mixer_details", spy)
+    for psi1, psi2 in [(w_state(), ghz(3, 2)), (random_state(4, 2, 15), random_state(4, 2, 14))]:
+        cert = conversion.max_probability(psi1, psi2, conversion.BSP)
+        m = conversion.build_filter_map(cert, psi1, psi2, cert.p_max)
+        assert calls.pop() is psi2 and not calls
+        mixer, _, cut = details(psi2)
+        assert m.mixer_cut == cut == measures.robustness_bs_upper(psi2).certificate
+        assert np.array_equal(m.mixer.entries, mixer.entries)
+
+
+def test_build_filter_map_refuses_fsp():
+    cert = conversion.max_probability(w_state(), ghz(3, 2), conversion.FSP, r_upper=2.0)
+    with pytest.raises(ValueError, match="only the BSP route is automated"):
+        conversion.build_filter_map(cert, w_state(), ghz(3, 2), 0.5)
 
 
 def test_preparation_map_rejects_bad_p():
@@ -167,17 +179,14 @@ def test_batch_overlaps_match_single_draws():
     qs = conversion._batch_free_overlaps(psi, conversion.FSP, 500, rng)
     assert np.all(qs >= 0) and np.all(qs <= 1 + 1e-12)
     # overlaps with products cannot exceed the squared maximal product overlap
-    gfs = measures.geometric_fs(psi, measures.OptimizerOptions(seed=1)).value
+    gfs = measures.geometric_fs(psi, seed=1).value
     assert np.max(qs) <= (1 - gfs) + 1e-6
 
 
 def test_extremal_probe_attains_the_measure():
     psi = w_state()
-    mixer, r, cut = conversion._bs_mixer_details(ghz(3, 2))
     cert = conversion.max_probability(psi, ghz(3, 2), conversion.BSP)
-    m = conversion.build_filter_map(
-        cert, psi, ghz(3, 2), cert.p_max, mixer, mixer_cut=cut, mixer_certified=True
-    )
+    m = conversion.build_filter_map(cert, psi, ghz(3, 2), cert.p_max)
     probe = conversion._extremal_free_overlap(m, seed=0)
     assert probe == pytest.approx(1 - cert.g_source, abs=1e-9)
 
@@ -195,14 +204,14 @@ def test_fsp_probe_uses_the_audit_seed(monkeypatch):
     )
     seeds = []
 
-    def spy(psi, opts=measures.OptimizerOptions()):
-        seeds.append(opts.seed)
-        return measures.geometric_fs(psi, opts)
+    def spy(psi, seed=measures.DEFAULT_SEED):
+        seeds.append(seed)
+        return measures.geometric_fs(psi, seed)
 
     monkeypatch.setattr(conversion, "geometric_fs", spy)
     for seed in (0, 9):
         probe = conversion._extremal_free_overlap(m, seed)
-        gfs = measures.geometric_fs(psi1, measures.OptimizerOptions(seed=seed)).value
+        gfs = measures.geometric_fs(psi1, seed).value
         assert probe == pytest.approx(1 - gfs, abs=1e-12)
     conversion.verify_preservation_sampled(m, 1, seed=5)
     assert seeds == [0, 9, 5]
@@ -260,10 +269,7 @@ def test_each_cut_is_decomposed_once_per_state(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", spy)
     cert = conversion.max_probability(psi1, psi2, conversion.BSP)
-    mixer, _, cut = conversion._bs_mixer_details(psi2)
-    m = conversion.build_filter_map(
-        cert, psi1, psi2, cert.p_max, mixer, mixer_cut=cut, mixer_certified=True
-    )
+    m = conversion.build_filter_map(cert, psi1, psi2, cert.p_max)
     conversion._extremal_free_overlap(m, seed=0)
     measures.geometric_bs(psi1)
     measures.robustness_bs_upper(psi2)
@@ -305,7 +311,7 @@ def test_w_to_tilted_ghz_deterministic_in_budget():
         w_state(),
         psi_ghz_plus(angle, angle, angle),
         conversion.FSP,
-        measures.OptimizerOptions(seed=0),
+        seed=0,
         r_upper=bound,
     )
     assert cert.deterministic

@@ -56,6 +56,17 @@ def test_density_matrix_rejects_negative():
         DensityMatrix(2, 2, m)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
+def test_constructors_reject_non_finite_values(bad):
+    # NaN fails every comparison, so it would pass the norm and trace tests
+    with pytest.raises(ValueError, match="non-finite"):
+        PureState(2, 2, np.array([bad, 1.0, 0.0, 0.0]))
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(2, 2, m)
+
+
 def test_bipartition_canonicalizes_to_contain_party_one():
     cut = Bipartition(3, frozenset({2, 3}))
     assert 1 in cut.parties
@@ -171,6 +182,13 @@ def test_state_json_diagnostics():
         state_from_json("{}")
     with pytest.raises(ValueError):
         state_from_json('{"n": 2, "d": 2, "amplitudes": [[1, 0]]}')
+    # json.loads accepts NaN; the state constructor must not
+    with pytest.raises(ValueError, match="non-finite"):
+        state_from_json('{"n": 1, "d": 2, "amplitudes": [[NaN, 0], [0, 0]]}')
+    with pytest.raises(ValueError, match="non-finite"):
+        density_from_json(
+            '{"n": 1, "d": 2, "entries": [[1, 0], [0, 0], [0, 0], [0, NaN]]}'
+        )
 
 
 def test_apply_channel_output_is_density():

@@ -58,24 +58,23 @@ def test_geometric_fs_equals_geometric_bs_for_two_parties(d):
     # for two parties product and biseparable states coincide
     for seed in range(5):
         psi = random_state(2, d, 100 * d + seed)
-        gfs = measures.geometric_fs(psi, measures.OptimizerOptions(seed=seed)).value
+        gfs = measures.geometric_fs(psi, seed).value
         assert gfs == pytest.approx(measures.geometric_bs(psi).value, abs=1e-10)
 
 
 def test_maximize_over_products_best_restart_fields():
     res = measures.maximize_over_products(
-        w_state().amplitudes[None], [1.0], 3, 2, measures.OptimizerOptions(seed=3)
+        w_state().amplitudes[None], [1.0], 3, 2, seed=3
     )
     assert res.value == pytest.approx(4 / 9, abs=1e-9)
-    assert res.converged and 1 <= res.iterations <= 500
+    assert res.converged and 1 <= res.iterations <= measures.MAX_SWEEPS
     prod = PureState(3, 2, np.kron(np.kron(*res.certificate[:2]), res.certificate[2]))
     assert abs(prod.overlap(w_state())) ** 2 == pytest.approx(res.value, abs=1e-12)
 
 
 def test_geometric_fs_fixtures():
-    opts = measures.OptimizerOptions(seed=7)
-    assert measures.geometric_fs(ghz(3, 2), opts).value == pytest.approx(0.5, abs=1e-6)
-    assert measures.geometric_fs(w_state(), opts).value == pytest.approx(5 / 9, abs=1e-6)
+    assert measures.geometric_fs(ghz(3, 2), seed=7).value == pytest.approx(0.5, abs=1e-6)
+    assert measures.geometric_fs(w_state(), seed=7).value == pytest.approx(5 / 9, abs=1e-6)
 
 
 def test_geometric_fs_zero_on_product():
@@ -88,7 +87,7 @@ def test_geometric_fs_zero_on_product():
 def test_geometric_bs_below_fs(seed):
     psi = random_state(3, 2, seed)
     gbs = measures.geometric_bs(psi).value
-    gfs = measures.geometric_fs(psi, measures.OptimizerOptions(restarts=8, seed=seed)).value
+    gfs = measures.geometric_fs(psi, seed).value
     assert gbs <= gfs + 1e-6
 
 
@@ -103,16 +102,14 @@ def test_geometric_fs_local_unitary_invariance(seed):
         us.append(q)
     u = np.kron(np.kron(us[0], us[1]), us[2])
     rotated = PureState(3, 2, u @ psi.amplitudes)
-    opts = measures.OptimizerOptions(seed=seed)
-    a = measures.geometric_fs(psi, opts).value
-    b = measures.geometric_fs(rotated, opts).value
+    a = measures.geometric_fs(psi, seed).value
+    b = measures.geometric_fs(rotated, seed).value
     assert abs(a - b) < 2e-6
 
 
 def test_geometric_fs_deterministic_for_fixed_seed():
     psi = random_state(3, 2, 23)
-    opts = measures.OptimizerOptions(seed=11)
-    assert measures.geometric_fs(psi, opts).value == measures.geometric_fs(psi, opts).value
+    assert measures.geometric_fs(psi, 11).value == measures.geometric_fs(psi, 11).value
 
 
 # --- robustness ------------------------------------------------------------
@@ -227,20 +224,17 @@ def test_fs_certificate_unknown_is_a_value():
 
 
 def test_certificate_routes_never_contradict():
+    # each fixture's known verdict, whichever route decides it
     fixtures = [
-        params_to_density(GhzSymmetricParams(0.1, 0.1, 0.8)),
-        params_to_density(GhzSymmetricParams(0.9, 0.0, 0.1)),
-        measures.w_robustness_mixer(),
-        measures.w_robustness_boundary(),
-        ghz(3, 2).density(),
-        w_state().density(),
+        (params_to_density(GhzSymmetricParams(0.1, 0.1, 0.8)), measures.CERTIFIED_FS),
+        (params_to_density(GhzSymmetricParams(0.9, 0.0, 0.1)), measures.CERTIFIED_NOT_FS),
+        (measures.w_robustness_mixer(), measures.CERTIFIED_FS),
+        (measures.w_robustness_boundary(), measures.CERTIFIED_FS),
+        (ghz(3, 2).density(), measures.CERTIFIED_NOT_FS),
+        (w_state().density(), measures.CERTIFIED_NOT_FS),
     ]
-    for rho in fixtures:
-        verdicts = set()
-        for seed in (0, 1):
-            res = measures.fs_certificate(rho, measures.FsCertifierOptions(seed=seed))
-            verdicts.add(res.verdict)
-        assert not ({"certified_fs", "certified_not_fs"} <= verdicts)
+    for rho, verdict in fixtures:
+        assert measures.fs_certificate(rho).verdict == verdict
 
 
 # --- robustness upper bounds via certified mixing ---------------------------
@@ -269,7 +263,8 @@ def test_robustness_fs_upper_rejects_uncertified_mixer():
 
 
 def test_robustness_fs_upper_cap_error():
-    # a mixer that can never wash out GHZ within the default cap
-    mixer = params_to_density(GhzSymmetricParams(0.0, 0.25, 0.75))
-    with pytest.raises(measures.RobustnessCapError):
-        measures.robustness_fs_upper_via_mix(ghz(3, 2).density(), mixer, s_max=1.0)
+    # GHZ + s |000><000| keeps its |000><111| coherence with no weight on
+    # |011> or |100>, so it is NPT for every s and the cap S_MAX is reached
+    mixer = PureState(3, 2, np.eye(8)[0]).density()
+    with pytest.raises(measures.RobustnessCapError, match=f"s = {measures.S_MAX}"):
+        measures.robustness_fs_upper_via_mix(ghz(3, 2).density(), mixer)

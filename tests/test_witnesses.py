@@ -7,7 +7,7 @@ import pytest
 from entactic import measures, witnesses
 from entactic.catalog import ghz, ghz_minus, w_bar, w_state
 from entactic.ghz_symmetric import GhzSymmetricParams, polytope_vertices
-from entactic.linalg import PureState
+from entactic.linalg import PureState, ShapeError
 
 
 def test_witness_operator_must_be_hermitian():
@@ -66,14 +66,18 @@ def test_symmetric_triform_closed_form():
 
 
 def test_witness_range_over_fs_stays_in_unit_interval():
-    opts = measures.OptimizerOptions(restarts=16, seed=5)
     for w in (witnesses.ghz_robustness_witness(), witnesses.w_robustness_witness()):
-        lo, hi, arg_lo, arg_hi = witnesses.witness_range_over_fs(w, opts)
+        lo, hi, arg_lo, arg_hi = witnesses.witness_range_over_fs(w, seed=5)
         assert lo >= -1e-6
         assert hi <= 1.0 + 1e-6
         # the reported extremizers reproduce the reported extrema
         assert w.expectation(arg_lo.density()) == pytest.approx(lo, abs=1e-8)
         assert w.expectation(arg_hi.density()) == pytest.approx(hi, abs=1e-8)
+
+
+def test_expectation_rejects_a_state_of_another_shape():
+    with pytest.raises(ShapeError, match="n=3, d=2.*n=2, d=2"):
+        witnesses.w_robustness_witness().expectation(ghz(2, 2).density())
 
 
 def test_projector_witness_maximum_matches_geometric_fs():
@@ -83,9 +87,8 @@ def test_projector_witness_maximum_matches_geometric_fs():
         v = rng.normal(size=8) + 1j * rng.normal(size=8)
         psi = PureState(3, 2, v / np.linalg.norm(v))
         w = witnesses.Witness(np.outer(psi.amplitudes, psi.amplitudes.conj()), "proj", 3, 2)
-        opts = measures.OptimizerOptions(seed=seed)
-        _, hi, _, _ = witnesses.witness_range_over_fs(w, opts)
-        assert hi == pytest.approx(1 - measures.geometric_fs(psi, opts).value, abs=1e-9)
+        _, hi, _, _ = witnesses.witness_range_over_fs(w, seed)
+        assert hi == pytest.approx(1 - measures.geometric_fs(psi, seed).value, abs=1e-9)
 
 
 def test_witness_sandwich_on_random_product_states():
