@@ -204,9 +204,9 @@ def _cmd_convert(args):
 
 
 def _cmd_reproduce(args):
-    selection = None
-    if not args.all:
-        selection = set(args.select.split(",")) if args.select else set()
+    selection = None if args.all else set(args.select.split(","))
+    if selection == {""}:
+        raise ValueError("--select names no claim ids")
     rep = run_claims(selection, seed=args.seed, timing=args.timing)
     text = json.dumps(rep, sort_keys=True)
     if args.out:
@@ -263,8 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_convert)
 
     p = sub.add_parser("reproduce", help="re-derive the headline numbers")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--select", help="comma-separated claim ids")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--all", action="store_true")
+    which.add_argument("--select", help="comma-separated claim ids")
     p.add_argument("--seed", type=int)
     p.add_argument("--timing", action="store_true")
     p.add_argument("--out")
@@ -282,7 +283,7 @@ def run_command(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, FileNotFoundError, RuntimeError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

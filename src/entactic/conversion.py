@@ -218,20 +218,6 @@ def ghz_to_any_bsp(psi: PureState) -> PreparationMap:
 # Free-state sampling and preservation verification
 
 
-def random_free_state(theory: str, n: int, d: int, seed) -> PureState:
-    """One random free pure state: a product of Haar-like local vectors for
-    the fully separable set, or a random cut with Haar vectors on each side
-    (entanglement inside the blocks allowed) for the biseparable set."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if theory == FSP:
-        return PureState(n, d, kron_vectors([haar_vectors(rng, d) for _ in range(n)]))
-    cuts = all_bipartitions(n)
-    cut = cuts[rng.integers(len(cuts))]
-    left = haar_vectors(rng, d ** len(cut.parties))
-    right = haar_vectors(rng, d ** len(cut.complement))
-    return PureState(n, d, from_cut_order(kron_vectors([left, right]), cut, d))
-
-
 def _batch_free_overlaps(psi1: PureState, theory: str, k: int, rng) -> np.ndarray:
     """Squared overlaps tr(psi1 sigma) for k random free pure states."""
     n, d = psi1.n, psi1.d

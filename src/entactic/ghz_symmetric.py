@@ -3,8 +3,8 @@
 The family is diagonal in the basis {GHZ, GHZ-, middle computational states}:
 a weight l+ on the GHZ projector, l- on the phase-flipped GHZ projector and
 a uniform weight l/6 on the six middle basis states.  Full separability is
-an exact polytope condition, |l+ - l-| <= l/3, which makes the restricted
-robustness a tiny linear program that we solve in exact rational arithmetic.
+an exact polytope condition, |l+ - l-| <= l/3, which gives the restricted
+robustness in closed form, in exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -19,11 +19,16 @@ from .catalog import ghz, ghz_minus
 from .linalg import DensityMatrix
 
 Rat = Fraction
+WEIGHT_TOL = 1e-12  # slack on each weight's sign and on the weights' unit sum
+
+# The family's basis, built once: GHZ and its phase flip GHZ-.
+_GHZ = ghz(3, 2).amplitudes
+_GHZ_MINUS = ghz_minus().amplitudes
 
 
 def _as_fraction(x) -> Fraction:
     # Fraction(float) is exact on binary rationals, which is what we want:
-    # the LP then certifies the float input itself, not a rounding of it.
+    # the closed form then answers for the float input, not a rounding of it.
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
@@ -37,9 +42,9 @@ class GhzSymmetricParams:
 
     def __post_init__(self):
         vals = (self.lambda_plus, self.lambda_minus, self.lambda_rest)
-        if min(vals) < -1e-12:
+        if min(vals) < -WEIGHT_TOL:
             raise ValueError(f"negative weight in {vals}")
-        if abs(float(sum(vals)) - 1.0) > 1e-12:
+        if abs(float(sum(vals)) - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights sum to {float(sum(vals))}, expected 1")
 
     def as_fractions(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -59,8 +64,7 @@ class GhzSymmetricParams:
 
 def params_to_density(p: GhzSymmetricParams) -> DensityMatrix:
     lp, lm, lr = p.as_floats()
-    g = ghz(3, 2).amplitudes
-    gm = ghz_minus().amplitudes
+    g, gm = _GHZ, _GHZ_MINUS
     m = lp * np.outer(g, g.conj()) + lm * np.outer(gm, gm.conj())
     for i in range(1, 7):
         m[i, i] += lr / 6
@@ -75,8 +79,7 @@ def twirl(rho: DensityMatrix) -> GhzSymmetricParams:
     """
     if (rho.n, rho.d) != (3, 2):
         raise ValueError("twirl is defined for 3-qubit states")
-    g = ghz(3, 2).amplitudes
-    gm = ghz_minus().amplitudes
+    g, gm = _GHZ, _GHZ_MINUS
     lp = float(np.real(g.conj() @ rho.entries @ g))
     lm = float(np.real(gm.conj() @ rho.entries @ gm))
     lp, lm = max(lp, 0.0), max(lm, 0.0)
@@ -98,8 +101,31 @@ def polytope_vertices() -> list[GhzSymmetricParams]:
     ]
 
 
+def symmetric_robustness(
+    target: GhzSymmetricParams,
+) -> tuple[Fraction, GhzSymmetricParams]:
+    """Minimal s such that (target + s sigma) / (1 + s) is fully separable
+    for some fully separable GHZ-symmetric sigma; returns (s, sigma).
+
+    Closed form, with D = l+ - l- of the target: s = 2(|D| - l/3) outside
+    the polytope.  Write mu = s sigma; the cost sum(mu) is at least
+    |mu+ - mu-| + mu_l, the two separability conditions force
+    mu_l >= (3|D| - l)/2, and the bound grows with mu_l, so it is attained
+    only there, with mu+ = 0 if D > 0 (mu- = 0 if D < 0): sigma is
+    (0, 1/4, 3/4) or (1/4, 0, 3/4).
+    """
+    tp, tm, tl = target.as_fractions()
+    dt = tp - tm
+    if abs(dt) <= tl / 3:
+        return Rat(0), target
+    s = 2 * (abs(dt) - tl / 3)
+    if dt > 0:
+        return s, GhzSymmetricParams(Rat(0), Rat(1, 4), Rat(3, 4))
+    return s, GhzSymmetricParams(Rat(1, 4), Rat(0), Rat(3, 4))
+
+
 # ---------------------------------------------------------------------------
-# Exact vertex-enumeration LP solver (dimensions 2 and 3, Fractions)
+# Exact vertex enumeration (Fractions), for the uniqueness certificate
 
 
 def _solve_square(rows, rhs):
@@ -134,53 +160,6 @@ def _lp_vertices(constraints):
             if x not in verts:
                 verts.append(x)
     return verts
-
-
-def _lp_minimize(constraints, objective):
-    """Exact minimum of objective.x over the constraint polyhedron.
-
-    Assumes the polyhedron is pointed and the objective is bounded below
-    on it, so the optimum is attained at an enumerated vertex.
-    """
-    verts = _lp_vertices(constraints)
-    if not verts:
-        raise RuntimeError("LP infeasible")
-    best, best_x = None, None
-    for x in verts:
-        val = sum(c * xi for c, xi in zip(objective, x))
-        if best is None or val < best:
-            best, best_x = val, x
-    return best, best_x
-
-
-def symmetric_robustness(
-    target: GhzSymmetricParams,
-) -> tuple[Fraction, GhzSymmetricParams]:
-    """Minimal s such that (target + s sigma) / (1 + s) is fully separable
-    for some fully separable GHZ-symmetric sigma; returns (s, sigma).
-
-    Solved exactly: with mu = s * sigma unnormalized, both separability
-    conditions are linear in mu, and s = sum(mu) is the objective of a
-    3-variable rational LP solved by vertex enumeration.
-    """
-    tp, tm, tl = target.as_fractions()
-    dt = tp - tm
-    third = Rat(1, 3)
-    # variables mu = (mu+, mu-, mul); all constraints a.mu <= b
-    cons = [
-        ((Rat(1), Rat(-1), -third), Rat(0)),  # mixer FS, upper
-        ((Rat(-1), Rat(1), -third), Rat(0)),  # mixer FS, lower
-        ((Rat(1), Rat(-1), -third), tl / 3 - dt),  # mixture FS, upper
-        ((Rat(-1), Rat(1), -third), tl / 3 + dt),  # mixture FS, lower
-        ((Rat(-1), Rat(0), Rat(0)), Rat(0)),
-        ((Rat(0), Rat(-1), Rat(0)), Rat(0)),
-        ((Rat(0), Rat(0), Rat(-1)), Rat(0)),
-    ]
-    s, mu = _lp_minimize(cons, (Rat(1), Rat(1), Rat(1)))
-    if s == 0:
-        return Rat(0), target
-    mixer = GhzSymmetricParams(mu[0] / s, mu[1] / s, mu[2] / s)
-    return s, mixer
 
 
 def unique_fs_mixer_for_ghz() -> GhzSymmetricParams:

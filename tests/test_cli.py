@@ -65,6 +65,22 @@ def test_measure_missing_file_exit_one(capsys):
     assert run_command(["measure", "--kind", "gbs", "--in", "/no/such/file.json"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "--kind", "gbs", "--in", "{dir}"],
+        ["reproduce", "--all", "--out", "{dir}"],
+    ],
+)
+def test_directory_in_place_of_a_file_exit_one(tmp_path, capsys, argv):
+    # any OSError from the file system is one error line, not a traceback
+    assert run_command([a.format(dir=tmp_path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_measure_malformed_json_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 3, "d": 2, "amplitudes": [[1, 0]]}')
@@ -232,11 +248,17 @@ def test_reproduce_selection(capsys):
     assert data["claims"][0]["pass"]
 
 
-def test_reproduce_empty_selection_exits_zero(capsys):
-    rc, data = run_json(capsys, ["reproduce", "--seed", "7"])
-    assert rc == 0
-    assert data["claims"] == []
-    assert data["all_pass"]
+def test_reproduce_without_a_selection_is_a_usage_error(capsys):
+    # neither --all nor --select: argparse refuses, nothing runs
+    assert run_command(["reproduce", "--seed", "7"]) == 2
+    assert run_command(["reproduce", "--all", "--select", "gbs-ghz-grid"]) == 2
+    assert capsys.readouterr().out == ""
+    # a --select naming no claim id is one error line, not an empty pass
+    for value in ["", ","]:
+        assert run_command(["reproduce", "--select", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --select names no claim ids\n"
 
 
 def test_reproduce_unknown_selection(capsys):

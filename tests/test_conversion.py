@@ -157,21 +157,6 @@ def test_ghz_to_any_bsp_on_free_input_stays_free_shaped():
 # --- sampling and preservation audits ---------------------------------------
 
 
-def test_random_free_state_fsp_is_product():
-    psi = conversion.random_free_state(conversion.FSP, 3, 2, 5)
-    from entactic.measures import geometric_bs
-
-    assert geometric_bs(psi).value < 1e-12
-
-
-def test_random_free_state_bsp_is_cut_product():
-    psi = conversion.random_free_state(conversion.BSP, 3, 2, 5)
-    from entactic.linalg import schmidt_spectrum
-
-    tops = [schmidt_spectrum(psi, cut).values[0] for cut in all_bipartitions(3)]
-    assert max(tops) > 1.0 - 1e-12
-
-
 def test_batch_overlaps_match_single_draws():
     # the batched einsum path must agree in distribution with direct overlap
     psi = random_state(3, 2, 12)
@@ -181,6 +166,15 @@ def test_batch_overlaps_match_single_draws():
     # overlaps with products cannot exceed the squared maximal product overlap
     gfs = measures.geometric_fs(psi, seed=1).value
     assert np.max(qs) <= (1 - gfs) + 1e-6
+
+
+def test_batch_bsp_overlaps_stay_below_the_bs_measure():
+    # a biseparable pure state overlaps psi by at most 1 - G_BS (exact)
+    psi = random_state(4, 2, 13)
+    rng = np.random.default_rng(0)
+    qs = conversion._batch_free_overlaps(psi, conversion.BSP, 500, rng)
+    gbs = measures.geometric_bs(psi).value
+    assert np.all(qs >= 0) and np.all(qs <= 1 - gbs + 1e-12)
 
 
 def test_extremal_probe_attains_the_measure():

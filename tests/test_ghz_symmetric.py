@@ -20,6 +20,20 @@ def test_params_require_unit_sum():
         gs.GhzSymmetricParams(F(-1, 4), F(1, 4), F(1))
 
 
+def test_weight_tolerance_at_both_edges():
+    tol = Fraction(gs.WEIGHT_TOL)
+    # a weight below zero by less than the tolerance is accepted
+    gs.GhzSymmetricParams(-tol / 2, F(1, 2), F(1, 2) + tol / 2)
+    with pytest.raises(ValueError, match="negative weight"):
+        gs.GhzSymmetricParams(-2 * tol, F(1, 2), F(1, 2) + 2 * tol)
+    # and so is a sum off by less than the tolerance, either way
+    gs.GhzSymmetricParams(F(1, 4), F(1, 4), F(1, 2) + tol / 2)
+    gs.GhzSymmetricParams(F(1, 4), F(1, 4), F(1, 2) - tol / 2)
+    for off in (2 * tol, -2 * tol):
+        with pytest.raises(ValueError, match="weights sum to"):
+            gs.GhzSymmetricParams(F(1, 4), F(1, 4), F(1, 2) + off)
+
+
 def test_params_to_density_diagonal_structure():
     rho = gs.params_to_density(gs.GhzSymmetricParams(F(1, 2), F(1, 4), F(1, 4)))
     m = rho.entries
@@ -90,6 +104,31 @@ def test_symmetric_robustness_against_lp_oracle(target, expected):
     assert gs.is_fs_symmetric(mixer)
 
 
+def test_symmetric_robustness_against_linprog():
+    # an independent float LP over the same constraints, on mu = s * sigma:
+    # mixer and mixture fully separable, all weights nonnegative, min sum(mu)
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        tp, tm, tl = rng.dirichlet([0.5, 0.5, 0.5])
+        dt = tp - tm
+        a_ub = [[1, -1, -1 / 3], [-1, 1, -1 / 3], [1, -1, -1 / 3], [-1, 1, -1 / 3]]
+        b_ub = [0, 0, tl / 3 - dt, tl / 3 + dt]
+        lp = linprog([1, 1, 1], A_ub=a_ub, b_ub=b_ub, bounds=[(0, None)] * 3)
+        assert lp.status == 0
+        s, mixer = gs.symmetric_robustness(gs.GhzSymmetricParams(tp, tm, tl))
+        assert abs(float(s) - lp.fun) <= 1e-9
+        if s > 0:
+            assert np.allclose(mixer.as_floats(), lp.x / lp.fun, atol=1e-9)
+
+
+def test_symmetric_robustness_of_ghz_is_the_unique_mixer():
+    s, mixer = gs.symmetric_robustness(gs.GhzSymmetricParams(F(1), F(0), F(0)))
+    assert s == 2
+    assert mixer == gs.unique_fs_mixer_for_ghz()
+
+
 def test_symmetric_robustness_zero_inside_polytope():
     s, _ = gs.symmetric_robustness(gs.GhzSymmetricParams(F(1, 10), F(1, 10), F(4, 5)))
     assert s == 0
@@ -129,6 +168,8 @@ def test_symmetric_robustness_certificate_property(seed):
         assert gs.is_fs_symmetric(target)
     else:
         assert not gs.is_fs_symmetric(target)
+        xp, xm, xr = mix.as_fractions()
+        assert abs(xp - xm) == xr / 3  # the least s lands exactly on the boundary
 
 
 def test_unique_fs_mixer_is_single_point():
