@@ -284,7 +284,9 @@ def run_command(argv=None) -> int:
     try:
         return args.fn(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

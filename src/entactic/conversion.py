@@ -35,6 +35,14 @@ BSP = "BSP"
 _P_SLACK = 1e-12
 _CLAMP_TOL = 1e-9
 AUDIT_TOL = 1e-9  # slack on both preservation inequalities before a violation
+FREE_SOURCE_TOL = 1e-9  # a source whose geometric measure is at most this is free
+# the biseparable mixer: a target whose robustness bound is below
+# FREE_TARGET_TOL is its own mixer; Schmidt coefficients at or below
+# SCHMIDT_CUTOFF are dropped; the boundary mixture must be PPT within
+# BOUNDARY_PPT_TOL
+FREE_TARGET_TOL = 1e-12
+SCHMIDT_CUTOFF = 1e-14
+BOUNDARY_PPT_TOL = 1e-8
 
 
 class FreeSourceError(ValueError):
@@ -98,7 +106,7 @@ def max_probability(
     if theory not in (FSP, BSP):
         raise ValueError(f"theory must be FSP or BSP, got {theory}")
     g = (geometric_bs(psi1) if theory == BSP else geometric_fs(psi1, seed)).value
-    if g <= 1e-9:
+    if g <= FREE_SOURCE_TOL:
         raise FreeSourceError("source state is free within tolerance")
     provenance = {"g_route": "cut-enumeration" if theory == BSP else "product-optimizer"}
     if theory == BSP:
@@ -143,10 +151,10 @@ def _bs_mixer_details(psi2: PureState):
     bound = robustness_bs_upper(psi2)
     cut: Bipartition = bound.certificate
     s = bound.value
-    if s < 1e-12:
+    if s < FREE_TARGET_TOL:
         return psi2.density(), 0.0, cut
     u, sv, vh = np.linalg.svd(cut_matrix(psi2, cut), full_matrices=False)
-    keep = sv > 1e-14
+    keep = sv > SCHMIDT_CUTOFF
     u, sv, vh = u[:, keep], sv[keep], vh[keep, :]
     # row (i, j) is the product vector u_i v_j, weighted a_i a_j off the diagonal
     products = (u.T[:, None, :, None] * vh[None, :, None, :]).reshape(len(sv) ** 2, -1)
@@ -162,7 +170,7 @@ def _bs_mixer_details(psi2: PureState):
         psi2.d,
         (psi2.density().entries + s * mixer.entries) / (1.0 + s),
     )
-    if not is_ppt(boundary, sorted(cut.parties), tol=1e-8):
+    if not is_ppt(boundary, sorted(cut.parties), tol=BOUNDARY_PPT_TOL):
         raise RuntimeError("mixer construction failed the boundary PPT check")
     return mixer, float(s), cut
 

@@ -26,12 +26,14 @@ class ShapeError(ValueError):
 @dataclass(frozen=True)
 class PureState:
     """Normalized amplitude vector over n parties of local dimension d, held
-    as a read-only copy; its Schmidt spectra are kept on it once computed."""
+    as a read-only copy; its cut purities and Schmidt spectra are kept on it
+    once computed."""
 
     n: int
     d: int
     amplitudes: np.ndarray
     _cuts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _purities: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.d < 2:
@@ -221,6 +223,18 @@ def schmidt_spectrum(psi: PureState, cut: Bipartition) -> SchmidtSpectrum:
         vals.setflags(write=False)
         spec = psi._cuts[cut] = SchmidtSpectrum(cut, vals)
     return spec
+
+
+def cut_purity(psi: PureState, cut: Bipartition) -> float:
+    """tr rho_A^2 of the cut's marginal, computed once per state: the squared
+    Frobenius norm of the Gram matrix of the cut matrix's smaller side, over
+    its squared trace so that it matches the normalized spectrum."""
+    p = psi._purities.get(cut)
+    if p is None:
+        a = cut_matrix(psi, cut)
+        g = a @ a.conj().T if a.shape[0] <= a.shape[1] else a.conj().T @ a
+        p = psi._purities[cut] = float(np.vdot(g, g).real / np.trace(g).real ** 2)
+    return p
 
 
 def reduced_density(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:

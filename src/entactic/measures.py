@@ -24,6 +24,7 @@ from .linalg import (
     PSD_TOL,
     PureState,
     all_bipartitions,
+    cut_purity,
     haar_vectors,
     kron_vectors,
     min_pt_eigenvalue,
@@ -50,6 +51,9 @@ FIT_ROUNDS = 8
 FIT_DICTIONARY = 600
 FIT_SEED = 2024
 S_MAX = 16.0  # largest mixing weight the separable-mixture bisection tries
+# cut pruning: a cut is skipped only when its purity bound clears the best
+# score so far by more than this, so ties and near-ties are always scored
+PRUNE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,16 +79,52 @@ class RobustnessCapError(RuntimeError):
 # Geometric measures
 
 
-def _best_cut(psi: PureState, score) -> tuple[float, Bipartition]:
-    """The smallest score(psi, cut) over all cuts and the first cut attaining it."""
-    if psi.n < 2:
-        raise ValueError(f"a state needs at least 2 parties to have a cut, got n={psi.n}")
-    return min(((score(psi, cut), cut) for cut in all_bipartitions(psi.n)), key=lambda t: t[0])
+def _best_cut(psi: PureState, score, bound) -> tuple[float, Bipartition]:
+    """The smallest score(psi, cut) over all cuts and the first cut attaining it.
+
+    bound(P, r) is a lower bound on a cut's score from its purity
+    P = tr rho_A^2 and the dimension r of its smaller side.  The one-party
+    cuts seed the best score; any other cut is scored only when its bound
+    comes within PRUNE_TOL of the best so far.  A skipped cut thus scores
+    strictly above the minimum, and the result is the one full enumeration
+    gives.  Cuts are bounded by descending smaller side until those the
+    bound failed to rule out outnumber those it ruled out by two (all cuts
+    of GHZ tie); the rest are scored without bounding.  Every purity spent
+    on a scored cut is thus matched by a spectrum saved, but for two.
+    """
+    n = psi.n
+    if n < 2:
+        raise ValueError(f"a state needs at least 2 parties to have a cut, got n={n}")
+    cuts = all_bipartitions(n)
+    sides = [min(len(cut.parties), n - len(cut.parties)) for cut in cuts]
+    scores = [None] * len(cuts)
+    best = math.inf
+    pruned = kept = 0
+    for i in sorted(range(len(cuts)), key=lambda i: (sides[i] > 1, -sides[i])):
+        if sides[i] > 1 and kept < pruned + 2:
+            if bound(cut_purity(psi, cuts[i]), psi.d ** sides[i]) > best + PRUNE_TOL:
+                pruned += 1
+                continue
+            kept += 1
+        scores[i] = score(psi, cuts[i])
+        best = min(best, scores[i])
+    return min(((s, cut) for s, cut in zip(scores, cuts) if s is not None), key=lambda t: t[0])
+
+
+def top_schmidt_bound(p: float, r: int) -> float:
+    """Largest top value of a spectrum of length r with purity p = sum l^2:
+    (1 + sqrt((r-1)(rp-1)))/r, attained by one value above r-1 equal ones;
+    it never exceeds sqrt(p)."""
+    return (1.0 + math.sqrt(max(0.0, (r - 1) * (r * p - 1)))) / r
 
 
 def geometric_bs(psi: PureState) -> MeasureResult:
     """1 - (largest Schmidt value over all cuts); closed form, deterministic."""
-    neg_l1, cut = _best_cut(psi, lambda psi, cut: -float(schmidt_spectrum(psi, cut).values[0]))
+    neg_l1, cut = _best_cut(
+        psi,
+        lambda psi, cut: -float(schmidt_spectrum(psi, cut).values[0]),
+        lambda p, r: -top_schmidt_bound(p, r),
+    )
     return MeasureResult(value=1.0 + neg_l1, certificate=cut)
 
 
@@ -154,8 +194,10 @@ def robustness_bipartite_pure(psi: PureState, cut: Bipartition) -> float:
 
 def robustness_bs_upper(psi: PureState) -> MeasureResult:
     """Upper bound on the biseparable robustness: the minimum over cuts of
-    the bipartite pure-state robustness."""
-    value, cut = _best_cut(psi, robustness_bipartite_pure)
+    the bipartite pure-state robustness.  A cut of purity P has robustness
+    at least 1/P - 1, since (sum sqrt(l))^2 >= 1/P (Renyi entropies:
+    H_1/2 >= H_2)."""
+    value, cut = _best_cut(psi, robustness_bipartite_pure, lambda p, r: 1.0 / p - 1.0)
     return MeasureResult(value=value, certificate=cut)
 
 

@@ -24,6 +24,7 @@ from .catalog import (
 )
 from .linalg import (
     Bipartition,
+    PSD_TOL,
     PureState,
     apply_channel,
     haar_vectors,
@@ -110,7 +111,7 @@ def _claim_lemma2(seed):
         float(s),
         entry_err,
         float(grid_err),
-        bool(ppt_floor >= -1e-10),
+        bool(ppt_floor >= -PSD_TOL),
     ]
     return expected, computed, 2e-6
 

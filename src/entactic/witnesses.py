@@ -177,9 +177,3 @@ def symmetric_triform_value(alpha: float, beta: float = 0.0) -> float:
     v = kron_vectors([a, a, a])
     op = np.asarray(w_robustness_witness().operator) - np.eye(8) / 2
     return float(np.real(v.conj() @ op @ v))
-
-
-# Reference constants from the literature: the generalized robustness
-# (arbitrary mixer allowed) of these states, strictly below the values the
-# dual bound certifies here.  Recorded for reports, never computed.
-GENERALIZED_ROBUSTNESS_REFERENCE = {"w": 1.25, "ghz": 1.0}

@@ -263,6 +263,8 @@ def test_reproduce_without_a_selection_is_a_usage_error(capsys):
 
 def test_reproduce_unknown_selection(capsys):
     assert run_command(["reproduce", "--select", "nonesuch"]) == 1
+    # the KeyError's message, not its repr with quotes around it
+    assert capsys.readouterr().err == "error: unknown claim id(s): ['nonesuch']\n"
 
 
 def test_reproduce_deterministic_output(capsys):
@@ -286,6 +288,18 @@ def test_claim_registry_traceability():
     valid_refs = {f"AC{k}" for k in range(1, 13)}
     for _, _, ref, _ in REGISTRY:
         assert ref in valid_refs
+
+
+@pytest.mark.parametrize("factor,ppt", [(0.5, True), (2.0, False)])
+def test_lemma2_claim_ppt_floor_edges(monkeypatch, factor, ppt):
+    # the claim's PPT check on the W mixer and boundary allows -PSD_TOL
+    from entactic import measures, report
+    from entactic.linalg import PSD_TOL
+
+    monkeypatch.setattr(measures, "ppt_all_cuts_min_eigenvalue", lambda rho: -factor * PSD_TOL)
+    monkeypatch.setattr(measures, "robustness_fs_upper_via_mix", lambda psi, mixer: 2.0)
+    _, computed, _ = report._claim_lemma2(7)
+    assert computed[-1] is ppt
 
 
 def test_env_seed_default(monkeypatch, capsys, w_file):

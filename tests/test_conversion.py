@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from entactic import conversion, measures
+from entactic import conversion, linalg, measures
 from entactic.catalog import ghz, psi_ghz_plus, w_state
 from entactic.linalg import Bipartition, PureState, all_bipartitions, apply_channel, is_ppt
 
@@ -49,6 +49,22 @@ def test_max_probability_rejects_free_source():
         conversion.max_probability(product_state(3, 2, 0), ghz(3, 2), conversion.BSP)
 
 
+def two_qubit_state(t):
+    """cos(t)|00> + sin(t)|11>: G_BS = sin^2 t, robustness sin 2t."""
+    return PureState(2, 2, np.array([math.cos(t), 0.0, 0.0, math.sin(t)]))
+
+
+@pytest.mark.parametrize("factor,free", [(0.5, True), (2.0, False)])
+def test_free_source_tolerance_edges(factor, free):
+    src = two_qubit_state(math.asin(math.sqrt(factor * conversion.FREE_SOURCE_TOL)))
+    if free:
+        with pytest.raises(conversion.FreeSourceError):
+            conversion.max_probability(src, ghz(2, 2), conversion.BSP)
+    else:
+        cert = conversion.max_probability(src, ghz(2, 2), conversion.BSP)
+        assert cert.g_source == pytest.approx(factor * conversion.FREE_SOURCE_TOL, rel=1e-6)
+
+
 def test_max_probability_fsp_needs_r_upper():
     with pytest.raises(ValueError):
         conversion.max_probability(w_state(), ghz(3, 2), conversion.FSP)
@@ -89,6 +105,42 @@ def test_bs_mixer_for_product_target_is_the_target():
     mixer, s, _ = conversion._bs_mixer_details(psi)
     assert s == 0.0
     assert np.allclose(mixer.entries, psi.density().entries, atol=1e-12)
+
+
+@pytest.mark.parametrize("factor,free", [(0.5, True), (2.0, False)])
+def test_free_target_tolerance_edges(factor, free):
+    psi = two_qubit_state(math.asin(factor * conversion.FREE_TARGET_TOL) / 2)
+    mixer, s, _ = conversion._bs_mixer_details(psi)
+    if free:
+        assert s == 0.0 and np.array_equal(mixer.entries, psi.density().entries)
+    else:
+        assert s == pytest.approx(factor * conversion.FREE_TARGET_TOL, rel=1e-3)
+        # the mixer holds only the cross products |01> and |10>
+        assert mixer.entries[0, 0] == 0.0 and mixer.entries[1, 1].real > 0.4
+
+
+@pytest.mark.parametrize("factor,kept", [(0.5, False), (2.0, True)])
+def test_schmidt_cutoff_edges(factor, kept):
+    # two qutrits a|00> + a|11> + c|22>: the mixer's |02> weight a c / s is
+    # there exactly when the coefficient c clears the cutoff
+    c = factor * conversion.SCHMIDT_CUTOFF
+    a = math.sqrt((1.0 - c * c) / 2)
+    psi = PureState(2, 3, np.array([a, 0, 0, 0, a, 0, 0, 0, c]))
+    mixer, s, _ = conversion._bs_mixer_details(psi)
+    assert s == pytest.approx(1.0, abs=1e-12)
+    assert (mixer.entries[2, 2].real > 0) == kept
+
+
+@pytest.mark.parametrize("factor,fails", [(0.5, False), (2.0, True)])
+def test_boundary_ppt_tolerance_edges(monkeypatch, factor, fails):
+    lam = -factor * conversion.BOUNDARY_PPT_TOL
+    monkeypatch.setattr(linalg, "min_pt_eigenvalue", lambda rho, subset: lam)
+    psi = random_state(3, 2, 21)
+    if fails:
+        with pytest.raises(RuntimeError, match="boundary PPT"):
+            conversion._bs_mixer_details(psi)
+    else:
+        assert conversion._bs_mixer_details(psi)[1] > 0
 
 
 # --- channel construction and application -----------------------------------
@@ -256,19 +308,32 @@ def test_audit_tolerance_edges(excess, violations):
 def test_each_cut_is_decomposed_once_per_state(monkeypatch):
     psi1, psi2 = random_state(4, 2, 31), random_state(4, 2, 32)
     svd, calls = np.linalg.svd, []
+    cut_matrix, built = linalg.cut_matrix, []
 
     def spy(a, *args, **kwargs):
         calls.append((a.shape, a.tobytes(), kwargs.get("compute_uv", True)))
         return svd(a, *args, **kwargs)
 
+    def spy_cut_matrix(psi, cut):
+        built.append((id(psi), cut))
+        return cut_matrix(psi, cut)
+
     monkeypatch.setattr(np.linalg, "svd", spy)
+    # the cut matrices that spectra and purities are taken from
+    monkeypatch.setattr(linalg, "cut_matrix", spy_cut_matrix)
     cert = conversion.max_probability(psi1, psi2, conversion.BSP)
     m = conversion.build_filter_map(cert, psi1, psi2, cert.p_max)
     conversion._extremal_free_overlap(m, seed=0)
+    spectra = [call for call in calls if not call[2]]
+    # at most one spectrum per (state, cut), though each measure ran twice
+    assert len(spectra) == len(set(spectra)) <= 2 * len(all_bipartitions(4))
+    # a Gram and a spectrum at most on each (state, cut)
+    assert max(built.count(key) for key in built) <= 2
+    done = len(calls), len(built)
     measures.geometric_bs(psi1)
     measures.robustness_bs_upper(psi2)
-    spectra = [call for call in calls if not call[2]]
-    assert len(spectra) == len(set(spectra)) == 2 * len(all_bipartitions(4))
+    # repeated measures take no new SVD and no new Gram
+    assert (len(calls), len(built)) == done
     # Schmidt vectors only on the two best cuts: the mixer's and the probe's
     assert len([call for call in calls if call[2]]) == 2
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entactic import measures
-from entactic.catalog import four_qubit_phi, ghz, w_state
+from entactic.catalog import cluster_state, four_qubit_phi, ghz, w_state
 from entactic.ghz_symmetric import GhzSymmetricParams, params_to_density
 from entactic.linalg import (
     Bipartition,
@@ -157,6 +157,138 @@ def test_cut_measures_reject_one_party_states():
     for measure in (measures.geometric_bs, measures.robustness_bs_upper):
         with pytest.raises(ValueError, match="at least 2 parties"):
             measure(psi)
+
+
+# --- cut pruning ------------------------------------------------------------
+
+
+def fresh(psi):
+    """The same amplitudes with nothing computed on them yet."""
+    return PureState(psi.n, psi.d, psi.amplitudes)
+
+
+def enumerate_cuts(psi):
+    """Both cut measures by full enumeration, scored as the measures score."""
+    cuts = all_bipartitions(psi.n)
+    neg_l1, gbs_cut = min(
+        ((-float(schmidt_spectrum(psi, c).values[0]), c) for c in cuts), key=lambda t: t[0]
+    )
+    rbs, rbs_cut = min(
+        ((measures.robustness_bipartite_pure(psi, c), c) for c in cuts), key=lambda t: t[0]
+    )
+    return (1.0 + neg_l1, gbs_cut), (rbs, rbs_cut)
+
+
+def product_of_blocks(sizes, d, seed):
+    rng = np.random.default_rng(seed)
+    v = np.ones(1, dtype=complex)
+    for k in sizes:
+        v = np.kron(v, haar_vectors(rng, d**k))
+    return PureState(sum(sizes), d, v)
+
+
+PRUNING_INPUTS = (
+    [("haar", n, 2) for n in range(4, 11)]
+    + [("haar", n, 3) for n in range(4, 7)]
+    + [("ghz", n, d) for n, d in [(4, 2), (7, 2), (9, 2), (4, 3), (5, 3)]]
+    + [("cluster", n, 2) for n in (4, 7, 9)]
+    + [("w", 3, 2), ("blocks", (3, 3), 2), ("blocks", (2, 3, 2), 2), ("blocks", (2, 3), 3)]
+)
+
+
+def pruning_input(kind, n, d):
+    if kind == "haar":
+        return random_state(n, d, 1000 * d + n)
+    if kind == "ghz":
+        return ghz(n, d)
+    if kind == "cluster":
+        return cluster_state(n)
+    if kind == "w":
+        return w_state()
+    return product_of_blocks(n, d, sum(n))
+
+
+@pytest.mark.parametrize("kind,n,d", PRUNING_INPUTS)
+def test_pruned_cut_measures_match_full_enumeration_bit_for_bit(kind, n, d):
+    psi = pruning_input(kind, n, d)
+    (gbs, gbs_cut), (rbs, rbs_cut) = enumerate_cuts(fresh(psi))
+    gres, rres = measures.geometric_bs(fresh(psi)), measures.robustness_bs_upper(fresh(psi))
+    assert (gres.value, gres.certificate) == (gbs, gbs_cut)
+    assert (rres.value, rres.certificate) == (rbs, rbs_cut)
+    if kind == "blocks":
+        # the cut between the first block and the rest wins strictly, and no
+        # one-party cut can: a multi-party cut the seed cannot supply
+        assert gres.value == pytest.approx(0.0, abs=1e-12)
+        assert gres.certificate == Bipartition(psi.n, frozenset(range(1, n[0] + 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40).filter(lambda v: sum(v) > 1e-6))
+def test_purity_bounds_hold_on_any_spectrum(weights):
+    lam = np.sort(np.array(weights) / sum(weights))[::-1]
+    p, r = float(np.sum(lam**2)), len(lam)
+    top = measures.top_schmidt_bound(p, r)
+    # far below PRUNE_TOL: rounding in a bound never prunes a winning cut
+    assert lam[0] <= top + 1e-12
+    assert top <= math.sqrt(p) + 1e-12
+    assert float(np.sum(np.sqrt(lam)) ** 2) - 1.0 >= 1.0 / p - 1.0 - 1e-12
+
+
+def test_top_schmidt_bound_is_attained():
+    # one value above r - 1 equal ones meets the bound; a flat spectrum too
+    lam = np.array([0.4] + [0.2] * 3)
+    assert measures.top_schmidt_bound(float(np.sum(lam**2)), 4) == pytest.approx(0.4, abs=1e-15)
+    assert measures.top_schmidt_bound(0.25, 4) == pytest.approx(0.25, abs=1e-15)
+
+
+@pytest.mark.parametrize("factor,pruned", [(0.5, False), (2.0, True)])
+def test_prune_tolerance_edges(factor, pruned):
+    # every multi-party cut's bound sits factor * PRUNE_TOL above the seed's
+    # best score: within the tolerance it is scored, beyond it skipped
+    psi = random_state(4, 2, 21)
+    one_party = [c for c in all_bipartitions(4) if min(len(c.parties), 4 - len(c.parties)) == 1]
+    best = min(measures.robustness_bipartite_pure(fresh(psi), c) for c in one_party)
+    measures._best_cut(
+        psi,
+        measures.robustness_bipartite_pure,
+        lambda p, r: best + factor * measures.PRUNE_TOL,
+    )
+    assert len(psi._cuts) == (4 if pruned else 7)
+
+
+def count_spectrum_svds(monkeypatch):
+    svd, calls = np.linalg.svd, []
+
+    def spy(a, *args, **kwargs):
+        if not kwargs.get("compute_uv", True):
+            calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_haar_10_qubits_needs_only_the_one_party_spectra(monkeypatch, seed):
+    svds = count_spectrum_svds(monkeypatch)
+    psi = random_state(10, 2, seed)
+    measures.geometric_bs(psi)
+    assert len(svds) == 10
+    measures.robustness_bs_upper(psi)
+    assert len(svds) == 10
+
+
+def test_ghz_stops_bounding_after_two_cuts_it_cannot_rule_out(monkeypatch):
+    # every cut of GHZ has purity 1/2 and ties: two bounds are spent, then
+    # the remaining cuts are scored as full enumeration scores them
+    svds = count_spectrum_svds(monkeypatch)
+    psi = ghz(8, 2)
+    measures.geometric_bs(psi)
+    assert len(psi._purities) == 2
+    assert len(svds) == len(all_bipartitions(8))
+    measures.robustness_bs_upper(psi)
+    assert len(psi._purities) == 2
+    assert len(svds) == len(all_bipartitions(8))
 
 
 # --- diagonal family and its certified points ------------------------------

@@ -131,8 +131,3 @@ def test_dual_bound_meets_primal_for_ghz_and_w():
     )
     assert w_lower == pytest.approx(2.0, abs=1e-12)
     assert w_upper == pytest.approx(2.0, abs=1e-6)
-
-
-def test_generalized_robustness_reference_constants():
-    assert witnesses.GENERALIZED_ROBUSTNESS_REFERENCE["w"] == pytest.approx(1.25)
-    assert witnesses.GENERALIZED_ROBUSTNESS_REFERENCE["ghz"] == pytest.approx(1.0)
