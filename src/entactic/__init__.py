@@ -6,7 +6,6 @@ from .linalg import (
     Bipartition,
     DensityMatrix,
     PureState,
-    SchmidtSpectrum,
     all_bipartitions,
     apply_channel,
     is_ppt,
@@ -22,7 +21,6 @@ __all__ = [
     "Bipartition",
     "DensityMatrix",
     "PureState",
-    "SchmidtSpectrum",
     "all_bipartitions",
     "apply_channel",
     "catalog",

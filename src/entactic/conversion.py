@@ -19,6 +19,7 @@ from .linalg import (
     Bipartition,
     DensityMatrix,
     PureState,
+    ShapeError,
     all_bipartitions,
     apply_channel,
     cut_matrix,
@@ -35,6 +36,7 @@ BSP = "BSP"
 _P_SLACK = 1e-12
 _CLAMP_TOL = 1e-9
 AUDIT_TOL = 1e-9  # slack on both preservation inequalities before a violation
+OVERLAP_FLOOR = 1e-15  # a free input overlapping psi1 at most this bounds no mixing weight
 FREE_SOURCE_TOL = 1e-9  # a source whose geometric measure is at most this is free
 # the biseparable mixer: a target whose robustness bound is below
 # FREE_TARGET_TOL is its own mixer; Schmidt coefficients at or below
@@ -51,36 +53,39 @@ class FreeSourceError(ValueError):
 
 @dataclass(frozen=True)
 class ConversionCertificate:
+    """The one record of a conversion psi1 -> psi2 of one (n, d) system: the
+    source's geometric measure, the target's robustness bound and the
+    largest certified probability."""
+
+    psi1: PureState
+    psi2: PureState
     g_source: float
     r_target: float
     p_max: float
-    deterministic: bool
     theory: str
     provenance: dict = field(default_factory=dict)
+
+    @property
+    def deterministic(self) -> bool:
+        return self.p_max == 1.0
 
 
 @dataclass(frozen=True)
 class PreparationMap:
-    """Filter-and-prepare channel (psi1, p, psi2, mixer) with its CPTP
-    completion; carries the quantities needed to audit preservation."""
+    """Filter-and-prepare channel (cert.psi1, p, cert.psi2, mixer) with its
+    CPTP completion; its audit reads the certificate's quantities."""
 
-    psi1: PureState
+    cert: ConversionCertificate
     p: float
-    psi2: PureState
     mixer: DensityMatrix
-    theory: str
-    g_source: float
-    r_target: float
     mixer_cut: Optional[Bipartition] = None
 
     def __post_init__(self):
         if not 0 < self.p <= 1:
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
-        shapes = {(s.n, s.d) for s in (self.psi1, self.psi2)} | {
-            (self.mixer.n, self.mixer.d)
-        }
-        if len(shapes) != 1:
-            raise ValueError(f"inconsistent shapes {shapes}")
+        psi2 = self.cert.psi2
+        if (self.mixer.n, self.mixer.d) != (psi2.n, psi2.d):
+            raise ShapeError("mixer and target (n, d) differ")
 
 
 @dataclass(frozen=True)
@@ -105,6 +110,11 @@ def max_probability(
     FSP bound is supplied as `r_upper`, finite and >= 0."""
     if theory not in (FSP, BSP):
         raise ValueError(f"theory must be FSP or BSP, got {theory}")
+    if (psi1.n, psi1.d) != (psi2.n, psi2.d):
+        raise ShapeError(
+            f"source (n, d) = ({psi1.n}, {psi1.d}) and target "
+            f"(n, d) = ({psi2.n}, {psi2.d}) differ"
+        )
     g = (geometric_bs(psi1) if theory == BSP else geometric_fs(psi1, seed)).value
     if g <= FREE_SOURCE_TOL:
         raise FreeSourceError("source state is free within tolerance")
@@ -128,10 +138,11 @@ def max_probability(
     if p_max >= 1.0 - _CLAMP_TOL:
         p_max = 1.0
     return ConversionCertificate(
+        psi1=psi1,
+        psi2=psi2,
         g_source=g,
         r_target=r,
         p_max=p_max,
-        deterministic=(p_max == 1.0),
         theory=theory,
         provenance=provenance,
     )
@@ -179,12 +190,7 @@ def _bs_mixer_details(psi2: PureState):
 # Map construction
 
 
-def build_filter_map(
-    cert: ConversionCertificate,
-    psi1: PureState,
-    psi2: PureState,
-    p: float,
-) -> PreparationMap:
+def build_filter_map(cert: ConversionCertificate, p: float) -> PreparationMap:
     """Assemble the channel after checking p against the certificate; the
     mixer is the target's robustness-achieving biseparable state across its
     minimizing cut.  Only the BSP map is built: an FSP map would need a
@@ -196,17 +202,8 @@ def build_filter_map(
         )
     if p > cert.p_max + _P_SLACK:
         raise ValueError(f"p = {p} exceeds certified maximum {cert.p_max}")
-    mixer, _, mixer_cut = _bs_mixer_details(psi2)
-    return PreparationMap(
-        psi1=psi1,
-        p=p,
-        psi2=psi2,
-        mixer=mixer,
-        theory=cert.theory,
-        g_source=cert.g_source,
-        r_target=cert.r_target,
-        mixer_cut=mixer_cut,
-    )
+    mixer, _, mixer_cut = _bs_mixer_details(cert.psi2)
+    return PreparationMap(cert=cert, p=p, mixer=mixer, mixer_cut=mixer_cut)
 
 
 def ghz_to_any_bsp(psi: PureState) -> PreparationMap:
@@ -219,7 +216,7 @@ def ghz_to_any_bsp(psi: PureState) -> PreparationMap:
     cert = max_probability(source, psi, BSP)
     if not cert.deterministic:
         raise RuntimeError(f"budget violated: p_max = {cert.p_max} < 1")
-    return build_filter_map(cert, source, psi, 1.0)
+    return build_filter_map(cert, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +253,8 @@ def _extremal_free_overlap(prep_map: PreparationMap, seed: int) -> float:
     product across the best cut (BSP) or the product certificate of the
     optimizer seeded with `seed` (FSP).  Deterministic probe prepended to the
     random samples."""
-    psi1 = prep_map.psi1
-    if prep_map.theory == BSP:
+    psi1 = prep_map.cert.psi1
+    if prep_map.cert.theory == BSP:
         cut: Bipartition = geometric_bs(psi1).certificate
         u, _, vh = np.linalg.svd(cut_matrix(psi1, cut), full_matrices=False)
         vec = from_cut_order(kron_vectors([u[:, 0], vh[0, :]]), cut, psi1.d)
@@ -281,14 +278,15 @@ def verify_preservation_sampled(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    cert = prep_map.cert
     rng = np.random.default_rng(seed)
     q = np.empty(samples)
     q[0] = _extremal_free_overlap(prep_map, seed)
     if samples > 1:
-        q[1:] = _batch_free_overlaps(prep_map.psi1, prep_map.theory, samples - 1, rng)
-    g, r, p = prep_map.g_source, prep_map.r_target, prep_map.p
+        q[1:] = _batch_free_overlaps(cert.psi1, cert.theory, samples - 1, rng)
+    g, r, p = cert.g_source, cert.r_target, prep_map.p
     overlap_margin = (1.0 - g) + AUDIT_TOL - q
-    pos = q > 1e-15
+    pos = q > OVERLAP_FLOOR
     s_out = np.full(samples, math.inf)
     s_out[pos] = (1.0 / p) * (1.0 / q[pos] - 1.0)
     ratio_margin = s_out - (r - AUDIT_TOL)
@@ -299,7 +297,7 @@ def verify_preservation_sampled(
         violations=int(np.count_nonzero(bad)),
         worst_overlap_margin=float(np.min(overlap_margin)),
         worst_ratio_margin=float(np.min(finite_ratio)) if finite_ratio.size else math.inf,
-        theory=prep_map.theory,
+        theory=cert.theory,
     )
 
 
@@ -311,11 +309,13 @@ def ghz_plus_robustness_bound(alpha: float, beta: float, gamma: float) -> float:
     """(4 - c) / (2 (1 + c)) with c = cos(a) cos(b) cos(g): an upper bound
     on the separability robustness of the tilted-GHZ state, obtained by
     pushing the exact GHZ boundary mixture through local filters."""
-    c = math.cos(alpha) * math.cos(beta) * math.cos(gamma)
-    return (4.0 - c) / (2.0 * (1.0 + c))
+    return ghz_plus_bound_report(alpha, beta, gamma)["bound"]
 
 
-# The bound stays within the W state's conversion budget 5/4 iff c >= 3/7.
+# The bound stays within the W state's conversion budget 5/4 iff c >= 3/7;
+# a bound above the budget by at most BUDGET_TOL still counts as within it.
+W_BUDGET = 1.25
+BUDGET_TOL = 1e-12
 GHZ_PLUS_DETERMINISTIC_THRESHOLD = 3.0 / 7.0
 
 
@@ -323,15 +323,16 @@ def ghz_plus_bound_report(alpha: float, beta: float, gamma: float) -> dict:
     """Evaluate the bound and flag parameter choices whose bound exceeds the
     budget 5/4 even though they are sometimes quoted as feasible."""
     c = math.cos(alpha) * math.cos(beta) * math.cos(gamma)
-    bound = ghz_plus_robustness_bound(alpha, beta, gamma)
+    bound = (4.0 - c) / (2.0 * (1.0 + c))
+    within = bound <= W_BUDGET + BUDGET_TOL
     return {
         "cos_product": c,
         "bound": bound,
-        "budget": 1.25,
-        "within_budget": bound <= 1.25 + 1e-12,
+        "budget": W_BUDGET,
+        "within_budget": within,
         "threshold": GHZ_PLUS_DETERMINISTIC_THRESHOLD,
         "flag": None
-        if bound <= 1.25 + 1e-12
+        if within
         else "bound exceeds the 5/4 budget; deterministic conversion not certified "
         "for these angles (requires cos-product >= 3/7)",
     }

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -138,22 +139,16 @@ class Bipartition:
         return f"{{{a}}}|{{{b}}}"
 
 
-def all_bipartitions(n: int) -> list[Bipartition]:
-    """Every canonical cut of an n-party system (2^(n-1) - 1 of them)."""
-    out = []
-    rest = list(range(2, n + 1))
-    for k in range(0, n - 1):
-        for extra in combinations(rest, k):
-            out.append(Bipartition(n, frozenset((1,) + extra)))
-    return out
-
-
-@dataclass(frozen=True)
-class SchmidtSpectrum:
-    """Squared Schmidt coefficients across a cut, sorted descending."""
-
-    cut: Bipartition
-    values: np.ndarray
+@cache
+def all_bipartitions(n: int) -> tuple[Bipartition, ...]:
+    """Every canonical cut of an n-party system (2^(n-1) - 1 of them), built
+    once per n."""
+    rest = range(2, n + 1)
+    return tuple(
+        Bipartition(n, frozenset((1,) + extra))
+        for k in range(0, n - 1)
+        for extra in combinations(rest, k)
+    )
 
 
 def haar_vectors(rng: np.random.Generator, dim: int, count: int | None = None) -> np.ndarray:
@@ -212,17 +207,18 @@ def cut_matrix(psi: PureState, cut: Bipartition) -> np.ndarray:
     return t.reshape(psi.d ** len(m), psi.d ** len(rest))
 
 
-def schmidt_spectrum(psi: PureState, cut: Bipartition) -> SchmidtSpectrum:
-    """Squared Schmidt coefficients across the cut, computed once per state."""
-    spec = psi._cuts.get(cut)
-    if spec is None:
+def schmidt_spectrum(psi: PureState, cut: Bipartition) -> np.ndarray:
+    """Squared Schmidt coefficients across the cut, sorted descending, as a
+    read-only array computed once per state."""
+    vals = psi._cuts.get(cut)
+    if vals is None:
         sv = np.linalg.svd(cut_matrix(psi, cut), compute_uv=False)
         vals = np.sort(sv**2)[::-1]
         # clip float dust so the sum-to-one invariant holds verbatim
         vals = vals / vals.sum()
         vals.setflags(write=False)
-        spec = psi._cuts[cut] = SchmidtSpectrum(cut, vals)
-    return spec
+        psi._cuts[cut] = vals
+    return vals
 
 
 def cut_purity(psi: PureState, cut: Bipartition) -> float:
@@ -291,7 +287,7 @@ def apply_channel(prep_map, rho: DensityMatrix) -> DensityMatrix:
                + (1 - p) tr(psi1 rho) mixer
     which is the CPTP completion of the probabilistic preparation branch.
     """
-    psi1, psi2 = prep_map.psi1, prep_map.psi2
+    psi1, psi2 = prep_map.cert.psi1, prep_map.cert.psi2
     if (psi1.n, psi1.d) != (rho.n, rho.d):
         raise ShapeError("channel and input dimensions differ")
     v = psi1.amplitudes

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from . import ghz_symmetric as gs
-from .catalog import w_bar, w_state
+from .catalog import WEIGHT_SUM_TOL, w_bar, w_state
 from .linalg import (
     Bipartition,
     DensityMatrix,
@@ -54,6 +54,7 @@ S_MAX = 16.0  # largest mixing weight the separable-mixture bisection tries
 # cut pruning: a cut is skipped only when its purity bound clears the best
 # score so far by more than this, so ties and near-ties are always scored
 PRUNE_TOL = 1e-9
+NEGATIVE_WEIGHT_TOL = 1e-14  # how far below 0 a diagonal-family weight may be
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ def geometric_bs(psi: PureState) -> MeasureResult:
     """1 - (largest Schmidt value over all cuts); closed form, deterministic."""
     neg_l1, cut = _best_cut(
         psi,
-        lambda psi, cut: -float(schmidt_spectrum(psi, cut).values[0]),
+        lambda psi, cut: -float(schmidt_spectrum(psi, cut)[0]),
         lambda p, r: -top_schmidt_bound(p, r),
     )
     return MeasureResult(value=1.0 + neg_l1, certificate=cut)
@@ -188,7 +189,7 @@ def geometric_fs(psi: PureState, seed: int = DEFAULT_SEED) -> MeasureResult:
 
 def robustness_bipartite_pure(psi: PureState, cut: Bipartition) -> float:
     """(sum of Schmidt coefficients)^2 - 1 across the cut."""
-    vals = schmidt_spectrum(psi, cut).values
+    vals = schmidt_spectrum(psi, cut)
     return float(np.sum(np.sqrt(np.clip(vals, 0.0, None))) ** 2 - 1.0)
 
 
@@ -209,7 +210,7 @@ def robustness_bs_upper(psi: PureState) -> MeasureResult:
 def diag_family_state(w000, w111, ww, wwb) -> DensityMatrix:
     """Mixture of |000>, |111>, W and Wbar projectors with given weights."""
     weights = [float(w) for w in (w000, w111, ww, wwb)]
-    if min(weights) < -1e-14 or abs(sum(weights) - 1.0) > 1e-12:
+    if min(weights) < -NEGATIVE_WEIGHT_TOL or abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError(f"bad weight vector {weights}")
     m = np.zeros((8, 8), dtype=complex)
     m[0, 0] = weights[0]

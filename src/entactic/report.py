@@ -238,7 +238,7 @@ def _claim_eq4_consistency(seed):
             cert = conversion.max_probability(psi1, psi2, conversion.BSP)
         except conversion.FreeSourceError:
             continue
-        m = conversion.build_filter_map(cert, psi1, psi2, cert.p_max)
+        m = conversion.build_filter_map(cert, cert.p_max)
         rep = conversion.verify_preservation_sampled(m, 2000, seed=seed + k)
         at_max_viol += rep.violations
         if cert.p_max < 1.0:

@@ -21,6 +21,7 @@ from .linalg import DensityMatrix, PureState, ShapeError, kron_vectors
 from .measures import DEFAULT_SEED, maximize_over_products
 
 ADMISSION_TOL = 1e-8
+HERMITIAN_TOL = 1e-12  # largest entry of W - W^dag an operator may have
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ class Witness:
 
     def __post_init__(self):
         op = np.asarray(self.operator, dtype=complex)
-        if np.max(np.abs(op - op.conj().T)) > 1e-12:
+        if np.max(np.abs(op - op.conj().T)) > HERMITIAN_TOL:
             raise ValueError("witness operator must be Hermitian")
         op.setflags(write=False)
         object.__setattr__(self, "operator", op)

@@ -189,7 +189,7 @@ def test_ac12_conversion_bound_tightness():
             cert = conversion.max_probability(psi1, psi2, conversion.BSP)
         except conversion.FreeSourceError:
             continue
-        at_max = conversion.build_filter_map(cert, psi1, psi2, cert.p_max)
+        at_max = conversion.build_filter_map(cert, cert.p_max)
         rep = conversion.verify_preservation_sampled(at_max, 10_000, seed=1212 + attempts)
         assert rep.violations == 0
         if cert.p_max < 1.0:

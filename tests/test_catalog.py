@@ -15,6 +15,7 @@ from entactic.catalog import (
     ghz_minus,
     psi_ghz_plus,
     psi_w,
+    WEIGHT_SUM_TOL,
     w_bar,
     w_state,
 )
@@ -77,6 +78,16 @@ def test_psi_w_weights():
 def test_psi_w_rejects_bad_weights():
     with pytest.raises(ValueError):
         psi_w(0.5, 0.2, 0.2)
+
+
+@pytest.mark.parametrize("factor, ok", [(0.5, True), (2.0, False)])
+def test_psi_w_weight_sum_tolerance_edges(factor, ok):
+    x3 = 0.25 + factor * WEIGHT_SUM_TOL
+    if ok:
+        assert psi_w(0.5, 0.25, x3).amplitudes[4] == math.sqrt(x3)
+    else:
+        with pytest.raises(ValueError, match="sum to 1"):
+            psi_w(0.5, 0.25, x3)
 
 
 def test_four_qubit_phi_marginals_maximally_mixed():

@@ -240,6 +240,16 @@ def test_convert_free_source_exit_one(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "extra", [["--theory", "bsp"], ["--theory", "bsp", "--build"], ["--theory", "fsp", "--r-upper", "2"]]
+)
+def test_convert_mismatched_systems_exit_one(tmp_path, capsys, ghz_file, extra):
+    ghz4 = tmp_path / "ghz42.json"
+    ghz4.write_text(state_to_json(ghz(4, 2)))
+    err = one_line_error(capsys, ["convert", "--from", ghz_file, "--to", str(ghz4)] + extra)
+    assert err == "error: source (n, d) = (3, 2) and target (n, d) = (4, 2) differ"
+
+
 def test_reproduce_selection(capsys):
     rc, data = run_json(capsys, ["reproduce", "--select", "gbs-ghz-grid", "--seed", "7"])
     assert rc == 0

@@ -149,7 +149,7 @@ def test_boundary_ppt_tolerance_edges(monkeypatch, factor, fails):
 def test_build_filter_map_rejects_p_above_certificate():
     cert = conversion.max_probability(w_state(), ghz(3, 2), conversion.BSP)
     with pytest.raises(ValueError, match="exceeds certified maximum"):
-        conversion.build_filter_map(cert, w_state(), ghz(3, 2), 0.9)
+        conversion.build_filter_map(cert, 0.9)
 
 
 def test_build_filter_map_carries_the_bs_mixer_and_cut(monkeypatch):
@@ -163,7 +163,8 @@ def test_build_filter_map_carries_the_bs_mixer_and_cut(monkeypatch):
     monkeypatch.setattr(conversion, "_bs_mixer_details", spy)
     for psi1, psi2 in [(w_state(), ghz(3, 2)), (random_state(4, 2, 15), random_state(4, 2, 14))]:
         cert = conversion.max_probability(psi1, psi2, conversion.BSP)
-        m = conversion.build_filter_map(cert, psi1, psi2, cert.p_max)
+        m = conversion.build_filter_map(cert, cert.p_max)
+        assert m.cert is cert
         assert calls.pop() is psi2 and not calls
         mixer, _, cut = details(psi2)
         assert m.mixer_cut == cut == measures.robustness_bs_upper(psi2).certificate
@@ -173,21 +174,40 @@ def test_build_filter_map_carries_the_bs_mixer_and_cut(monkeypatch):
 def test_build_filter_map_refuses_fsp():
     cert = conversion.max_probability(w_state(), ghz(3, 2), conversion.FSP, r_upper=2.0)
     with pytest.raises(ValueError, match="only the BSP route is automated"):
-        conversion.build_filter_map(cert, w_state(), ghz(3, 2), 0.5)
+        conversion.build_filter_map(cert, 0.5)
 
 
 def test_preparation_map_rejects_bad_p():
+    cert = conversion.max_probability(w_state(), ghz(3, 2), conversion.BSP)
     mixer, _, cut = conversion._bs_mixer_details(ghz(3, 2))
     with pytest.raises(ValueError):
-        conversion.PreparationMap(
-            psi1=w_state(),
-            p=0.0,
-            psi2=ghz(3, 2),
-            mixer=mixer,
-            theory=conversion.BSP,
-            g_source=1 / 3,
-            r_target=1.0,
-        )
+        conversion.PreparationMap(cert, p=0.0, mixer=mixer)
+
+
+def test_preparation_map_holds_only_its_certificate_p_and_mixer():
+    cert = conversion.max_probability(w_state(), ghz(3, 2), conversion.BSP)
+    fields = [f.name for f in dataclasses.fields(conversion.PreparationMap)]
+    assert fields == ["cert", "p", "mixer", "mixer_cut"]
+    assert "deterministic" not in [f.name for f in dataclasses.fields(cert)]
+    # deterministic follows p_max, so the two cannot disagree
+    assert not cert.deterministic and cert.p_max < 1.0
+    assert dataclasses.replace(cert, p_max=1.0).deterministic
+    assert not dataclasses.replace(cert, p_max=0.999).deterministic
+    # the mixer must act on the target's system
+    with pytest.raises(linalg.ShapeError):
+        conversion.PreparationMap(cert, p=0.5, mixer=ghz(4, 2).density())
+
+
+@pytest.mark.parametrize("theory, r_upper", [(conversion.BSP, None), (conversion.FSP, 2.0)])
+def test_max_probability_rejects_mismatched_systems_before_measuring(monkeypatch, theory, r_upper):
+    def refuse(*args, **kwargs):
+        raise AssertionError("measured a state of a mismatched pair")
+
+    for name in ("geometric_bs", "geometric_fs", "robustness_bs_upper"):
+        monkeypatch.setattr(conversion, name, refuse)
+    for psi1, psi2 in [(ghz(3, 2), ghz(4, 2)), (ghz(3, 2), ghz(3, 3))]:
+        with pytest.raises(linalg.ShapeError, match="differ"):
+            conversion.max_probability(psi1, psi2, theory, r_upper=r_upper)
 
 
 def test_ghz_to_any_bsp_hits_target_exactly():
@@ -232,22 +252,15 @@ def test_batch_bsp_overlaps_stay_below_the_bs_measure():
 def test_extremal_probe_attains_the_measure():
     psi = w_state()
     cert = conversion.max_probability(psi, ghz(3, 2), conversion.BSP)
-    m = conversion.build_filter_map(cert, psi, ghz(3, 2), cert.p_max)
+    m = conversion.build_filter_map(cert, cert.p_max)
     probe = conversion._extremal_free_overlap(m, seed=0)
     assert probe == pytest.approx(1 - cert.g_source, abs=1e-9)
 
 
 def test_fsp_probe_uses_the_audit_seed(monkeypatch):
     psi1 = random_state(3, 2, 21)
-    m = conversion.PreparationMap(
-        psi1=psi1,
-        p=0.1,
-        psi2=w_state(),
-        mixer=measures.w_robustness_mixer(),
-        theory=conversion.FSP,
-        g_source=0.5,
-        r_target=2.0,
-    )
+    cert = conversion.max_probability(psi1, w_state(), conversion.FSP, r_upper=2.0)
+    m = conversion.PreparationMap(cert, p=0.1, mixer=measures.w_robustness_mixer())
     seeds = []
 
     def spy(psi, seed=measures.DEFAULT_SEED):
@@ -269,16 +282,7 @@ def test_preservation_fails_above_certified_p():
     mixer, _, cut = conversion._bs_mixer_details(psi2)
     if cert.p_max >= 1.0:
         pytest.skip("target too weak to exceed the budget")
-    over = conversion.PreparationMap(
-        psi1=w_state(),
-        p=min(1.0, 1.5 * cert.p_max),
-        psi2=psi2,
-        mixer=mixer,
-        theory=conversion.BSP,
-        g_source=cert.g_source,
-        r_target=cert.r_target,
-        mixer_cut=cut,
-    )
+    over = conversion.PreparationMap(cert, p=min(1.0, 1.5 * cert.p_max), mixer=mixer, mixer_cut=cut)
     rep = conversion.verify_preservation_sampled(over, 2000, seed=1)
     assert rep.violations >= 1
 
@@ -299,8 +303,12 @@ def test_audit_tolerance_edges(excess, violations):
     m = conversion.ghz_to_any_bsp(w_state())
     q = conversion._extremal_free_overlap(m, seed=0)
     slack = excess * conversion.AUDIT_TOL
-    overlap_edge = dataclasses.replace(m, g_source=1 - q + slack, r_target=0.0)
-    ratio_edge = dataclasses.replace(m, g_source=0.0, r_target=(1 / q - 1) / m.p + slack)
+    overlap_edge = dataclasses.replace(
+        m, cert=dataclasses.replace(m.cert, g_source=1 - q + slack, r_target=0.0)
+    )
+    ratio_edge = dataclasses.replace(
+        m, cert=dataclasses.replace(m.cert, g_source=0.0, r_target=(1 / q - 1) / m.p + slack)
+    )
     for edge in (overlap_edge, ratio_edge):
         assert conversion.verify_preservation_sampled(edge, 1, seed=0).violations == violations
 
@@ -322,7 +330,7 @@ def test_each_cut_is_decomposed_once_per_state(monkeypatch):
     # the cut matrices that spectra and purities are taken from
     monkeypatch.setattr(linalg, "cut_matrix", spy_cut_matrix)
     cert = conversion.max_probability(psi1, psi2, conversion.BSP)
-    m = conversion.build_filter_map(cert, psi1, psi2, cert.p_max)
+    m = conversion.build_filter_map(cert, cert.p_max)
     conversion._extremal_free_overlap(m, seed=0)
     spectra = [call for call in calls if not call[2]]
     # at most one spectrum per (state, cut), though each measure ran twice
@@ -336,6 +344,17 @@ def test_each_cut_is_decomposed_once_per_state(monkeypatch):
     assert (len(calls), len(built)) == done
     # Schmidt vectors only on the two best cuts: the mixer's and the probe's
     assert len([call for call in calls if call[2]]) == 2
+
+
+@pytest.mark.parametrize("factor, audited", [(0.5, False), (2.0, True)])
+def test_overlap_floor_edges(monkeypatch, factor, audited):
+    # a free input overlapping psi1 at most OVERLAP_FLOOR bounds no mixing weight
+    m = conversion.ghz_to_any_bsp(w_state())
+    q = factor * conversion.OVERLAP_FLOOR
+    monkeypatch.setattr(conversion, "_extremal_free_overlap", lambda prep_map, seed: q)
+    rep = conversion.verify_preservation_sampled(m, 1, seed=0)
+    assert rep.violations == 0
+    assert math.isfinite(rep.worst_ratio_margin) is audited
 
 
 # --- tilted-GHZ closed form -------------------------------------------------
@@ -354,6 +373,18 @@ def test_ghz_plus_threshold():
     assert rep["bound"] == pytest.approx(1.25, abs=1e-12)
     assert rep["within_budget"]
     assert rep["flag"] is None
+
+
+@pytest.mark.parametrize("factor, within", [(0.5, True), (2.0, False)])
+def test_ghz_plus_budget_tolerance_edges(factor, within):
+    # (4 - c) / (2 (1 + c)) = 5/4 + e at c = (3/2 - 2e) / (7/2 + 2e)
+    e = factor * conversion.BUDGET_TOL
+    alpha = math.acos((1.5 - 2 * e) / (3.5 + 2 * e))
+    rep = conversion.ghz_plus_bound_report(alpha, 0.0, 0.0)
+    assert rep["bound"] == pytest.approx(conversion.W_BUDGET + e, abs=1e-15)
+    assert rep["bound"] == conversion.ghz_plus_robustness_bound(alpha, 0.0, 0.0)
+    assert rep["within_budget"] is within
+    assert (rep["flag"] is None) is within
 
 
 def test_ghz_plus_report_flags_infeasible_angles():

@@ -87,6 +87,12 @@ def test_all_bipartitions_counts():
     assert len({b.parties for b in all_bipartitions(4)}) == 7
 
 
+def test_all_bipartitions_is_built_once_per_n():
+    cuts = all_bipartitions(5)
+    assert isinstance(cuts, tuple) and len(cuts) == 15
+    assert all_bipartitions(5) is cuts
+
+
 @given(st.integers(0, 10**6), st.sampled_from([(2, 2), (3, 2), (3, 3), (4, 2)]))
 @settings(max_examples=40, deadline=None)
 def test_schmidt_spectrum_sums_to_one(seed, shape):
@@ -94,9 +100,9 @@ def test_schmidt_spectrum_sums_to_one(seed, shape):
     psi = random_state(n, d, seed)
     for cut in all_bipartitions(n):
         spec = schmidt_spectrum(psi, cut)
-        assert abs(sum(spec.values) - 1.0) < 1e-12
-        assert all(v >= -1e-15 for v in spec.values)
-        assert list(spec.values) == sorted(spec.values, reverse=True)
+        assert abs(sum(spec) - 1.0) < 1e-12
+        assert all(v >= -1e-15 for v in spec)
+        assert list(spec) == sorted(spec, reverse=True)
 
 
 def test_schmidt_matches_reduced_eigenvalues():
@@ -105,8 +111,8 @@ def test_schmidt_matches_reduced_eigenvalues():
     spec = schmidt_spectrum(psi, cut)
     eig = sorted(np.linalg.eigvalsh(reduced_density_pure(psi, [1, 3]).entries), reverse=True)
     # the spectrum carries min(dim_A, dim_B) entries; the rest vanish
-    assert np.allclose(spec.values, eig[: len(spec.values)], atol=1e-12)
-    assert np.allclose(eig[len(spec.values):], 0.0, atol=1e-12)
+    assert np.allclose(spec, eig[: len(spec)], atol=1e-12)
+    assert np.allclose(eig[len(spec):], 0.0, atol=1e-12)
 
 
 def test_cut_matrix_shape():

@@ -53,7 +53,7 @@ def test_geometric_bs_certificate_is_consistent():
     res = measures.geometric_bs(psi)
     cut = res.certificate
     assert isinstance(cut, Bipartition)
-    top = schmidt_spectrum(psi, cut).values[0]
+    top = schmidt_spectrum(psi, cut)[0]
     assert res.value == pytest.approx(1 - top, abs=1e-14)
 
 
@@ -171,7 +171,7 @@ def enumerate_cuts(psi):
     """Both cut measures by full enumeration, scored as the measures score."""
     cuts = all_bipartitions(psi.n)
     neg_l1, gbs_cut = min(
-        ((-float(schmidt_spectrum(psi, c).values[0]), c) for c in cuts), key=lambda t: t[0]
+        ((-float(schmidt_spectrum(psi, c)[0]), c) for c in cuts), key=lambda t: t[0]
     )
     rbs, rbs_cut = min(
         ((measures.robustness_bipartite_pure(psi, c), c) for c in cuts), key=lambda t: t[0]
@@ -300,6 +300,19 @@ def test_diag_family_state_structure():
     assert m[0, 0] == pytest.approx(0.25)
     assert m[7, 7] == pytest.approx(0.25)
     assert abs(np.trace(m) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("factor, ok", [(0.5, True), (2.0, False)])
+def test_diag_family_state_weight_tolerance_edges(factor, ok):
+    sum_off = (0.25, 0.25, 0.25, 0.25 + factor * measures.WEIGHT_SUM_TOL)
+    below = factor * measures.NEGATIVE_WEIGHT_TOL
+    negative = (-below, 0.5, 0.25, 0.25 + below)
+    for weights in (sum_off, negative):
+        if ok:
+            assert measures.diag_family_state(*weights).entries[0, 0] == weights[0]
+        else:
+            with pytest.raises(ValueError, match="bad weight vector"):
+                measures.diag_family_state(*weights)
 
 
 def test_w_mixer_and_boundary_weights():

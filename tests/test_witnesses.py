@@ -17,6 +17,17 @@ def test_witness_operator_must_be_hermitian():
         witnesses.Witness(m, name="bad", n=3, d=2)
 
 
+@pytest.mark.parametrize("factor, ok", [(0.5, True), (2.0, False)])
+def test_witness_hermiticity_tolerance_edges(factor, ok):
+    m = np.zeros((8, 8), dtype=complex)
+    m[0, 1] = factor * witnesses.HERMITIAN_TOL
+    if ok:
+        assert witnesses.Witness(m, name="near", n=3, d=2).operator[0, 1] == m[0, 1]
+    else:
+        with pytest.raises(ValueError, match="Hermitian"):
+            witnesses.Witness(m, name="bad", n=3, d=2)
+
+
 def test_ghz_witness_detects_ghz():
     w = witnesses.ghz_robustness_witness()
     assert w.expectation(ghz(3, 2).density()) == pytest.approx(-2.0, abs=1e-12)
