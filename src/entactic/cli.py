@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import conversion, ghz_symmetric as gs, measures, witnesses
-from .catalog import CATALOG, build as build_catalog_state
+from .catalog import CATALOG, build as build_catalog_state, ghz, w_state
 from .linalg import (
     Bipartition,
     DensityMatrix,
@@ -163,8 +163,6 @@ def _cmd_witness(args):
     if args.check:
         lo, hi, _, _ = witnesses.witness_range_over_fs(wit, args.seed)
         out["optimizer_range"] = [lo, hi]
-        from .catalog import ghz, w_state
-
         target = ghz(3, 2) if args.name == "ghz" else w_state()
         out["trace_on_target"] = wit.expectation(target.density())
     if args.eval:
@@ -178,6 +176,8 @@ def _cmd_convert(args):
     psi1 = _load_state(args.source)
     psi2 = _load_state(args.target)
     theory = conversion.FSP if args.theory == "fsp" else conversion.BSP
+    if args.build and theory == conversion.FSP:
+        raise ValueError(conversion.FSP_BUILD_REFUSAL)
     cert = conversion.max_probability(psi1, psi2, theory, args.seed, r_upper=args.r_upper)
     out = {
         "g_source": cert.g_source,

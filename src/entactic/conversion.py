@@ -45,6 +45,10 @@ FREE_SOURCE_TOL = 1e-9  # a source whose geometric measure is at most this is fr
 FREE_TARGET_TOL = 1e-12
 SCHMIDT_CUTOFF = 1e-14
 BOUNDARY_PPT_TOL = 1e-8
+# build_filter_map refuses FSP with this; `convert --build` refuses before it measures
+FSP_BUILD_REFUSAL = (
+    "building an FSP map needs a certified separable mixer; only the BSP route is automated"
+)
 
 
 class FreeSourceError(ValueError):
@@ -115,6 +119,12 @@ def max_probability(
             f"source (n, d) = ({psi1.n}, {psi1.d}) and target "
             f"(n, d) = ({psi2.n}, {psi2.d}) differ"
         )
+    if theory == FSP:
+        if r_upper is None:
+            raise ValueError("FSP conversion needs a certified robustness upper bound")
+        r = float(r_upper)
+        if not 0.0 <= r < math.inf:
+            raise ValueError(f"robustness upper bound must be finite and >= 0, got {r}")
     g = (geometric_bs(psi1) if theory == BSP else geometric_fs(psi1, seed)).value
     if g <= FREE_SOURCE_TOL:
         raise FreeSourceError("source state is free within tolerance")
@@ -124,11 +134,6 @@ def max_probability(
         r = r_res.value
         provenance["r_route"] = f"min-cut-schmidt:{r_res.certificate}"
     else:
-        if r_upper is None:
-            raise ValueError("FSP conversion needs a certified robustness upper bound")
-        r = float(r_upper)
-        if not 0.0 <= r < math.inf:
-            raise ValueError(f"robustness upper bound must be finite and >= 0, got {r}")
         provenance["r_route"] = "supplied-upper-bound"
     if r <= 0:
         # a free target needs no resource accounting; any p works
@@ -196,10 +201,7 @@ def build_filter_map(cert: ConversionCertificate, p: float) -> PreparationMap:
     minimizing cut.  Only the BSP map is built: an FSP map would need a
     certified fully separable mixer."""
     if cert.theory != BSP:
-        raise ValueError(
-            "building an FSP map needs a certified separable mixer; "
-            "only the BSP route is automated"
-        )
+        raise ValueError(FSP_BUILD_REFUSAL)
     if p > cert.p_max + _P_SLACK:
         raise ValueError(f"p = {p} exceeds certified maximum {cert.p_max}")
     mixer, _, mixer_cut = _bs_mixer_details(cert.psi2)

@@ -166,12 +166,12 @@ def haar_vectors(rng: np.random.Generator, dim: int, count: int | None = None) -
 def kron_vectors(vecs: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product of local vectors, the first one most significant.
 
-    Leading axes are batch axes: local vectors of shape (..., d_k) give
-    product vectors of shape (..., prod d_k).
+    Leading axes are batch axes, empty ones included: local vectors of shape
+    (..., d_k) give product vectors of shape (..., prod d_k).
     """
     out = vecs[0]
     for u in vecs[1:]:
-        out = (out[..., :, None] * u[..., None, :]).reshape(out.shape[:-1] + (-1,))
+        out = (out[..., :, None] * u[..., None, :]).reshape(*out.shape[:-1], out.shape[-1] * u.shape[-1])
     return out
 
 

@@ -14,7 +14,6 @@ from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
-from scipy.optimize import nnls
 
 from . import ghz_symmetric as gs
 from .catalog import WEIGHT_SUM_TOL, w_bar, w_state
@@ -47,6 +46,7 @@ SWEEP_TOL = 1e-12
 STRUCTURE_TOL = 1e-10
 FIT_TERMS = 20
 FIT_TOL = 1e-6
+FIT_WEIGHT_FLOOR = 1e-12  # a fitted weight must exceed this to be kept or reported
 FIT_ROUNDS = 8
 FIT_DICTIONARY = 600
 FIT_SEED = 2024
@@ -258,44 +258,41 @@ def _fit_product_decomposition(rho: DensityMatrix):
     Sufficient-only: a small residual certifies separability constructively,
     a large one proves nothing.
     """
+    # imported here, as only this fit needs it: scipy.optimize costs ~0.4 s and 48 MB
+    from scipy.optimize import nnls
+
     rng = np.random.default_rng(FIT_SEED)
     n, d, dim = rho.n, rho.d, rho.dim
     target = np.concatenate([rho.entries.real.reshape(-1), rho.entries.imag.reshape(-1)])
 
-    def columns(states):
-        cols = np.empty((2 * dim * dim, len(states)))
-        for j, v in enumerate(states):
-            p = np.outer(v, v.conj())
-            cols[:, j] = np.concatenate([p.real.reshape(-1), p.imag.reshape(-1)])
-        return cols
+    def draw(count):
+        """`count` product vectors as rows (none if count <= 0), drawn party by party."""
+        parties = np.array([[haar_vectors(rng, d) for _ in range(n)] for _ in range(count)])
+        return kron_vectors(list(parties.reshape(-1, n, d).transpose(1, 0, 2)))
 
     # seed the dictionary with computational-basis products plus random draws
-    states = []
-    for i in range(dim):
-        v = np.zeros(dim, dtype=complex)
-        v[i] = 1.0
-        states.append(v)
+    states = np.eye(dim, dtype=complex)
     best_x, best_states, best_res = None, None, math.inf
     for _ in range(FIT_ROUNDS):
-        while len(states) < FIT_DICTIONARY:
-            states.append(kron_vectors([haar_vectors(rng, d) for _ in range(n)]))
-        a = columns(states)
+        states = np.concatenate([states, draw(FIT_DICTIONARY - len(states))])
+        # column j holds the real, then the imaginary entries of |v_j><v_j|;
+        # rebinding `a` frees last round's matrix before this one is built
+        a = np.multiply(states.T[:, None, :], states.T.conj()[None, :, :], order="C")
+        a = np.concatenate([a.real, a.imag]).reshape(-1, len(states))
         x, res = nnls(a, target)
         if res < best_res:
-            best_x, best_states, best_res = x, list(states), res
+            best_x, best_states, best_res = x, states, res
         if res < FIT_TOL:
             break
         # keep the heavy terms, resample the rest near them
-        order = np.argsort(x)[::-1]
-        keep = [states[i] for i in order[:FIT_TERMS] if x[i] > 1e-12]
-        states = list(keep)
-        for v in keep:
-            for _ in range(4):
-                noise = kron_vectors([haar_vectors(rng, d) for _ in range(n)])
-                u = v + 0.15 * noise
-                states.append(u / np.linalg.norm(u))
+        order = np.argsort(x)[::-1][:FIT_TERMS]
+        keep = states[order[x[order] > FIT_WEIGHT_FLOOR]]
+        u = np.repeat(keep, 4, axis=0) + 0.15 * draw(4 * len(keep))
+        # one norm per vector: a row-wise norm can differ in the last bit
+        norms = np.array([np.linalg.norm(v) for v in u]).reshape(-1, 1)
+        states = np.concatenate([keep, u / norms])
     terms = [
-        (float(p), v) for p, v in zip(best_x, best_states) if p > 1e-12
+        (float(p), v) for p, v in zip(best_x, best_states) if p > FIT_WEIGHT_FLOOR
     ]
     return best_res, terms
 

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,6 +286,88 @@ def test_reproduce_deterministic_output(capsys):
     out2 = capsys.readouterr().out
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def test_convert_fsp_build_refuses_before_measuring(monkeypatch, capsys, w_file, ghz_file):
+    from entactic import conversion
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed a certificate for a map that cannot be built")
+
+    monkeypatch.setattr(conversion, "max_probability", refuse)
+    argv = ["convert", "--from", w_file, "--to", ghz_file, "--theory", "fsp", "--build",
+            "--r-upper", "2"]
+    assert one_line_error(capsys, argv) == (
+        "error: building an FSP map needs a certified separable mixer; "
+        "only the BSP route is automated"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,note",
+    [
+        (["catalog", "ghz", "3", "2"], "ghz: n=3 d=2"),
+        (["measure", "--kind", "gbs", "--in", "{ghz}"], "gbs = 0.5"),
+        # GHZ's rest weight is rounding noise, so the note quotes the JSON's
+        (["twirl", "--in", "{ghz}"], "twirl -> (1, 0, {lambda_rest:.6g})"),
+        (["symmetric-robustness", "--params", "1,0,0"], "s = 2"),
+        (["convert", "--from", "{w}", "--to", "{ghz}", "--theory", "bsp"], "p_max = 0.5"),
+    ],
+)
+def test_verbose_adds_only_the_stderr_summary(capsys, w_file, ghz_file, argv, note):
+    argv = [a.format(w=w_file, ghz=ghz_file) for a in argv]
+    assert run_command(argv) == 0
+    quiet = capsys.readouterr()
+    assert run_command(["--verbose"] + argv) == 0
+    loud = capsys.readouterr()
+    assert loud.out == quiet.out and quiet.err == ""
+    assert loud.err == note.format(**json.loads(quiet.out)) + "\n"
+
+
+def test_verbose_reproduce_adds_one_line_per_claim(capsys):
+    argv = ["reproduce", "--select", "gbs-ghz-grid,robustness-formulas", "--seed", "7"]
+    assert run_command(argv) == 0
+    quiet = capsys.readouterr()
+    assert run_command(["--verbose"] + argv) == 0
+    loud = capsys.readouterr()
+    assert loud.out == quiet.out and quiet.err == ""
+    assert loud.err.splitlines() == [
+        "[pass] AC1   gbs-ghz-grid",
+        "[pass] AC8   robustness-formulas",
+    ]
+
+
+def test_reproduce_timing_adds_only_wall_times(capsys):
+    argv = ["reproduce", "--select", "gbs-ghz-grid,twirl-projection,robustness-formulas",
+            "--seed", "7"]
+    _, plain = run_json(capsys, argv)
+    _, timed = run_json(capsys, argv + ["--timing"])
+    for claim in timed["claims"]:
+        assert isinstance(claim.pop("wall_time"), float)
+    assert timed == plain
+
+
+def readme_cli_lines():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].strip() for line in block.splitlines() if line.strip()]
+
+
+def test_readme_cli_block_runs(monkeypatch, tmp_path, capsys):
+    # every line of the README's CLI block, in order, in an empty directory
+    monkeypatch.chdir(tmp_path)
+    lines = readme_cli_lines()
+    assert lines and all(line.startswith("entactic ") for line in lines)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        target = None
+        if ">" in argv:
+            argv, target = argv[: argv.index(">")], argv[argv.index(">") + 1]
+        assert run_command(argv) == 0, line
+        out = capsys.readouterr().out
+        if target:
+            Path(target).write_text(out)
+    assert json.loads(Path("report.json").read_text())["all_pass"]
 
 
 def test_unknown_flag_exit_two(capsys):

@@ -79,6 +79,33 @@ def test_max_probability_fsp_with_supplied_bound():
     assert cert.provenance["r_route"] == "supplied-upper-bound"
 
 
+@pytest.mark.parametrize(
+    "r_upper,message",
+    [(None, "needs a certified"), (math.nan, "finite and >= 0"), (-1.0, "finite and >= 0"),
+     (math.inf, "finite and >= 0")],
+)
+def test_max_probability_checks_r_upper_before_measuring(monkeypatch, r_upper, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("measured before checking r_upper")
+
+    for name in ("geometric_bs", "geometric_fs", "robustness_bs_upper"):
+        monkeypatch.setattr(conversion, name, refuse)
+    with pytest.raises(ValueError, match=message) as err:
+        conversion.max_probability(w_state(), ghz(3, 2), conversion.FSP, r_upper=r_upper)
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("factor,clamped", [(0.5, True), (2.0, False)])
+def test_clamp_tolerance_edges(factor, clamped):
+    # r_upper puts the FSP bound p_max = g / ((1 - g) r) factor * _CLAMP_TOL below 1
+    g = conversion.max_probability(w_state(), ghz(3, 2), conversion.FSP, r_upper=1.0).g_source
+    r = g / ((1.0 - g) * (1.0 - factor * conversion._CLAMP_TOL))
+    cert = conversion.max_probability(w_state(), ghz(3, 2), conversion.FSP, r_upper=r)
+    assert cert.deterministic is clamped
+    if not clamped:
+        assert cert.p_max == pytest.approx(1.0 - factor * conversion._CLAMP_TOL, abs=1e-15)
+
+
 def test_max_probability_rejects_unknown_theory():
     with pytest.raises(ValueError):
         conversion.max_probability(w_state(), ghz(3, 2), "LOCC")
@@ -173,8 +200,20 @@ def test_build_filter_map_carries_the_bs_mixer_and_cut(monkeypatch):
 
 def test_build_filter_map_refuses_fsp():
     cert = conversion.max_probability(w_state(), ghz(3, 2), conversion.FSP, r_upper=2.0)
-    with pytest.raises(ValueError, match="only the BSP route is automated"):
+    with pytest.raises(ValueError, match="only the BSP route is automated") as err:
         conversion.build_filter_map(cert, 0.5)
+    assert str(err.value) == conversion.FSP_BUILD_REFUSAL
+
+
+@pytest.mark.parametrize("factor,ok", [(0.5, True), (2.0, False)])
+def test_p_slack_edges(factor, ok):
+    cert = conversion.max_probability(w_state(), ghz(3, 2), conversion.BSP)
+    p = cert.p_max + factor * conversion._P_SLACK
+    if ok:
+        assert conversion.build_filter_map(cert, p).p == p
+    else:
+        with pytest.raises(ValueError, match="exceeds certified maximum"):
+            conversion.build_filter_map(cert, p)
 
 
 def test_preparation_map_rejects_bad_p():

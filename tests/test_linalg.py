@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entactic import linalg
 from entactic.linalg import (
     Bipartition,
     DensityMatrix,
@@ -65,6 +66,37 @@ def test_constructors_reject_non_finite_values(bad):
     m[0, 1] = m[1, 0] = bad
     with pytest.raises(ValueError, match="non-finite"):
         DensityMatrix(2, 2, m)
+
+
+@pytest.mark.parametrize("factor,ok", [(0.5, True), (2.0, False)])
+def test_norm_tolerance_edges(factor, ok):
+    # the state's norm, and the matrix's trace and Hermiticity, may each
+    # stray from exact by NORM_TOL
+    excess = factor * linalg.NORM_TOL
+    trace = np.diag([0.5 + excess, 0.5, 0.0, 0.0]).astype(complex)
+    skew = np.eye(4, dtype=complex) / 4
+    skew[0, 1] = excess
+    checks = [
+        (lambda: PureState(2, 2, np.array([1.0 + excess, 0.0, 0.0, 0.0])), "not normalized"),
+        (lambda: DensityMatrix(2, 2, trace), "trace"),
+        (lambda: DensityMatrix(2, 2, skew), "not Hermitian"),
+    ]
+    for make, message in checks:
+        if ok:
+            make()
+        else:
+            with pytest.raises(ValueError, match=message):
+                make()
+
+
+@pytest.mark.parametrize("factor,ok", [(0.5, True), (2.0, False)])
+def test_psd_tolerance_edges(factor, ok):
+    m = np.diag([1.0 + factor * linalg.PSD_TOL, -factor * linalg.PSD_TOL, 0.0, 0.0])
+    if ok:
+        assert DensityMatrix(2, 2, m).entries[1, 1] == -factor * linalg.PSD_TOL
+    else:
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityMatrix(2, 2, m)
 
 
 def test_bipartition_canonicalizes_to_contain_party_one():

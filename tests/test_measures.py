@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from entactic import measures
 from entactic.catalog import cluster_state, four_qubit_phi, ghz, w_state
 from entactic.ghz_symmetric import GhzSymmetricParams, params_to_density
 from entactic.linalg import (
+    PSD_TOL,
     Bipartition,
     DensityMatrix,
     PureState,
@@ -411,6 +416,106 @@ def test_decomposition_fit_is_pinned():
     res = measures.fs_certificate(product_mixture(3, 6, 0.1, seed=3))
     assert (res.verdict, res.route) == (measures.UNKNOWN, "none")
     assert res.detail["fit_residual"] == pytest.approx(0.0014989839326515649, rel=1e-6)
+
+
+def fake_nnls(monkeypatch, weights, residual):
+    """Patch scipy's NNLS to return `weights` (then zeros) and `residual`,
+    recording each matrix the fit passes it."""
+    import scipy.optimize
+
+    calls = []
+
+    def nnls(a, b):
+        calls.append(a)
+        x = np.zeros(a.shape[1])
+        x[: len(weights)] = weights
+        return x, residual
+
+    monkeypatch.setattr(scipy.optimize, "nnls", nnls)
+    return calls
+
+
+@pytest.mark.parametrize("factor,certified", [(0.5, True), (2.0, False)])
+def test_fit_tolerance_edges(monkeypatch, factor, certified):
+    calls = fake_nnls(monkeypatch, [1.0], factor * measures.FIT_TOL)
+    res = measures.fs_certificate(product_mixture(2, 4, 0.0, seed=2))
+    if certified:
+        assert (res.verdict, res.route, len(calls)) == (measures.CERTIFIED_FS, "decomposition-fit", 1)
+        assert res.detail == {"residual": factor * measures.FIT_TOL, "terms": 1}
+    else:
+        assert (res.verdict, res.route, len(calls)) == (measures.UNKNOWN, "none", measures.FIT_ROUNDS)
+
+
+@pytest.mark.parametrize("factor,counted", [(0.5, False), (2.0, True)])
+def test_fit_weight_floor_edges(monkeypatch, factor, counted):
+    rho = product_mixture(2, 4, 0.0, seed=2)
+    floor = measures.FIT_WEIGHT_FLOOR
+    # reported: a certified fit counts only the terms above the floor
+    fake_nnls(monkeypatch, [1.0, factor * floor], 0.0)
+    assert measures.fs_certificate(rho).detail["terms"] == 1 + counted
+    # kept: the next round's dictionary starts with the terms above the
+    # floor, here |00> alone, and draws the rest afresh
+    calls = fake_nnls(monkeypatch, [factor * floor], 1.0)
+    measures._fit_product_decomposition(rho)
+    first, second = calls[:2]
+    assert first.flags.c_contiguous and first.shape == (2 * 16, measures.FIT_DICTIONARY)
+    assert np.array_equal(second[:, 0], first[:, 0]) is counted
+
+
+def test_fit_with_no_room_for_draws_uses_the_basis_alone(monkeypatch):
+    # a dictionary already full with the computational basis draws nothing
+    monkeypatch.setattr(measures, "FIT_DICTIONARY", 4)
+    calls = fake_nnls(monkeypatch, [], 1.0)
+    res, terms = measures._fit_product_decomposition(product_mixture(2, 4, 0.0, seed=2))
+    assert (res, terms) == (1.0, [])
+    basis = np.zeros((32, 4))
+    basis[[0, 5, 10, 15], range(4)] = 1.0
+    assert np.array_equal(calls[0], basis)
+    # nothing is kept either, so every later round draws a whole dictionary
+    assert len(calls) == measures.FIT_ROUNDS
+    assert all(a.shape == (32, 4) and not np.array_equal(a, basis) for a in calls[1:])
+
+
+@pytest.mark.parametrize("factor,member", [(0.5, True), (2.0, False)])
+def test_ghz_symmetric_membership_tolerance_edges(factor, member):
+    # a symmetric coherence |000><001| + ... lies outside the family, so the
+    # twirl leaves the parameters and the reconstruction is off by it
+    m = params_to_density(GhzSymmetricParams(0.1, 0.1, 0.8)).entries.copy()
+    for k in (1, 2, 4):
+        m[0, k] = m[k, 0] = factor * measures.STRUCTURE_TOL
+    res = measures.fs_certificate(DensityMatrix(3, 2, m))
+    assert res.verdict == measures.CERTIFIED_FS
+    assert res.route == ("ghz-symmetric-polytope" if member else "symmetric-ppt")
+
+
+@pytest.mark.parametrize("factor,symmetric", [(0.5, True), (2.0, False)])
+def test_permutation_symmetry_tolerance_edges(monkeypatch, factor, symmetric):
+    monkeypatch.setattr(measures, "_fit_product_decomposition", lambda rho: (1.0, []))
+    m = (measures.w_robustness_mixer().entries + np.eye(8) / 8) / 2
+    m[0, 1] = m[1, 0] = factor * measures.STRUCTURE_TOL
+    res = measures.fs_certificate(DensityMatrix(3, 2, m))
+    assert res.route == ("symmetric-ppt" if symmetric else "none")
+
+
+@pytest.mark.parametrize("factor,npt", [(0.5, False), (2.0, True)])
+def test_npt_route_tolerance_edges(monkeypatch, factor, npt):
+    monkeypatch.setattr(measures, "min_pt_eigenvalue", lambda rho, subset: -factor * PSD_TOL)
+    res = measures.fs_certificate(DensityMatrix(2, 2, np.diag([1.0, 0.0, 0.0, 0.0])))
+    assert res.route == ("npt-cut" if npt else "decomposition-fit")
+
+
+def test_cli_import_leaves_scipy_unloaded_until_the_fit():
+    code = (
+        "import sys, numpy as np; import entactic.cli; "
+        "from entactic import measures; from entactic.linalg import DensityMatrix; "
+        "print('scipy.optimize' in sys.modules); "
+        "measures.fs_certificate(DensityMatrix(2, 2, np.diag([1.0, 0, 0, 0]))); "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    src = str(Path(measures.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]
 
 
 # --- robustness upper bounds via certified mixing ---------------------------

@@ -132,6 +132,19 @@ def test_robustness_lower_rejects_unverified_witness():
         witnesses.robustness_lower_from_witness(ghz(3, 2).density(), w2)
 
 
+@pytest.mark.parametrize("factor,admitted", [(0.5, True), (2.0, False)])
+def test_admission_tolerance_edges(factor, admitted):
+    excess = factor * witnesses.ADMISSION_TOL
+    wit = witnesses.w_robustness_witness()
+    for bounds in [(-excess, 1.0), (0.0, 1.0 + excess)]:
+        w = witnesses.Witness(wit.operator, name="edge", n=3, d=2, verified_range=bounds)
+        if admitted:
+            assert witnesses.robustness_lower_from_witness(w_state().density(), w) == pytest.approx(2.0)
+        else:
+            with pytest.raises(ValueError, match="not within"):
+                witnesses.robustness_lower_from_witness(w_state().density(), w)
+
+
 def test_dual_bound_meets_primal_for_ghz_and_w():
     # lower bound from the witness equals the certified upper bound: value pinned
     w_lower = witnesses.robustness_lower_from_witness(
