@@ -172,6 +172,16 @@ def _cmd_witness(args):
     return 0
 
 
+def _check_convert_flags(parser: argparse.ArgumentParser, args) -> None:
+    """--p and --verify act on the built map, so each requires --build, and
+    an audit needs at least one sample; otherwise a usage error (exit 2)."""
+    for flag, value in (("--p", args.p), ("--verify", args.verify)):
+        if value is not None and not args.build:
+            parser.exit(2, f"error: {flag} requires --build\n")
+    if args.verify is not None and args.verify < 1:
+        parser.exit(2, f"error: --verify must be >= 1, got {args.verify}\n")
+
+
 def _cmd_convert(args):
     psi1 = _load_state(args.source)
     psi2 = _load_state(args.target)
@@ -191,7 +201,7 @@ def _cmd_convert(args):
         p = args.p if args.p is not None else cert.p_max
         prep = conversion.build_filter_map(cert, p)
         out["built"] = {"p": prep.p, "mixer_cut": str(prep.mixer_cut)}
-        if args.verify:
+        if args.verify is not None:
             rep = conversion.verify_preservation_sampled(prep, args.verify, args.seed)
             out["preservation"] = {
                 "samples": rep.samples,
@@ -257,8 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theory", required=True, choices=["fsp", "bsp"])
     p.add_argument("--r-upper", type=float, default=None)
     p.add_argument("--build", action="store_true")
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--verify", type=int, default=0)
+    p.add_argument("--p", type=float, default=None,
+                   help="probability of the built map, default p_max (requires --build)")
+    p.add_argument("--verify", type=int, metavar="N",
+                   help="audit the built map on N >= 1 sampled free inputs (requires --build)")
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=_cmd_convert)
 
@@ -277,6 +289,8 @@ def run_command(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "convert":
+            _check_convert_flags(parser, args)
         if getattr(args, "seed", 0) is None:
             args.seed = _default_seed(parser)
     except SystemExit as exc:

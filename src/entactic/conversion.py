@@ -226,7 +226,16 @@ def ghz_to_any_bsp(psi: PureState) -> PreparationMap:
 
 
 def _batch_free_overlaps(psi1: PureState, theory: str, k: int, rng) -> np.ndarray:
-    """Squared overlaps tr(psi1 sigma) for k random free pure states."""
+    """Squared overlaps tr(psi1 sigma) for k random free pure states.
+
+    BSP draw order, which fixes the states a seed samples: the k cut indices
+    (`rng.integers`), then for each cut in `all_bipartitions` order that got
+    m > 0 of them, standard normals of shape (2, m, dA) and then (2, m, dB),
+    dA x dB the shape of its `cut_matrix`: the two sides' vectors, real parts
+    before imaginary ones.  That is the stream `haar_vectors(rng, dA, m)`
+    then `haar_vectors(rng, dB, m)` consume; a cut that got no samples draws
+    nothing.
+    """
     n, d = psi1.n, psi1.d
     if theory == FSP:
         t = psi1.tensor()
@@ -240,14 +249,41 @@ def _batch_free_overlaps(psi1: PureState, theory: str, k: int, rng) -> np.ndarra
     out = np.empty(k)
     for ci, cut in enumerate(cuts):
         idx = np.flatnonzero(assignment == ci)
-        if idx.size == 0:
-            continue
-        a_mat = cut_matrix(psi1, cut)
-        left = haar_vectors(rng, a_mat.shape[0], idx.size)
-        right = haar_vectors(rng, a_mat.shape[1], idx.size)
-        c = np.einsum("ki,ij,kj->k", left.conj(), a_mat, right.conj())
-        out[idx] = np.abs(c) ** 2
+        if idx.size:
+            out[idx] = _cut_free_overlaps(cut_matrix(psi1, cut), idx.size, rng)
     return out
+
+
+# rows of one cut's draws contracted at a time, so the GEMM output stays small
+_AUDIT_BLOCK = 1024
+
+
+def _cut_free_overlaps(a_mat: np.ndarray, m: int, rng) -> np.ndarray:
+    """|conj(l)^T A conj(r)|^2 / (|l|^2 |r|^2) for the cut matrix A and m
+    pairs of unnormalized complex Gaussian vectors l, r: the squared overlap
+    with m Haar-random products across the cut, from real GEMMs."""
+    left = rng.standard_normal((2, m, a_mat.shape[0]))
+    right = rng.standard_normal((2, m, a_mat.shape[1]))
+    # the form is symmetric in its two sides: the larger one goes through the
+    # GEMM, so the row-wise products run over the smaller
+    if a_mat.shape[0] < a_mat.shape[1]:
+        left, right, a_mat = right, left, a_mat.T
+    # with l = x + iy, conj(l)^T A = [x @ Ar + y @ Ai | x @ Ai - y @ Ar]
+    from_x = np.hstack([a_mat.real, a_mat.imag])
+    from_y = np.hstack([a_mat.imag, -a_mat.real])
+    norms = np.einsum("tkj,tkj->k", left, left) * np.einsum("tkj,tkj->k", right, right)
+    q = np.empty(m)
+    for start in range(0, m, _AUDIT_BLOCK):
+        rows = slice(start, start + _AUDIT_BLOCK)
+        z = left[0, rows] @ from_x
+        z += left[1, rows] @ from_y
+        u, v = np.split(z, 2, axis=1)
+        # (u + iv) . (x - iy) with r = x + iy
+        x, y = right[:, rows]
+        re = np.einsum("kj,kj->k", u, x) + np.einsum("kj,kj->k", v, y)
+        im = np.einsum("kj,kj->k", v, x) - np.einsum("kj,kj->k", u, y)
+        q[rows] = re * re + im * im
+    return q / norms
 
 
 def _extremal_free_overlap(prep_map: PreparationMap, seed: int) -> float:
@@ -277,6 +313,9 @@ def verify_preservation_sampled(
 
     Sample 0 is a deterministic extremal probe (the free state maximizing
     the filter overlap), so p above the certified maximum is always caught.
+    Samples 1 to samples - 1 come from `np.random.default_rng(seed)` in the
+    draw order `_batch_free_overlaps` states, so a seed always names the
+    same free inputs.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

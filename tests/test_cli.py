@@ -229,6 +229,43 @@ def test_convert_fsp_rejects_bad_r_upper(capsys, w_file, ghz_file, r_upper):
     assert "finite and >= 0" in one_line_error(capsys, argv)
 
 
+def usage_error(capsys, argv):
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "extra, flag",
+    [(["--p", "0.3"], "--p"), (["--verify", "100"], "--verify"),
+     (["--verify", "100", "--p", "0.3"], "--p")],
+)
+def test_convert_p_and_verify_require_build(monkeypatch, capsys, w_file, ghz_file, extra, flag):
+    from entactic import conversion
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("measured although the flags were refused")
+
+    monkeypatch.setattr(conversion, "max_probability", refuse)
+    argv = ["convert", "--from", w_file, "--to", ghz_file, "--theory", "bsp"] + extra
+    assert usage_error(capsys, argv) == f"error: {flag} requires --build\n"
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_convert_verify_below_one_is_a_usage_error(capsys, w_file, ghz_file, samples):
+    argv = ["convert", "--from", w_file, "--to", ghz_file, "--theory", "bsp", "--build",
+            "--verify", samples]
+    assert usage_error(capsys, argv) == f"error: --verify must be >= 1, got {samples}\n"
+
+
+def test_convert_help_says_p_and_verify_require_build(capsys):
+    assert run_command(["convert", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "default p_max (requires --build)" in text
+    assert "free inputs (requires --build)" in text
+
+
 def test_convert_free_source_exit_one(tmp_path, capsys):
     prod = tmp_path / "prod.json"
     amps = np.zeros(8)

@@ -288,6 +288,65 @@ def test_batch_bsp_overlaps_stay_below_the_bs_measure():
     assert np.all(qs >= 0) and np.all(qs <= 1 - gbs + 1e-12)
 
 
+def reference_bsp_overlaps(psi1, k, rng):
+    """The BSP sampler as first written: normalized Haar vectors per cut and
+    one three-operand einsum.  It fixes the draw order the sampler keeps."""
+    cuts = all_bipartitions(psi1.n)
+    assignment = rng.integers(len(cuts), size=k)
+    out = np.empty(k)
+    for ci, cut in enumerate(cuts):
+        idx = np.flatnonzero(assignment == ci)
+        if idx.size == 0:
+            continue
+        a_mat = linalg.cut_matrix(psi1, cut)
+        left = linalg.haar_vectors(rng, a_mat.shape[0], idx.size)
+        right = linalg.haar_vectors(rng, a_mat.shape[1], idx.size)
+        c = np.einsum("ki,ij,kj->k", left.conj(), a_mat, right.conj())
+        out[idx] = np.abs(c) ** 2
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, d, k",
+    [(3, 2, 5000), (3, 3, 5000), (3, 2, 2), (3, 3, 1), (4, 2, 5)],
+)
+def test_bsp_sampler_keeps_the_reference_stream(n, d, k):
+    psi = random_state(n, d, 40 + n + d)
+    cuts = all_bipartitions(n)
+    # a cut whose stored side, the one holding party 1, is the larger
+    shapes = [linalg.cut_matrix(psi, cut).shape for cut in cuts]
+    assert any(rows > cols for rows, cols in shapes)
+    rng_ref, rng_new = np.random.default_rng(k), np.random.default_rng(k)
+    expected = reference_bsp_overlaps(psi, k, rng_ref)
+    got = conversion._batch_free_overlaps(psi, conversion.BSP, k, rng_new)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+    # the same numbers drawn: cuts left without samples (k < cuts) draw none
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    if k > 1000:
+        # every cut got more than one row block of samples
+        counts = np.bincount(np.random.default_rng(k).integers(len(cuts), size=k))
+        assert counts.min() > conversion._AUDIT_BLOCK
+
+
+@pytest.mark.parametrize(
+    "psi1, psi2",
+    [(w_state(), ghz(3, 2))]
+    + [(random_state(n, d, 2 * j), random_state(n, d, 2 * j + 1))
+       for j, (n, d) in enumerate([(3, 2), (4, 2), (3, 3)], start=25)],
+)
+def test_the_probe_sets_the_worst_margins(psi1, psi2):
+    # sampled free inputs never beat the extremal probe, so a BSP audit at
+    # p_max reports the margins of its sample 0 whatever the sample count
+    cert = conversion.max_probability(psi1, psi2, conversion.BSP)
+    m = conversion.build_filter_map(cert, cert.p_max)
+    for seed in (0, 7):
+        many = conversion.verify_preservation_sampled(m, 10_000, seed)
+        one = conversion.verify_preservation_sampled(m, 1, seed)
+        assert many.violations == one.violations == 0
+        assert many.worst_overlap_margin == one.worst_overlap_margin
+        assert many.worst_ratio_margin == one.worst_ratio_margin
+
+
 def test_extremal_probe_attains_the_measure():
     psi = w_state()
     cert = conversion.max_probability(psi, ghz(3, 2), conversion.BSP)
