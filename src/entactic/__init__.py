@@ -13,7 +13,6 @@ from .linalg import (
     reduced_density,
     reduced_density_pure,
     schmidt_spectrum,
-    tensor_product,
 )
 from . import catalog, conversion, ghz_symmetric, measures, witnesses
 
@@ -32,7 +31,6 @@ __all__ = [
     "reduced_density",
     "reduced_density_pure",
     "schmidt_spectrum",
-    "tensor_product",
     "witnesses",
 ]
 

@@ -100,8 +100,6 @@ def _cmd_measure(args):
         res = measures.robustness_bs_upper(psi)
         cert = str(res.certificate)
     elif args.kind == "rpure":
-        if not args.cut:
-            raise ValueError("rpure needs --cut")
         cut = _cut_arg(args.cut, psi.n)
         value = measures.robustness_bipartite_pure(psi, cut)
         _emit({"kind": args.kind, "value": value, "cut": str(cut)}, verbose=args.verbose)
@@ -172,9 +170,21 @@ def _cmd_witness(args):
     return 0
 
 
+def _check_measure_flags(parser: argparse.ArgumentParser, args) -> None:
+    """--cut is what rpure measures across and no other kind reads it, so
+    rpure requires it and every other kind refuses it (exit 2)."""
+    if args.kind == "rpure" and args.cut is None:
+        parser.exit(2, "error: --kind rpure requires --cut\n")
+    if args.kind != "rpure" and args.cut is not None:
+        parser.exit(2, "error: --cut requires --kind rpure\n")
+
+
 def _check_convert_flags(parser: argparse.ArgumentParser, args) -> None:
     """--p and --verify act on the built map, so each requires --build, and
-    an audit needs at least one sample; otherwise a usage error (exit 2)."""
+    an audit needs at least one sample; --r-upper is the supplied FSP bound,
+    so it requires --theory fsp.  Otherwise a usage error (exit 2)."""
+    if args.r_upper is not None and args.theory != "fsp":
+        parser.exit(2, "error: --r-upper requires --theory fsp\n")
     for flag, value in (("--p", args.p), ("--verify", args.verify)):
         if value is not None and not args.build:
             parser.exit(2, f"error: {flag} requires --build\n")
@@ -242,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="evaluate an entanglement measure")
     p.add_argument("--kind", required=True, choices=["gfs", "gbs", "rbs-upper", "rpure"])
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--cut")
+    p.add_argument("--cut", help="parties on one side, e.g. 1,2 (requires --kind rpure)")
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=_cmd_measure)
 
@@ -265,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="source", required=True)
     p.add_argument("--to", dest="target", required=True)
     p.add_argument("--theory", required=True, choices=["fsp", "bsp"])
-    p.add_argument("--r-upper", type=float, default=None)
+    p.add_argument("--r-upper", type=float, default=None,
+                   help="supplied robustness upper bound of the target (requires --theory fsp)")
     p.add_argument("--build", action="store_true")
     p.add_argument("--p", type=float, default=None,
                    help="probability of the built map, default p_max (requires --build)")
@@ -289,7 +300,9 @@ def run_command(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "convert":
+        if args.command == "measure":
+            _check_measure_flags(parser, args)
+        elif args.command == "convert":
             _check_convert_flags(parser, args)
         if getattr(args, "seed", 0) is None:
             args.seed = _default_seed(parser)

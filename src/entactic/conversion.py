@@ -21,7 +21,6 @@ from .linalg import (
     PureState,
     ShapeError,
     all_bipartitions,
-    apply_channel,
     cut_matrix,
     from_cut_order,
     haar_vectors,
@@ -77,12 +76,13 @@ class ConversionCertificate:
 @dataclass(frozen=True)
 class PreparationMap:
     """Filter-and-prepare channel (cert.psi1, p, cert.psi2, mixer) with its
-    CPTP completion; its audit reads the certificate's quantities."""
+    CPTP completion; its audit reads the certificate's quantities, and
+    mixer_cut is the cut the mixer was built across."""
 
     cert: ConversionCertificate
     p: float
     mixer: DensityMatrix
-    mixer_cut: Optional[Bipartition] = None
+    mixer_cut: Bipartition
 
     def __post_init__(self):
         if not 0 < self.p <= 1:
@@ -98,7 +98,6 @@ class PreservationReport:
     violations: int
     worst_overlap_margin: float
     worst_ratio_margin: float
-    theory: str
 
 
 def max_probability(
@@ -111,7 +110,8 @@ def max_probability(
     """Largest conversion probability certified by the measure inequality:
     p <= g / ((1 - g) r) with g the source's geometric measure and r an
     upper bound on the target's robustness (from above, to stay sound); an
-    FSP bound is supplied as `r_upper`, finite and >= 0."""
+    FSP bound is supplied as `r_upper`, finite and >= 0, and a BSP bound is
+    always computed, so BSP refuses `r_upper`."""
     if theory not in (FSP, BSP):
         raise ValueError(f"theory must be FSP or BSP, got {theory}")
     if (psi1.n, psi1.d) != (psi2.n, psi2.d):
@@ -125,6 +125,8 @@ def max_probability(
         r = float(r_upper)
         if not 0.0 <= r < math.inf:
             raise ValueError(f"robustness upper bound must be finite and >= 0, got {r}")
+    elif r_upper is not None:
+        raise ValueError("r_upper applies only to FSP; the BSP bound is computed")
     g = (geometric_bs(psi1) if theory == BSP else geometric_fs(psi1, seed)).value
     if g <= FREE_SOURCE_TOL:
         raise FreeSourceError("source state is free within tolerance")
@@ -246,9 +248,11 @@ def _batch_free_overlaps(psi1: PureState, theory: str, k: int, rng) -> np.ndarra
         return np.abs(x) ** 2
     cuts = all_bipartitions(n)
     assignment = rng.integers(len(cuts), size=k)
+    # a stable sort keeps each cut's sample indices ascending
+    order = np.argsort(assignment, kind="stable")
+    bounds = np.cumsum(np.bincount(assignment, minlength=len(cuts)))[:-1]
     out = np.empty(k)
-    for ci, cut in enumerate(cuts):
-        idx = np.flatnonzero(assignment == ci)
+    for cut, idx in zip(cuts, np.split(order, bounds)):
         if idx.size:
             out[idx] = _cut_free_overlaps(cut_matrix(psi1, cut), idx.size, rng)
     return out
@@ -338,19 +342,11 @@ def verify_preservation_sampled(
         violations=int(np.count_nonzero(bad)),
         worst_overlap_margin=float(np.min(overlap_margin)),
         worst_ratio_margin=float(np.min(finite_ratio)) if finite_ratio.size else math.inf,
-        theory=cert.theory,
     )
 
 
 # ---------------------------------------------------------------------------
 # Closed-form robustness bound for the tilted-GHZ family
-
-
-def ghz_plus_robustness_bound(alpha: float, beta: float, gamma: float) -> float:
-    """(4 - c) / (2 (1 + c)) with c = cos(a) cos(b) cos(g): an upper bound
-    on the separability robustness of the tilted-GHZ state, obtained by
-    pushing the exact GHZ boundary mixture through local filters."""
-    return ghz_plus_bound_report(alpha, beta, gamma)["bound"]
 
 
 # The bound stays within the W state's conversion budget 5/4 iff c >= 3/7;
@@ -361,8 +357,11 @@ GHZ_PLUS_DETERMINISTIC_THRESHOLD = 3.0 / 7.0
 
 
 def ghz_plus_bound_report(alpha: float, beta: float, gamma: float) -> dict:
-    """Evaluate the bound and flag parameter choices whose bound exceeds the
-    budget 5/4 even though they are sometimes quoted as feasible."""
+    """Evaluate the bound (4 - c) / (2 (1 + c)) with c = cos(a) cos(b) cos(g),
+    an upper bound on the separability robustness of the tilted-GHZ state
+    obtained by pushing the exact GHZ boundary mixture through local
+    filters, and flag parameter choices whose bound exceeds the budget 5/4
+    even though they are sometimes quoted as feasible."""
     c = math.cos(alpha) * math.cos(beta) * math.cos(gamma)
     bound = (4.0 - c) / (2.0 * (1.0 + c))
     within = bound <= W_BUDGET + BUDGET_TOL

@@ -53,10 +53,6 @@ class PureState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def dim(self) -> int:
-        return self.d**self.n
-
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to an n-axis tensor, axis k = party k+1."""
         return self.amplitudes.reshape((self.d,) * self.n)
@@ -64,11 +60,6 @@ class PureState:
     def density(self) -> "DensityMatrix":
         v = self.amplitudes
         return DensityMatrix.by_construction(self.n, self.d, np.outer(v, v.conj()))
-
-    def overlap(self, other: "PureState") -> complex:
-        if (self.n, self.d) != (other.n, other.d):
-            raise ShapeError("overlap requires identical (n, d)")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -186,12 +177,6 @@ def from_cut_order(array: np.ndarray, cut: Bipartition, d: int) -> np.ndarray:
     return array.reshape((d,) * len(pos)).transpose(pos).reshape(array.shape)
 
 
-def tensor_product(a: PureState, b: PureState) -> PureState:
-    if a.d != b.d:
-        raise ShapeError(f"local dimensions differ: {a.d} vs {b.d}")
-    return PureState(a.n + b.n, a.d, np.kron(a.amplitudes, b.amplitudes))
-
-
 def _check_subset(n: int, keep: Iterable[int]) -> tuple[int, ...]:
     keep = tuple(sorted(set(keep)))
     if not keep or any(p < 1 or p > n for p in keep):
@@ -277,6 +262,18 @@ def is_ppt(rho: DensityMatrix, subset: Sequence[int], tol: float = PSD_TOL) -> b
 
 def min_pt_eigenvalue(rho: DensityMatrix, subset: Sequence[int]) -> float:
     return float(np.linalg.eigvalsh(partial_transpose(rho, subset))[0])
+
+
+def npt_cut(rho: DensityMatrix, tol: float = PSD_TOL) -> tuple[Bipartition, float] | None:
+    """The first cut in `all_bipartitions` order whose partial transpose has
+    an eigenvalue below -tol, with that smallest eigenvalue, or None when
+    every cut is PPT within tol.  The sweep stops at that cut; an NPT cut
+    proves the state is not fully separable."""
+    for cut in all_bipartitions(rho.n):
+        lam = min_pt_eigenvalue(rho, sorted(cut.parties))
+        if lam < -tol:
+            return cut, lam
+    return None
 
 
 def apply_channel(prep_map, rho: DensityMatrix) -> DensityMatrix:

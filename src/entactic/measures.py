@@ -26,7 +26,7 @@ from .linalg import (
     cut_purity,
     haar_vectors,
     kron_vectors,
-    min_pt_eigenvalue,
+    npt_cut,
     schmidt_spectrum,
 )
 
@@ -306,8 +306,6 @@ def fs_certificate(rho: DensityMatrix) -> CertResult:
     family are permutation symmetric, so the first three routes decide them.)
     Returns UNKNOWN when no route fires; that is a value, not an error.
     """
-    cuts = all_bipartitions(rho.n)
-
     if (rho.n, rho.d) == (3, 2):
         params = gs.twirl(rho)
         recon = gs.params_to_density(params)
@@ -319,14 +317,14 @@ def fs_certificate(rho: DensityMatrix) -> CertResult:
                 detail={"params": params.as_floats()},
             )
 
-    for cut in cuts:
-        lam = min_pt_eigenvalue(rho, sorted(cut.parties))
-        if lam < -PSD_TOL:
-            return CertResult(
-                CERTIFIED_NOT_FS,
-                route="npt-cut",
-                detail={"cut": str(cut), "min_eigenvalue": lam},
-            )
+    npt = npt_cut(rho)
+    if npt is not None:
+        cut, lam = npt
+        return CertResult(
+            CERTIFIED_NOT_FS,
+            route="npt-cut",
+            detail={"cut": str(cut), "min_eigenvalue": lam},
+        )
 
     if (rho.n, rho.d) == (3, 2) and _is_permutation_symmetric(rho, STRUCTURE_TOL):
         # all cuts already verified PPT above; for symmetric 3-qubit states
@@ -370,10 +368,3 @@ def robustness_fs_upper_via_mix(
         else:
             lo = mid
     return hi
-
-
-def ppt_all_cuts_min_eigenvalue(rho: DensityMatrix) -> float:
-    """Smallest partial-transpose eigenvalue over all canonical cuts."""
-    return min(
-        min_pt_eigenvalue(rho, sorted(cut.parties)) for cut in all_bipartitions(rho.n)
-    )

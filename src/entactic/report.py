@@ -24,10 +24,10 @@ from .catalog import (
 )
 from .linalg import (
     Bipartition,
-    PSD_TOL,
     PureState,
     apply_channel,
     haar_vectors,
+    npt_cut,
     reduced_density_pure,
 )
 from .measures import geometric_bs, geometric_fs, robustness_bipartite_pure
@@ -101,17 +101,15 @@ def _claim_lemma2(seed):
         for a in np.linspace(0, math.pi / 2, 16)
         for b in np.linspace(0, 2 * math.pi, 4)
     )
-    ppt_floor = min(
-        measures.ppt_all_cuts_min_eigenvalue(mixer),
-        measures.ppt_all_cuts_min_eigenvalue(boundary),
-    )
+    # both states PPT across every cut within PSD_TOL
+    ppt = npt_cut(mixer) is None and npt_cut(boundary) is None
     expected = [2.0, 2.0, 0.0, 0.0, True]
     computed = [
         float(trace_exact),
         float(s),
         entry_err,
         float(grid_err),
-        bool(ppt_floor >= -PSD_TOL),
+        ppt,
     ]
     return expected, computed, 2e-6
 

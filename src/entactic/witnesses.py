@@ -120,13 +120,6 @@ def w_witness_value_diag(w000, w111, ww, wwb) -> Fraction:
     return sum(c * w for c, w in zip(coeffs, weights))
 
 
-def ghz_robustness_lower_exact() -> Fraction:
-    """Exact dual bound for the GHZ state: -tr(witness GHZ) = 2."""
-    return -ghz_witness_value_symmetric(
-        GhzSymmetricParams(Fraction(1), Fraction(0), Fraction(0))
-    )
-
-
 def w_robustness_lower_exact() -> Fraction:
     """Exact dual bound for the W state: -tr(witness W) = 2."""
     return -w_witness_value_diag(0, 0, 1, 0)

@@ -25,7 +25,7 @@ from entactic.catalog import (
     psi_ghz_plus,
     w_state,
 )
-from entactic.linalg import Bipartition, PureState, apply_channel, reduced_density_pure
+from entactic.linalg import Bipartition, PureState, apply_channel, npt_cut, reduced_density_pure
 
 
 def haar_state(n, d, rng):
@@ -82,7 +82,7 @@ def test_ac4_w_robustness_and_witness():
     mix = (w_state().density().entries + 2.0 * tau.entries) / 3.0
     assert np.max(np.abs(mix - eta.entries)) <= 1e-12
     for rho in (tau, eta):
-        assert measures.ppt_all_cuts_min_eigenvalue(rho) >= -1e-10
+        assert npt_cut(rho, tol=1e-10) is None
 
 
 def test_ac5_unique_separable_mixer():
@@ -159,11 +159,11 @@ def test_ac10_maximal_equivalence_class():
 def test_ac11_tilted_ghz_bound():
     # the closed-form bound stays within the budget 5/4 exactly on c >= 3/7
     for c in np.linspace(3 / 7, 1.0, 50):
-        bound = conversion.ghz_plus_robustness_bound(math.acos(float(c)), 0.0, 0.0)
+        bound = conversion.ghz_plus_bound_report(math.acos(float(c)), 0.0, 0.0)["bound"]
         assert bound <= 1.25 + 1e-12
 
     angle = math.acos(0.5 ** (1 / 3))  # cos-product 1/2 > 3/7
-    bound = conversion.ghz_plus_robustness_bound(angle, angle, angle)
+    bound = conversion.ghz_plus_bound_report(angle, angle, angle)["bound"]
     cert = conversion.max_probability(
         w_state(),
         psi_ghz_plus(angle, angle, angle),

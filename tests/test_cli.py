@@ -55,7 +55,8 @@ def test_measure_gfs(capsys, w_file):
 
 
 def test_measure_rpure_needs_cut(capsys, ghz_file):
-    assert run_command(["measure", "--kind", "rpure", "--in", ghz_file]) == 1
+    assert run_command(["measure", "--kind", "rpure", "--in", ghz_file]) == 2
+    assert capsys.readouterr().err == "error: --kind rpure requires --cut\n"
     rc, data = run_json(
         capsys, ["measure", "--kind", "rpure", "--in", ghz_file, "--cut", "1"]
     )
@@ -252,6 +253,31 @@ def test_convert_p_and_verify_require_build(monkeypatch, capsys, w_file, ghz_fil
     assert usage_error(capsys, argv) == f"error: {flag} requires --build\n"
 
 
+@pytest.mark.parametrize("extra", [[], ["--build", "--verify", "100"]])
+def test_convert_r_upper_requires_fsp(monkeypatch, capsys, w_file, ghz_file, extra):
+    from entactic import conversion
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("measured although --r-upper was refused")
+
+    monkeypatch.setattr(conversion, "max_probability", refuse)
+    argv = ["convert", "--from", w_file, "--to", ghz_file, "--theory", "bsp",
+            "--r-upper", "0.5"] + extra
+    assert usage_error(capsys, argv) == "error: --r-upper requires --theory fsp\n"
+
+
+@pytest.mark.parametrize("kind", ["gbs", "gfs", "rbs-upper"])
+def test_measure_cut_requires_rpure(monkeypatch, capsys, ghz_file, kind):
+    from entactic import cli
+
+    def refuse(path):
+        raise AssertionError("read the state although --cut was refused")
+
+    monkeypatch.setattr(cli, "_load_state", refuse)
+    argv = ["measure", "--kind", kind, "--in", ghz_file, "--cut", "1,2"]
+    assert usage_error(capsys, argv) == "error: --cut requires --kind rpure\n"
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_convert_verify_below_one_is_a_usage_error(capsys, w_file, ghz_file, samples):
     argv = ["convert", "--from", w_file, "--to", ghz_file, "--theory", "bsp", "--build",
@@ -424,10 +450,10 @@ def test_claim_registry_traceability():
 @pytest.mark.parametrize("factor,ppt", [(0.5, True), (2.0, False)])
 def test_lemma2_claim_ppt_floor_edges(monkeypatch, factor, ppt):
     # the claim's PPT check on the W mixer and boundary allows -PSD_TOL
-    from entactic import measures, report
+    from entactic import linalg, measures, report
     from entactic.linalg import PSD_TOL
 
-    monkeypatch.setattr(measures, "ppt_all_cuts_min_eigenvalue", lambda rho: -factor * PSD_TOL)
+    monkeypatch.setattr(linalg, "min_pt_eigenvalue", lambda rho, subset: -factor * PSD_TOL)
     monkeypatch.setattr(measures, "robustness_fs_upper_via_mix", lambda psi, mixer: 2.0)
     _, computed, _ = report._claim_lemma2(7)
     assert computed[-1] is ppt

@@ -95,6 +95,19 @@ def test_max_probability_checks_r_upper_before_measuring(monkeypatch, r_upper, m
     assert "\n" not in str(err.value)
 
 
+@pytest.mark.parametrize("r_upper", [0.0, 0.5, 2.0])
+def test_max_probability_bsp_refuses_r_upper(monkeypatch, r_upper):
+    # the BSP bound is computed; a supplied one would be silently ignored
+    def refuse(*args, **kwargs):
+        raise AssertionError("measured before refusing r_upper")
+
+    for name in ("geometric_bs", "geometric_fs", "robustness_bs_upper"):
+        monkeypatch.setattr(conversion, name, refuse)
+    with pytest.raises(ValueError, match="r_upper applies only to FSP") as err:
+        conversion.max_probability(w_state(), ghz(3, 2), conversion.BSP, r_upper=r_upper)
+    assert "\n" not in str(err.value)
+
+
 @pytest.mark.parametrize("factor,clamped", [(0.5, True), (2.0, False)])
 def test_clamp_tolerance_edges(factor, clamped):
     # r_upper puts the FSP bound p_max = g / ((1 - g) r) factor * _CLAMP_TOL below 1
@@ -220,7 +233,7 @@ def test_preparation_map_rejects_bad_p():
     cert = conversion.max_probability(w_state(), ghz(3, 2), conversion.BSP)
     mixer, _, cut = conversion._bs_mixer_details(ghz(3, 2))
     with pytest.raises(ValueError):
-        conversion.PreparationMap(cert, p=0.0, mixer=mixer)
+        conversion.PreparationMap(cert, p=0.0, mixer=mixer, mixer_cut=cut)
 
 
 def test_preparation_map_holds_only_its_certificate_p_and_mixer():
@@ -234,7 +247,9 @@ def test_preparation_map_holds_only_its_certificate_p_and_mixer():
     assert not dataclasses.replace(cert, p_max=0.999).deterministic
     # the mixer must act on the target's system
     with pytest.raises(linalg.ShapeError):
-        conversion.PreparationMap(cert, p=0.5, mixer=ghz(4, 2).density())
+        conversion.PreparationMap(
+            cert, p=0.5, mixer=ghz(4, 2).density(), mixer_cut=all_bipartitions(3)[0]
+        )
 
 
 @pytest.mark.parametrize("theory, r_upper", [(conversion.BSP, None), (conversion.FSP, 2.0)])
@@ -358,7 +373,10 @@ def test_extremal_probe_attains_the_measure():
 def test_fsp_probe_uses_the_audit_seed(monkeypatch):
     psi1 = random_state(3, 2, 21)
     cert = conversion.max_probability(psi1, w_state(), conversion.FSP, r_upper=2.0)
-    m = conversion.PreparationMap(cert, p=0.1, mixer=measures.w_robustness_mixer())
+    # the mixer is fully separable, so separable across any cut
+    m = conversion.PreparationMap(
+        cert, p=0.1, mixer=measures.w_robustness_mixer(), mixer_cut=all_bipartitions(3)[0]
+    )
     seeds = []
 
     def spy(psi, seed=measures.DEFAULT_SEED):
@@ -389,7 +407,6 @@ def test_preservation_report_fields():
     m = conversion.ghz_to_any_bsp(random_state(3, 2, 2))
     rep = conversion.verify_preservation_sampled(m, 50, seed=3)
     assert rep.samples == 50
-    assert rep.theory == conversion.BSP
     assert math.isfinite(rep.worst_overlap_margin)
     with pytest.raises(ValueError):
         conversion.verify_preservation_sampled(m, 0, seed=3)
@@ -460,8 +477,8 @@ def test_overlap_floor_edges(monkeypatch, factor, audited):
 
 def test_ghz_plus_bound_closed_form():
     # c = 1 gives (4-1)/4 = 3/4; c -> 0 gives 2
-    assert conversion.ghz_plus_robustness_bound(0.0, 0.0, 0.0) == pytest.approx(0.75)
-    assert conversion.ghz_plus_robustness_bound(math.pi / 2, 0.0, 0.0) == pytest.approx(2.0)
+    assert conversion.ghz_plus_bound_report(0.0, 0.0, 0.0)["bound"] == pytest.approx(0.75)
+    assert conversion.ghz_plus_bound_report(math.pi / 2, 0.0, 0.0)["bound"] == pytest.approx(2.0)
 
 
 def test_ghz_plus_threshold():
@@ -480,7 +497,6 @@ def test_ghz_plus_budget_tolerance_edges(factor, within):
     alpha = math.acos((1.5 - 2 * e) / (3.5 + 2 * e))
     rep = conversion.ghz_plus_bound_report(alpha, 0.0, 0.0)
     assert rep["bound"] == pytest.approx(conversion.W_BUDGET + e, abs=1e-15)
-    assert rep["bound"] == conversion.ghz_plus_robustness_bound(alpha, 0.0, 0.0)
     assert rep["within_budget"] is within
     assert (rep["flag"] is None) is within
 
@@ -494,7 +510,7 @@ def test_ghz_plus_report_flags_infeasible_angles():
 
 def test_w_to_tilted_ghz_deterministic_in_budget():
     angle = math.acos(0.5 ** (1 / 3))  # cos-product exactly 1/2
-    bound = conversion.ghz_plus_robustness_bound(angle, angle, angle)
+    bound = conversion.ghz_plus_bound_report(angle, angle, angle)["bound"]
     cert = conversion.max_probability(
         w_state(),
         psi_ghz_plus(angle, angle, angle),

@@ -18,13 +18,13 @@ from entactic.linalg import (
     density_to_json,
     is_ppt,
     min_pt_eigenvalue,
+    npt_cut,
     partial_transpose,
     reduced_density,
     reduced_density_pure,
     schmidt_spectrum,
     state_from_json,
     state_to_json,
-    tensor_product,
 )
 
 
@@ -153,10 +153,10 @@ def test_cut_matrix_shape():
     assert m.shape == (4, 4)
 
 
-def test_tensor_product_and_marginals():
+def test_kron_product_and_marginals():
     a = random_state(1, 2, 1)
     b = random_state(2, 2, 2)
-    ab = tensor_product(a, b)
+    ab = PureState(3, 2, np.kron(a.amplitudes, b.amplitudes))
     assert ab.n == 3
     marg = reduced_density_pure(ab, [1])
     assert np.allclose(marg.entries, np.outer(a.amplitudes, a.amplitudes.conj()), atol=1e-12)
@@ -198,6 +198,51 @@ def test_ppt_on_product_state():
     sig = random_state(1, 2, 4).density()
     prod = DensityMatrix(2, 2, np.kron(rho.entries, sig.entries))
     assert is_ppt(prod, [2])
+
+
+def counted_min_pt(monkeypatch, value=None):
+    """Patch linalg.min_pt_eigenvalue with a spy that records each cut it is
+    asked about, returning `value` if given, else the true eigenvalue."""
+    asked = []
+
+    def spy(rho, subset):
+        asked.append(frozenset(subset))
+        return min_pt_eigenvalue(rho, subset) if value is None else value
+
+    monkeypatch.setattr(linalg, "min_pt_eigenvalue", spy)
+    return asked
+
+
+def test_npt_cut_stops_at_the_first_npt_cut(monkeypatch):
+    # party 1 in |0>, parties 2 and 3 in a Bell pair: {1}|{2,3} is a product
+    # cut, {1,2}|{3} the first NPT one in all_bipartitions order
+    bell = np.array([1, 0, 0, 1]) / math.sqrt(2)
+    rho = PureState(3, 2, np.kron([1, 0], bell)).density()
+    asked = counted_min_pt(monkeypatch)
+    cut, lam = npt_cut(rho)
+    assert cut == Bipartition(3, frozenset({1, 2})) == all_bipartitions(3)[1]
+    assert lam == pytest.approx(-0.5, abs=1e-12)
+    assert asked == [frozenset({1}), frozenset({1, 2})]
+
+
+def test_npt_cut_sweeps_every_cut_of_a_ppt_state(monkeypatch):
+    sig = [random_state(1, 2, s).density().entries for s in range(3)]
+    prod = DensityMatrix(3, 2, np.kron(np.kron(sig[0], sig[1]), sig[2]))
+    asked = counted_min_pt(monkeypatch)
+    assert npt_cut(prod) is None
+    assert asked == [cut.parties for cut in all_bipartitions(3)]
+
+
+@pytest.mark.parametrize("factor,npt", [(0.5, False), (1.0, False), (2.0, True)])
+def test_npt_cut_tolerance_edges(monkeypatch, factor, npt):
+    # an eigenvalue of exactly -tol still counts as PPT
+    rho = DensityMatrix(2, 2, np.eye(4) / 4)
+    for tol in (linalg.PSD_TOL, 1e-6):
+        counted_min_pt(monkeypatch, -factor * tol)
+        found = npt_cut(rho, tol=tol)
+        assert (found is not None) is npt
+        if npt:
+            assert found == (all_bipartitions(2)[0], -factor * tol)
 
 
 def test_state_json_roundtrip():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entactic import measures
+from entactic import linalg, measures
 from entactic.catalog import cluster_state, four_qubit_phi, ghz, w_state
 from entactic.ghz_symmetric import GhzSymmetricParams, params_to_density
 from entactic.linalg import (
@@ -20,6 +20,7 @@ from entactic.linalg import (
     all_bipartitions,
     haar_vectors,
     kron_vectors,
+    npt_cut,
     schmidt_spectrum,
 )
 
@@ -82,7 +83,7 @@ def test_maximize_over_products_best_restart_fields():
     assert res.value == pytest.approx(4 / 9, abs=1e-9)
     assert res.converged and 1 <= res.iterations <= measures.MAX_SWEEPS
     prod = PureState(3, 2, np.kron(np.kron(*res.certificate[:2]), res.certificate[2]))
-    assert abs(prod.overlap(w_state())) ** 2 == pytest.approx(res.value, abs=1e-12)
+    assert abs(np.vdot(prod.amplitudes, w_state().amplitudes)) ** 2 == pytest.approx(res.value, abs=1e-12)
 
 
 def test_geometric_fs_fixtures():
@@ -331,7 +332,7 @@ def test_w_mixer_and_boundary_weights():
 
 def test_mixer_and_boundary_are_ppt_across_all_cuts():
     for rho in (measures.w_robustness_mixer(), measures.w_robustness_boundary()):
-        assert measures.ppt_all_cuts_min_eigenvalue(rho) >= -1e-10
+        assert npt_cut(rho, tol=1e-10) is None
 
 
 # --- separability certification --------------------------------------------
@@ -499,9 +500,27 @@ def test_permutation_symmetry_tolerance_edges(monkeypatch, factor, symmetric):
 
 @pytest.mark.parametrize("factor,npt", [(0.5, False), (2.0, True)])
 def test_npt_route_tolerance_edges(monkeypatch, factor, npt):
-    monkeypatch.setattr(measures, "min_pt_eigenvalue", lambda rho, subset: -factor * PSD_TOL)
+    # npt_cut reads min_pt_eigenvalue from linalg at call time
+    monkeypatch.setattr(linalg, "min_pt_eigenvalue", lambda rho, subset: -factor * PSD_TOL)
     res = measures.fs_certificate(DensityMatrix(2, 2, np.diag([1.0, 0.0, 0.0, 0.0])))
     assert res.route == ("npt-cut" if npt else "decomposition-fit")
+
+
+def shifts_upb_state() -> DensityMatrix:
+    """(I - sum of the Shifts UPB projectors) / 4: PPT across every cut yet
+    entangled, since no product vector lies in its range (Bennett et al.,
+    PRL 82, 5385 (1999))."""
+    zero, one = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    plus, minus = (zero + one) / math.sqrt(2), (zero - one) / math.sqrt(2)
+    upb = [(zero, one, plus), (one, plus, zero), (plus, zero, one), (minus, minus, minus)]
+    proj = sum(np.outer(v, v) for v in (kron_vectors(list(t)) for t in upb))
+    return DensityMatrix(3, 2, (np.eye(8) - proj) / 4)
+
+
+def test_shifts_upb_state_is_ppt_and_never_certified_fs():
+    rho = shifts_upb_state()
+    assert npt_cut(rho) is None
+    assert measures.fs_certificate(rho).verdict != measures.CERTIFIED_FS
 
 
 def test_cli_import_leaves_scipy_unloaded_until_the_fit():

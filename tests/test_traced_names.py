@@ -1,0 +1,41 @@
+"""The bench tracer patches library functions by name; a name it lists that
+the library no longer has would only fail when the bench runs."""
+
+import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from entactic import conversion, measures
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules while it loads
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+TRACED = load_tracing().LAYERS
+
+
+@pytest.mark.parametrize("name, owner, attr", TRACED, ids=[name for name, *_ in TRACED])
+def test_every_traced_name_resolves(name, owner, attr):
+    # the tracer reads owner.__dict__[attr], so an inherited or re-exported
+    # name does not count
+    assert callable(owner.__dict__[attr])
+
+
+def test_the_notes_the_tracer_reads_exist():
+    # tracing._note reads the certifier's route and the audit's sample count
+    assert "route" in [f.name for f in dataclasses.fields(measures.CertResult)]
+    assert "samples" in [f.name for f in dataclasses.fields(conversion.PreservationReport)]

@@ -65,7 +65,8 @@ def test_w_witness_diag_values_exact():
 
 
 def test_exact_dual_bounds():
-    assert witnesses.ghz_robustness_lower_exact() == 2
+    ghz_params = GhzSymmetricParams(Fraction(1), Fraction(0), Fraction(0))
+    assert -witnesses.ghz_witness_value_symmetric(ghz_params) == 2
     assert witnesses.w_robustness_lower_exact() == 2
 
 
