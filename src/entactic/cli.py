@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -26,6 +27,7 @@ from .linalg import (
 from .report import run_claims
 
 DEFAULT_SEED_ENV = "ENTACTIC_SEED"
+CUT_SYNTAX = re.compile(r"[1-9][0-9]*(,[1-9][0-9]*)*")
 
 
 def _default_seed(parser: argparse.ArgumentParser) -> int:
@@ -62,8 +64,8 @@ def _load_any(path: str) -> DensityMatrix:
 
 
 def _cut_arg(text: str, n: int) -> Bipartition:
-    parties = frozenset(int(x) for x in text.split(",") if x)
-    return Bipartition(n, parties)
+    """The cut named by --cut, whose syntax `_check_measure_flags` checked."""
+    return Bipartition(n, frozenset(int(x) for x in text.split(",")))
 
 
 def _parse_params(text: str) -> gs.GhzSymmetricParams:
@@ -172,11 +174,15 @@ def _cmd_witness(args):
 
 def _check_measure_flags(parser: argparse.ArgumentParser, args) -> None:
     """--cut is what rpure measures across and no other kind reads it, so
-    rpure requires it and every other kind refuses it (exit 2)."""
+    rpure requires it and every other kind refuses it; its value must be
+    comma-separated positive integers.  Otherwise a usage error (exit 2)."""
     if args.kind == "rpure" and args.cut is None:
         parser.exit(2, "error: --kind rpure requires --cut\n")
     if args.kind != "rpure" and args.cut is not None:
         parser.exit(2, "error: --cut requires --kind rpure\n")
+    if args.cut is not None and not CUT_SYNTAX.fullmatch(args.cut):
+        parser.exit(2, "error: --cut must be comma-separated positive integers"
+                       f" such as 1,2, got {args.cut!r}\n")
 
 
 def _check_convert_flags(parser: argparse.ArgumentParser, args) -> None:

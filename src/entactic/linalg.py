@@ -142,16 +142,37 @@ def all_bipartitions(n: int) -> tuple[Bipartition, ...]:
     )
 
 
+def vector_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of complex vectors along the last axis, bit for bit
+    the ones `np.linalg.norm` gives each C-contiguous vector alone: the same
+    dot product over its real and over its imaginary strided view."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+
+
+def haar_vector_draws(rng: np.random.Generator, dim: int, shape: tuple = ()) -> np.ndarray:
+    """prod(shape) Haar-random unit vectors in C^dim as an array of shape
+    (*shape, dim), drawn as one block.
+
+    Stream contract: the vectors come in C order, and each takes dim
+    standard normals for its real part, then dim for its imaginary part, and
+    is divided by its own `vector_norms` norm.  The result is thus bit for
+    bit that of prod(shape) successive single draws."""
+    g = rng.normal(size=(*shape, 2, dim))
+    v = g[..., 0, :] + 1j * g[..., 1, :]
+    return v / vector_norms(v)[..., None]
+
+
 def haar_vectors(rng: np.random.Generator, dim: int, count: int | None = None) -> np.ndarray:
-    """Haar-random unit vectors in C^dim from normalized complex Gaussians:
-    one vector of shape (dim,), or `count` of them as rows."""
-    shape = (dim,) if count is None else (count, dim)
-    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    # a single draw takes the whole-array norm and rows the row-wise one; the
-    # two can differ in the last bit, and seeded results (the certifier fit's
-    # dictionary among them) depend on those bits
-    norm = np.linalg.norm(v) if count is None else np.linalg.norm(v, axis=1, keepdims=True)
-    return v / norm
+    """Haar-random unit vectors in C^dim from normalized complex Gaussians.
+
+    With no count, one vector of shape (dim,), drawn as `haar_vector_draws`
+    draws each of its vectors.  With a count, `count` vectors as rows from
+    another stream: count * dim normals for the real parts, then count * dim
+    for the imaginary parts (the FSP audit's samples)."""
+    if count is None:
+        return haar_vector_draws(rng, dim)
+    v = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def kron_vectors(vecs: Sequence[np.ndarray]) -> np.ndarray:

@@ -24,10 +24,11 @@ from .linalg import (
     PureState,
     all_bipartitions,
     cut_purity,
-    haar_vectors,
+    haar_vector_draws,
     kron_vectors,
     npt_cut,
     schmidt_spectrum,
+    vector_norms,
 )
 
 CERTIFIED_FS = "certified_fs"
@@ -144,7 +145,7 @@ def maximize_over_products(
     vectors, sweep count and convergence flag.
     """
     rng = np.random.default_rng(seed)
-    x = np.array([[haar_vectors(rng, d) for _ in range(n)] for _ in range(RESTARTS)])
+    x = haar_vector_draws(rng, d, (RESTARTS, n))
     a = np.asarray(terms, dtype=complex)
     w = np.asarray(weights, dtype=float)
     value = np.full(RESTARTS, -math.inf)
@@ -267,8 +268,8 @@ def _fit_product_decomposition(rho: DensityMatrix):
 
     def draw(count):
         """`count` product vectors as rows (none if count <= 0), drawn party by party."""
-        parties = np.array([[haar_vectors(rng, d) for _ in range(n)] for _ in range(count)])
-        return kron_vectors(list(parties.reshape(-1, n, d).transpose(1, 0, 2)))
+        parties = haar_vector_draws(rng, d, (max(count, 0), n))
+        return kron_vectors(list(parties.transpose(1, 0, 2)))
 
     # seed the dictionary with computational-basis products plus random draws
     states = np.eye(dim, dtype=complex)
@@ -288,9 +289,7 @@ def _fit_product_decomposition(rho: DensityMatrix):
         order = np.argsort(x)[::-1][:FIT_TERMS]
         keep = states[order[x[order] > FIT_WEIGHT_FLOOR]]
         u = np.repeat(keep, 4, axis=0) + 0.15 * draw(4 * len(keep))
-        # one norm per vector: a row-wise norm can differ in the last bit
-        norms = np.array([np.linalg.norm(v) for v in u]).reshape(-1, 1)
-        states = np.concatenate([keep, u / norms])
+        states = np.concatenate([keep, u / vector_norms(u)[:, None]])
     terms = [
         (float(p), v) for p, v in zip(best_x, best_states) if p > FIT_WEIGHT_FLOOR
     ]

@@ -26,7 +26,7 @@ from .linalg import (
     Bipartition,
     PureState,
     apply_channel,
-    haar_vectors,
+    haar_vector_draws,
     npt_cut,
     reduced_density_pure,
 )
@@ -45,8 +45,8 @@ def _compare(expected, computed, tol):
     return expected == computed
 
 
-def _haar_state(n, d, rng) -> PureState:
-    return PureState(n, d, haar_vectors(rng, d**n))
+def _haar_states(n, d, rng, count) -> list[PureState]:
+    return [PureState(n, d, v) for v in haar_vector_draws(rng, d**n, (count,))]
 
 
 def _ghz_params(lp, lm, lr):
@@ -146,7 +146,7 @@ def _claim_twirl(seed):
 
 def _claim_thm4_sample(seed):
     rng = np.random.default_rng(seed)
-    targets = [_haar_state(3, 2, rng) for _ in range(4)] + [_haar_state(3, 3, rng)]
+    targets = _haar_states(3, 2, rng, 4) + _haar_states(3, 3, rng, 1)
     worst_err, violations = 0.0, 0
     for psi in targets:
         m = conversion.ghz_to_any_bsp(psi)
@@ -231,7 +231,7 @@ def _claim_eq4_consistency(seed):
     k = 0
     while pairs < 10 and k < 100:
         k += 1
-        psi1, psi2 = _haar_state(3, 2, rng), _haar_state(3, 2, rng)
+        psi1, psi2 = _haar_states(3, 2, rng, 2)
         try:
             cert = conversion.max_probability(psi1, psi2, conversion.BSP)
         except conversion.FreeSourceError:

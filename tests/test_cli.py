@@ -278,6 +278,27 @@ def test_measure_cut_requires_rpure(monkeypatch, capsys, ghz_file, kind):
     assert usage_error(capsys, argv) == "error: --cut requires --kind rpure\n"
 
 
+@pytest.mark.parametrize("text", ["1,x", "x", "0", "-1", "1.5", "1,", ",1", "1,,2", " 1", ""])
+def test_measure_malformed_cut_is_a_usage_error(monkeypatch, capsys, ghz_file, text):
+    from entactic import cli
+
+    def refuse(path):
+        raise AssertionError("read the state although --cut was malformed")
+
+    monkeypatch.setattr(cli, "_load_state", refuse)
+    argv = ["measure", "--kind", "rpure", "--in", ghz_file, "--cut", text]
+    assert usage_error(capsys, argv) == (
+        f"error: --cut must be comma-separated positive integers such as 1,2, got {text!r}\n"
+    )
+
+
+def test_measure_rpure_multi_party_cut(capsys, ghz_file):
+    rc, data = run_json(capsys, ["measure", "--kind", "rpure", "--in", ghz_file, "--cut", "1,3"])
+    assert rc == 0
+    assert data["cut"] == "{1,3}|{2}"
+    assert data["value"] == pytest.approx(1.0, abs=1e-9)
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_convert_verify_below_one_is_a_usage_error(capsys, w_file, ghz_file, samples):
     argv = ["convert", "--from", w_file, "--to", ghz_file, "--theory", "bsp", "--build",

@@ -16,6 +16,8 @@ from entactic.linalg import (
     cut_matrix,
     density_from_json,
     density_to_json,
+    haar_vector_draws,
+    haar_vectors,
     is_ppt,
     min_pt_eigenvalue,
     npt_cut,
@@ -25,6 +27,7 @@ from entactic.linalg import (
     schmidt_spectrum,
     state_from_json,
     state_to_json,
+    vector_norms,
 )
 
 
@@ -349,3 +352,45 @@ def test_internal_density_matrices_skip_the_eigendecomposition(monkeypatch):
     reduced_density_pure(psi, [3, 4])
     with pytest.raises(AssertionError):
         DensityMatrix(rho.n, rho.d, rho.entries)
+
+
+def single_draws_loop(rng, dim, count):
+    """The per-vector loop that block draws replace: each vector takes dim
+    real parts, then dim imaginary parts, and its own np.linalg.norm."""
+    out = []
+    for _ in range(count):
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        out.append(v / np.linalg.norm(v))
+    return np.array(out, dtype=complex).reshape(count, dim)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("shape", [(0, 3), (1, 3), (600, 4)])
+def test_haar_vector_draws_are_successive_single_draws_bit_for_bit(d, shape):
+    count = math.prod(shape)
+    rngs = [np.random.default_rng(17) for _ in range(3)]
+    oracle = single_draws_loop(rngs[0], d, count)
+    block = haar_vector_draws(rngs[1], d, shape)
+    singles = np.array([haar_vectors(rngs[2], d) for _ in range(count)], dtype=complex)
+    assert_same_bits(block, oracle.reshape(*shape, d))
+    assert_same_bits(singles.reshape(count, d), oracle)
+    # every stream stops at the same place, so later draws agree too
+    tails = [rng.normal(size=4) for rng in rngs]
+    assert_same_bits(tails[1], tails[0])
+    assert_same_bits(tails[2], tails[0])
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8, 16, 27])
+def test_vector_norms_match_np_linalg_norm_per_row_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    # shaped like the certifier fit's resampled rows: a sum of two arrays
+    u = rng.normal(size=(200, dim)) + 1j * rng.normal(size=(200, dim))
+    u = np.repeat(u[:50], 4, axis=0) + 0.15 * u
+    oracle = np.array([np.linalg.norm(row) for row in u])
+    assert_same_bits(vector_norms(u), oracle)
+    assert_same_bits(vector_norms(u.reshape(50, 4, dim)), oracle.reshape(50, 4))
