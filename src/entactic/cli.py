@@ -32,12 +32,16 @@ CUT_SYNTAX = re.compile(r"[1-9][0-9]*(,[1-9][0-9]*)*")
 
 def _default_seed(parser: argparse.ArgumentParser) -> int:
     """The seed for commands run without --seed: ENTACTIC_SEED, else
-    measures.DEFAULT_SEED.  A non-integer value is a usage error (exit 2)."""
+    measures.DEFAULT_SEED.  A value that is not a non-negative integer is a
+    usage error (exit 2)."""
     text = os.environ.get(DEFAULT_SEED_ENV, str(measures.DEFAULT_SEED))
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:
         parser.exit(2, f"error: {DEFAULT_SEED_ENV} must be an integer, got {text!r}\n")
+    if seed < 0:
+        parser.exit(2, f"error: {DEFAULT_SEED_ENV} must be non-negative, got {text!r}\n")
+    return seed
 
 
 def _emit(obj, verbose_note=None, verbose=False):
@@ -312,6 +316,9 @@ def run_command(argv=None) -> int:
             _check_convert_flags(parser, args)
         if getattr(args, "seed", 0) is None:
             args.seed = _default_seed(parser)
+        elif getattr(args, "seed", 0) < 0:
+            # numpy seeds only non-negative integers
+            parser.exit(2, f"error: --seed must be non-negative, got {args.seed}\n")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -23,7 +23,6 @@ from .linalg import (
     all_bipartitions,
     cut_matrix,
     from_cut_order,
-    haar_vectors,
     is_ppt,
     kron_vectors,
 )
@@ -230,22 +229,24 @@ def ghz_to_any_bsp(psi: PureState) -> PreparationMap:
 def _batch_free_overlaps(psi1: PureState, theory: str, k: int, rng) -> np.ndarray:
     """Squared overlaps tr(psi1 sigma) for k random free pure states.
 
-    BSP draw order, which fixes the states a seed samples: the k cut indices
+    Draw order, which fixes the states a seed samples.  FSP: for each party
+    in order, standard normals of shape (2, k, d): the real parts of its k
+    local vectors, then their imaginary parts.  BSP: the k cut indices
     (`rng.integers`), then for each cut in `all_bipartitions` order that got
     m > 0 of them, standard normals of shape (2, m, dA) and then (2, m, dB),
     dA x dB the shape of its `cut_matrix`: the two sides' vectors, real parts
-    before imaginary ones.  That is the stream `haar_vectors(rng, dA, m)`
-    then `haar_vectors(rng, dB, m)` consume; a cut that got no samples draws
-    nothing.
+    before imaginary ones; a cut that got no samples draws nothing.  Either
+    way the vectors stay unnormalized and each overlap is divided by the
+    product of their squared norms.
     """
     n, d = psi1.n, psi1.d
     if theory == FSP:
-        t = psi1.tensor()
-        x = np.tensordot(haar_vectors(rng, d, k).conj(), t, axes=([1], [0]))
-        for _ in range(n - 1):
-            a = haar_vectors(rng, d, k).conj()
-            x = np.einsum("ki...,ki->k...", x, a)
-        return np.abs(x) ** 2
+        x, norms = np.broadcast_to(psi1.tensor(), (k,) + (d,) * n), 1.0
+        for _ in range(n):
+            g = rng.standard_normal((2, k, d))
+            x = np.einsum("ki...,ki->k...", x, g[0] - 1j * g[1])
+            norms = norms * np.einsum("tkj,tkj->k", g, g)
+        return np.abs(x) ** 2 / norms
     cuts = all_bipartitions(n)
     assignment = rng.integers(len(cuts), size=k)
     # a stable sort keeps each cut's sample indices ascending

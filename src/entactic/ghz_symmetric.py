@@ -91,14 +91,21 @@ def is_fs_symmetric(p: GhzSymmetricParams, tol: float = 0.0) -> bool:
     return abs(lp - lm) <= lr / 3 + _as_fraction(tol)
 
 
+# The fully separable polytope in x = (l+, l-), with l = 1 - l+ - l- fixed by
+# normalization, as exact rows a.x <= b: the separability rows
+# |l+ - l-| <= l/3, then the positivity of the three weights.
+_FS_ROWS = (
+    ((Rat(4, 3), Rat(-2, 3)), Rat(1, 3)),
+    ((Rat(-2, 3), Rat(4, 3)), Rat(1, 3)),
+    ((Rat(-1), Rat(0)), Rat(0)),
+    ((Rat(0), Rat(-1)), Rat(0)),
+    ((Rat(1), Rat(1)), Rat(1)),
+)
+
+
 def polytope_vertices() -> list[GhzSymmetricParams]:
     """Vertices of the fully separable GHZ-symmetric polytope."""
-    return [
-        GhzSymmetricParams(Rat(0), Rat(0), Rat(1)),
-        GhzSymmetricParams(Rat(0), Rat(1, 4), Rat(3, 4)),
-        GhzSymmetricParams(Rat(1, 2), Rat(1, 2), Rat(0)),
-        GhzSymmetricParams(Rat(1, 4), Rat(0), Rat(3, 4)),
-    ]
+    return [GhzSymmetricParams(lp, lm, 1 - lp - lm) for lp, lm in _lp_vertices(_FS_ROWS)]
 
 
 def symmetric_robustness(
@@ -125,40 +132,21 @@ def symmetric_robustness(
 
 
 # ---------------------------------------------------------------------------
-# Exact vertex enumeration (Fractions), for the uniqueness certificate
+# Exact vertex enumeration (Fractions)
 
 
-def _solve_square(rows, rhs):
-    """Gaussian elimination over Fractions; None if singular."""
-    k = len(rows)
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(k):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][k] for r in range(k)]
-
-
-def _lp_vertices(constraints):
-    """All vertices of {x : a.x <= b for (a, b) in constraints}, exact."""
-    dim = len(constraints[0][0])
+def _lp_vertices(rows):
+    """All vertices of {x in Q^2 : a.x <= b for (a, b) in rows}, exact: the
+    feasible meeting points of two boundary lines, each once, by Cramer's
+    rule; parallel lines meet in no single point."""
     verts = []
-    for combo in combinations(range(len(constraints)), dim):
-        rows = [constraints[i][0] for i in combo]
-        rhs = [constraints[i][1] for i in combo]
-        x = _solve_square(rows, rhs)
-        if x is None:
+    for ((a1, a2), b), ((c1, c2), e) in combinations(rows, 2):
+        det = a1 * c2 - a2 * c1
+        if det == 0:
             continue
-        if all(sum(a * xi for a, xi in zip(av, x)) <= b for av, b in constraints):
-            if x not in verts:
-                verts.append(x)
+        x = ((b * c2 - a2 * e) / det, (a1 * e - b * c1) / det)
+        if x not in verts and all(u * x[0] + v * x[1] <= w for (u, v), w in rows):
+            verts.append(x)
     return verts
 
 
@@ -169,21 +157,10 @@ def unique_fs_mixer_for_ghz() -> GhzSymmetricParams:
     Certifies uniqueness by exact vertex enumeration of the feasible
     region: the solution polytope must collapse to a single point.
     """
-    # variables (l+, l-); l = 1 - l+ - l- eliminated by normalization
-    third = Rat(1, 3)
-    cons = [
-        # |l+ - l-| <= (1 - l+ - l-) / 3
-        ((Rat(4, 3), Rat(-2, 3)), third),
-        ((Rat(-2, 3), Rat(4, 3)), third),
-        # |1/3 + (2/3)(l+ - l-)| <= (2/9)(1 - l+ - l-)
-        ((Rat(2, 3) + Rat(2, 9), Rat(-2, 3) + Rat(2, 9)), Rat(2, 9) - third),
-        ((Rat(-2, 3) + Rat(2, 9), Rat(2, 3) + Rat(2, 9)), Rat(2, 9) + third),
-        # positivity of all three weights
-        ((Rat(-1), Rat(0)), Rat(0)),
-        ((Rat(0), Rat(-1)), Rat(0)),
-        ((Rat(1), Rat(1)), Rat(1)),
-    ]
-    verts = _lp_vertices(cons)
+    # (GHZ + 2 sigma)/3 sits at x' = ((1 + 2 l+)/3, 2 l-/3), so it meets a
+    # row a.x <= b iff (2/3) a.x <= b - a[0]/3: the separability rows again
+    mixture = tuple((tuple(2 * c / 3 for c in a), b - a[0] / 3) for a, b in _FS_ROWS[:2])
+    verts = _lp_vertices(_FS_ROWS + mixture)
     if len(verts) != 1:
         raise RuntimeError(f"feasible set is not a single point: {verts}")
     lp, lm = verts[0]

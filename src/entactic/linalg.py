@@ -162,19 +162,6 @@ def haar_vector_draws(rng: np.random.Generator, dim: int, shape: tuple = ()) -> 
     return v / vector_norms(v)[..., None]
 
 
-def haar_vectors(rng: np.random.Generator, dim: int, count: int | None = None) -> np.ndarray:
-    """Haar-random unit vectors in C^dim from normalized complex Gaussians.
-
-    With no count, one vector of shape (dim,), drawn as `haar_vector_draws`
-    draws each of its vectors.  With a count, `count` vectors as rows from
-    another stream: count * dim normals for the real parts, then count * dim
-    for the imaginary parts (the FSP audit's samples)."""
-    if count is None:
-        return haar_vector_draws(rng, dim)
-    v = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
 def kron_vectors(vecs: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product of local vectors, the first one most significant.
 

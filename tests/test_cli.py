@@ -498,3 +498,50 @@ def test_env_seed_non_integer_exit_two(monkeypatch, capsys, w_file):
     # an explicit --seed wins over the environment
     rc, data = run_json(capsys, ["measure", "--kind", "gfs", "--in", w_file, "--seed", "3"])
     assert rc == 0
+
+
+SEEDED_COMMANDS = [
+    ["measure", "--kind", "gfs", "--in", "W"],
+    ["witness", "--name", "ghz", "--check"],
+    ["convert", "--from", "W", "--to", "GHZ", "--theory", "bsp", "--build", "--verify", "10"],
+    ["reproduce", "--all"],
+]
+
+
+@pytest.fixture()
+def nothing_computed(monkeypatch):
+    from entactic import cli, conversion, witnesses
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("read or computed although the seed was refused")
+
+    for module, name in [(cli, "_load_state"), (cli, "_load_any"), (cli, "run_claims"),
+                         (conversion, "max_probability"), (witnesses, "witness_range_over_fs")]:
+        monkeypatch.setattr(module, name, refuse)
+
+
+def with_files(argv, w_file, ghz_file):
+    return [{"W": w_file, "GHZ": ghz_file}.get(a, a) for a in argv]
+
+
+@pytest.mark.parametrize("argv", SEEDED_COMMANDS)
+def test_negative_seed_is_a_usage_error(nothing_computed, capsys, w_file, ghz_file, argv):
+    argv = with_files(argv, w_file, ghz_file) + ["--seed", "-1"]
+    assert usage_error(capsys, argv) == "error: --seed must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("argv", SEEDED_COMMANDS)
+def test_negative_env_seed_is_a_usage_error(
+    monkeypatch, nothing_computed, capsys, w_file, ghz_file, argv
+):
+    monkeypatch.setenv("ENTACTIC_SEED", "-1")
+    argv = with_files(argv, w_file, ghz_file)
+    assert usage_error(capsys, argv) == "error: ENTACTIC_SEED must be non-negative, got '-1'\n"
+
+
+def test_seed_zero_runs(monkeypatch, capsys, w_file):
+    # an explicit --seed wins over a negative ENTACTIC_SEED, which is not read
+    monkeypatch.setenv("ENTACTIC_SEED", "-1")
+    rc, data = run_json(capsys, ["measure", "--kind", "gfs", "--in", w_file, "--seed", "0"])
+    assert rc == 0
+    assert data["value"] == pytest.approx(5 / 9, abs=1e-6)

@@ -303,6 +303,38 @@ def test_batch_bsp_overlaps_stay_below_the_bs_measure():
     assert np.all(qs >= 0) and np.all(qs <= 1 - gbs + 1e-12)
 
 
+def count_stream_haar(rng, dim, count):
+    """count Haar vectors as rows, drawn as both audit samplers draw: count *
+    dim normals for the real parts, then count * dim for the imaginary parts;
+    each row is divided by its np.linalg.norm."""
+    v = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def reference_fsp_overlaps(psi1, k, rng):
+    """The FSP sampler as first written: normalized Haar vectors per party,
+    in party order, contracted with psi1 one party at a time."""
+    x = np.tensordot(count_stream_haar(rng, psi1.d, k).conj(), psi1.tensor(), axes=([1], [0]))
+    for _ in range(psi1.n - 1):
+        x = np.einsum("ki...,ki->k...", x, count_stream_haar(rng, psi1.d, k).conj())
+    return np.abs(x) ** 2
+
+
+@pytest.mark.parametrize(
+    "n, d, k",
+    [(n, 2, 20_000) for n in range(2, 7)] + [(3, 3, 20_000), (4, 3, 20_000), (3, 2, 1), (3, 2, 0)],
+)
+def test_fsp_sampler_keeps_the_reference_stream(n, d, k):
+    psi = random_state(n, d, 60 + n + d)
+    rng_ref, rng_new = np.random.default_rng(k + n), np.random.default_rng(k + n)
+    expected = reference_fsp_overlaps(psi, k, rng_ref)
+    got = conversion._batch_free_overlaps(psi, conversion.FSP, k, rng_new)
+    assert got.shape == (k,)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+    # the same product states sampled: the same numbers drawn, in the same order
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
 def reference_bsp_overlaps(psi1, k, rng):
     """The BSP sampler as first written: normalized Haar vectors per cut and
     one three-operand einsum.  It fixes the draw order the sampler keeps."""
@@ -314,8 +346,8 @@ def reference_bsp_overlaps(psi1, k, rng):
         if idx.size == 0:
             continue
         a_mat = linalg.cut_matrix(psi1, cut)
-        left = linalg.haar_vectors(rng, a_mat.shape[0], idx.size)
-        right = linalg.haar_vectors(rng, a_mat.shape[1], idx.size)
+        left = count_stream_haar(rng, a_mat.shape[0], idx.size)
+        right = count_stream_haar(rng, a_mat.shape[1], idx.size)
         c = np.einsum("ki,ij,kj->k", left.conj(), a_mat, right.conj())
         out[idx] = np.abs(c) ** 2
     return out

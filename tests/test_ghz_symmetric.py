@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -175,3 +176,82 @@ def test_symmetric_robustness_certificate_property(seed):
 def test_unique_fs_mixer_is_single_point():
     mixer = gs.unique_fs_mixer_for_ghz()
     assert tuple(mixer.as_fractions()) == (F(0), F(1, 4), F(3, 4))
+
+
+# --- exact vertex enumeration -------------------------------------------------
+
+
+def _solve_square(rows, rhs):
+    """Gaussian elimination over Fractions; None if singular."""
+    k = len(rows)
+    a = [list(r) + [b] for r, b in zip(rows, rhs)]
+    for col in range(k):
+        piv = next((r for r in range(col, k) if a[r][col] != 0), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        inv = Fraction(1) / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(k):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [a[r][k] for r in range(k)]
+
+
+def general_lp_vertices(constraints):
+    """The vertex enumeration for any number of variables: every square
+    subsystem solved by elimination, feasible solutions kept once."""
+    dim = len(constraints[0][0])
+    verts = []
+    for combo in combinations(range(len(constraints)), dim):
+        x = _solve_square([constraints[i][0] for i in combo], [constraints[i][1] for i in combo])
+        if x is None:
+            continue
+        if all(sum(a * xi for a, xi in zip(av, x)) <= b for av, b in constraints):
+            if x not in verts:
+                verts.append(x)
+    return verts
+
+
+def random_system(rng):
+    """A random rational polygon in two variables about the origin: a box,
+    random rows, a row parallel to one of them, one row written twice at two
+    scales, and a row through a vertex, so that three lines meet there."""
+    def frac(low):
+        return F(int(rng.integers(low, 7)), int(rng.integers(1, 4)))
+
+    rows = [((F(1), F(0)), F(5)), ((F(-1), F(0)), F(5)), ((F(0), F(1)), F(5)), ((F(0), F(-1)), F(5))]
+    rows += [((frac(-6), frac(-6)), frac(1)) for _ in range(int(rng.integers(2, 6)))]
+    (a1, a2), b = rows[4]
+    scale = F(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+    rows.append(((scale * a1, scale * a2), frac(1)))
+    rows.append(((scale * a1, scale * a2), scale * b))
+    verts = general_lp_vertices(rows)
+    x = verts[int(rng.integers(len(verts)))]
+    c = (frac(-6), frac(-6))
+    rows.append((c, c[0] * x[0] + c[1] * x[1]))
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_lp_vertices_match_general_elimination(seed):
+    rows = random_system(np.random.default_rng(seed))
+    got = gs._lp_vertices(rows)
+    assert len(set(got)) == len(got)  # a point where three lines meet comes once
+    assert set(got) == {tuple(x) for x in general_lp_vertices(rows)}
+
+
+def test_unique_fs_mixer_refuses_a_region_that_is_not_one_point(monkeypatch):
+    # the mixture row (GHZ + 2 sigma)/3 must meet l+ - l- <= l/3; without it
+    # the region is the whole polytope, with four vertices
+    binding = ((F(8, 9), F(-4, 9)), F(-1, 9))
+    enumerate_vertices = gs._lp_vertices
+
+    def without_binding_row(rows):
+        assert binding in rows
+        return enumerate_vertices([r for r in rows if r != binding])
+
+    monkeypatch.setattr(gs, "_lp_vertices", without_binding_row)
+    with pytest.raises(RuntimeError, match="feasible set is not a single point"):
+        gs.unique_fs_mixer_for_ghz()

@@ -17,7 +17,6 @@ from entactic.linalg import (
     density_from_json,
     density_to_json,
     haar_vector_draws,
-    haar_vectors,
     is_ppt,
     min_pt_eigenvalue,
     npt_cut,
@@ -376,7 +375,7 @@ def test_haar_vector_draws_are_successive_single_draws_bit_for_bit(d, shape):
     rngs = [np.random.default_rng(17) for _ in range(3)]
     oracle = single_draws_loop(rngs[0], d, count)
     block = haar_vector_draws(rngs[1], d, shape)
-    singles = np.array([haar_vectors(rngs[2], d) for _ in range(count)], dtype=complex)
+    singles = np.array([haar_vector_draws(rngs[2], d) for _ in range(count)], dtype=complex)
     assert_same_bits(block, oracle.reshape(*shape, d))
     assert_same_bits(singles.reshape(count, d), oracle)
     # every stream stops at the same place, so later draws agree too

@@ -18,7 +18,7 @@ from entactic.linalg import (
     DensityMatrix,
     PureState,
     all_bipartitions,
-    haar_vectors,
+    haar_vector_draws,
     kron_vectors,
     npt_cut,
     schmidt_spectrum,
@@ -189,7 +189,7 @@ def product_of_blocks(sizes, d, seed):
     rng = np.random.default_rng(seed)
     v = np.ones(1, dtype=complex)
     for k in sizes:
-        v = np.kron(v, haar_vectors(rng, d**k))
+        v = np.kron(v, haar_vector_draws(rng, d**k))
     return PureState(sum(sizes), d, v)
 
 
@@ -400,7 +400,7 @@ def product_mixture(n, terms, noise, seed):
     rng = np.random.default_rng(seed)
     m = np.zeros((2**n, 2**n), dtype=complex)
     for w in rng.dirichlet(np.ones(terms)):
-        v = kron_vectors([haar_vectors(rng, 2) for _ in range(n)])
+        v = kron_vectors(haar_vector_draws(rng, 2, (n,)))
         m += w * np.outer(v, v.conj())
     return DensityMatrix(n, 2, (1 - noise) * m + noise * np.eye(2**n) / 2**n)
 
