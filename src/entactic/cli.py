@@ -8,6 +8,7 @@ human-readable summary goes to standard error.  Exit codes: 0 on success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -249,7 +250,9 @@ def _cmd_reproduce(args):
     return 0 if rep["all_pass"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on first use: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="entactic")
     parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)

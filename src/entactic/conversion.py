@@ -231,13 +231,16 @@ def _batch_free_overlaps(psi1: PureState, theory: str, k: int, rng) -> np.ndarra
 
     Draw order, which fixes the states a seed samples.  FSP: for each party
     in order, standard normals of shape (2, k, d): the real parts of its k
-    local vectors, then their imaginary parts.  BSP: the k cut indices
-    (`rng.integers`), then for each cut in `all_bipartitions` order that got
-    m > 0 of them, standard normals of shape (2, m, dA) and then (2, m, dB),
-    dA x dB the shape of its `cut_matrix`: the two sides' vectors, real parts
-    before imaginary ones; a cut that got no samples draws nothing.  Either
-    way the vectors stay unnormalized and each overlap is divided by the
-    product of their squared norms.
+    local vectors, then their imaginary parts; the vectors stay unnormalized
+    and each overlap is divided by the product of their squared norms.  BSP:
+    the per-cut sample counts, one `rng.multinomial(k, uniform)` over
+    `all_bipartitions`; then for each cut in that order that got m > 0 of
+    them, the smaller side's m vectors as standard normals of shape
+    (2, m, dS), real parts before imaginary ones, then m uniforms
+    (`rng.random`) for the larger side's overlaps.  A BSP seed thus names,
+    per sample, the cut, the smaller-side vector and the larger side's
+    overlap with it, not a larger-side vector; the overlaps come grouped by
+    cut, in cut order.
     """
     n, d = psi1.n, psi1.d
     if theory == FSP:
@@ -248,47 +251,37 @@ def _batch_free_overlaps(psi1: PureState, theory: str, k: int, rng) -> np.ndarra
             norms = norms * np.einsum("tkj,tkj->k", g, g)
         return np.abs(x) ** 2 / norms
     cuts = all_bipartitions(n)
-    assignment = rng.integers(len(cuts), size=k)
-    # a stable sort keeps each cut's sample indices ascending
-    order = np.argsort(assignment, kind="stable")
-    bounds = np.cumsum(np.bincount(assignment, minlength=len(cuts)))[:-1]
-    out = np.empty(k)
-    for cut, idx in zip(cuts, np.split(order, bounds)):
-        if idx.size:
-            out[idx] = _cut_free_overlaps(cut_matrix(psi1, cut), idx.size, rng)
-    return out
-
-
-# rows of one cut's draws contracted at a time, so the GEMM output stays small
-_AUDIT_BLOCK = 1024
+    counts = rng.multinomial(k, np.full(len(cuts), 1.0 / len(cuts)))
+    blocks = [
+        _cut_free_overlaps(cut_matrix(psi1, cut), m, rng) for cut, m in zip(cuts, counts) if m
+    ]
+    return np.concatenate(blocks) if blocks else np.empty(0)
 
 
 def _cut_free_overlaps(a_mat: np.ndarray, m: int, rng) -> np.ndarray:
     """|conj(l)^T A conj(r)|^2 / (|l|^2 |r|^2) for the cut matrix A and m
-    pairs of unnormalized complex Gaussian vectors l, r: the squared overlap
-    with m Haar-random products across the cut, from real GEMMs."""
-    left = rng.standard_normal((2, m, a_mat.shape[0]))
-    right = rng.standard_normal((2, m, a_mat.shape[1]))
-    # the form is symmetric in its two sides: the larger one goes through the
-    # GEMM, so the row-wise products run over the smaller
-    if a_mat.shape[0] < a_mat.shape[1]:
-        left, right, a_mat = right, left, a_mat.T
-    # with l = x + iy, conj(l)^T A = [x @ Ar + y @ Ai | x @ Ai - y @ Ar]
-    from_x = np.hstack([a_mat.real, a_mat.imag])
-    from_y = np.hstack([a_mat.imag, -a_mat.real])
-    norms = np.einsum("tkj,tkj->k", left, left) * np.einsum("tkj,tkj->k", right, right)
-    q = np.empty(m)
-    for start in range(0, m, _AUDIT_BLOCK):
-        rows = slice(start, start + _AUDIT_BLOCK)
-        z = left[0, rows] @ from_x
-        z += left[1, rows] @ from_y
-        u, v = np.split(z, 2, axis=1)
-        # (u + iv) . (x - iy) with r = x + iy
-        x, y = right[:, rows]
-        re = np.einsum("kj,kj->k", u, x) + np.einsum("kj,kj->k", v, y)
-        im = np.einsum("kj,kj->k", v, x) - np.einsum("kj,kj->k", u, y)
-        q[rows] = re * re + im * im
-    return q / norms
+    Haar-random products l (x) r across the cut, drawing only the smaller
+    side's l, as unnormalized complex Gaussian vectors; the rows of A, the
+    side holding party 1, are that side when the cut is balanced.
+
+    With v = A^T conj(l) fixed, |<v|r>|^2 / |v|^2 ~ Beta(1, D - 1) for Haar
+    r in C^D whatever the direction of v (take v = e_1: |g_1|^2 / |g|^2 for
+    i.i.d. complex Gaussians is Exp / (Exp + Gamma(D - 1))), so the overlap
+    is l^dag G l / |l|^2 times a Beta(1, D - 1) draw, with G = A A^dag the
+    Gram matrix of the smaller side from one GEMM, never from an SVD.
+    """
+    if a_mat.shape[0] > a_mat.shape[1]:
+        a_mat = a_mat.T
+    gram = a_mat @ a_mat.conj().T
+    # with l = x + iy, l^dag G l = [x|y] H [x|y]^T for the real symmetric form H
+    form = np.vstack([np.hstack([gram.real, -gram.imag]), np.hstack([gram.imag, gram.real])])
+    xy = np.concatenate(rng.standard_normal((2, m, a_mat.shape[0])), axis=1)
+    quad = np.einsum("kj,kj->k", xy @ form, xy)
+    norms = np.einsum("kj,kj->k", xy, xy)
+    # inverse CDF of Beta(1, D - 1): 1 - (1 - U)^(1 / (D - 1))
+    beta = -np.expm1(np.log1p(-rng.random(m)) / (a_mat.shape[1] - 1))
+    # G is PSD; a rank-deficient G can round the form slightly below 0
+    return np.maximum(quad, 0.0) / norms * beta
 
 
 def _extremal_free_overlap(prep_map: PreparationMap, seed: int) -> float:
@@ -319,8 +312,12 @@ def verify_preservation_sampled(
     Sample 0 is a deterministic extremal probe (the free state maximizing
     the filter overlap), so p above the certified maximum is always caught.
     Samples 1 to samples - 1 come from `np.random.default_rng(seed)` in the
-    draw order `_batch_free_overlaps` states, so a seed always names the
-    same free inputs.
+    draw order `_batch_free_overlaps` states: for BSP, the multinomial cut
+    counts, then per cut the smaller side's normals (2, m, dS) and m
+    uniforms.  A seed names, per sample, the cut, the smaller-side vector
+    and the larger side's overlap, whose law is exactly Beta(1, D - 1) for
+    a Haar vector in C^D.  No BSP sample can beat the probe: each overlap is
+    at most the largest Gram eigenvalue of its cut, at most 1 - g.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

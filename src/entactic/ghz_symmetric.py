@@ -9,6 +9,8 @@ robustness in closed form, in exact rational arithmetic.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -86,11 +88,6 @@ def twirl(rho: DensityMatrix) -> GhzSymmetricParams:
     return GhzSymmetricParams(lp, lm, 1.0 - lp - lm)
 
 
-def is_fs_symmetric(p: GhzSymmetricParams, tol: float = 0.0) -> bool:
-    lp, lm, lr = p.as_fractions()
-    return abs(lp - lm) <= lr / 3 + _as_fraction(tol)
-
-
 # The fully separable polytope in x = (l+, l-), with l = 1 - l+ - l- fixed by
 # normalization, as exact rows a.x <= b: the separability rows
 # |l+ - l-| <= l/3, then the positivity of the three weights.
@@ -103,9 +100,49 @@ _FS_ROWS = (
 )
 
 
+def _integer_rows(rows):
+    """Rows a.x <= b made homogeneous in (l+, l-, l), a.x <= b (l+ + l- + l),
+    as pairs (c, k): c . (l+, l-, l) <= 0 is the row times the least k that
+    makes its coefficients integers, so a slack tol on the row is k tol."""
+    out = []
+    for (a1, a2), b in rows:
+        h = (a1 - b, a2 - b, -b)
+        k = math.lcm(*(x.denominator for x in h))
+        out.append((tuple(int(x * k) for x in h), k))
+    return tuple(out)
+
+
+_SEPARABILITY_ROWS = _integer_rows(_FS_ROWS[:2])
+
+
+def is_fs_symmetric(p: GhzSymmetricParams, tol: float = 0.0) -> bool:
+    """Whether p meets both separability rows of `_FS_ROWS` within tol, each
+    made homogeneous, so that the test is exactly |l+ - l-| <= l/3 + tol
+    also for weights that sum to 1 only within WEIGHT_TOL.  Evaluated
+    exactly, in integers over the weights' common denominator."""
+    vals = (*p.as_fractions(), _as_fraction(tol))
+    den = math.lcm(*(v.denominator for v in vals))
+    lp, lm, lr, slack = (v.numerator * (den // v.denominator) for v in vals)
+    return all(c1 * lp + c2 * lm + c3 * lr <= k * slack for (c1, c2, c3), k in _SEPARABILITY_ROWS)
+
+
 def polytope_vertices() -> list[GhzSymmetricParams]:
     """Vertices of the fully separable GHZ-symmetric polytope."""
     return [GhzSymmetricParams(lp, lm, 1 - lp - lm) for lp, lm in _lp_vertices(_FS_ROWS)]
+
+
+@functools.cache
+def _boundary_mixers() -> tuple[GhzSymmetricParams, GhzSymmetricParams]:
+    """The mixers of `symmetric_robustness`, for l+ > l- and for l+ < l-:
+    the polytope's vertices on a separability row with l+ = 0, and with
+    l- = 0, each unique."""
+    on_row = [
+        v for v in polytope_vertices()
+        if any(a1 * v.lambda_plus + a2 * v.lambda_minus == b for (a1, a2), b in _FS_ROWS[:2])
+    ]
+    (plus_zero,) = [v for v in on_row if v.lambda_plus == 0]
+    (minus_zero,) = [v for v in on_row if v.lambda_minus == 0]
+    return plus_zero, minus_zero
 
 
 def symmetric_robustness(
@@ -118,17 +155,17 @@ def symmetric_robustness(
     the polytope.  Write mu = s sigma; the cost sum(mu) is at least
     |mu+ - mu-| + mu_l, the two separability conditions force
     mu_l >= (3|D| - l)/2, and the bound grows with mu_l, so it is attained
-    only there, with mu+ = 0 if D > 0 (mu- = 0 if D < 0): sigma is
-    (0, 1/4, 3/4) or (1/4, 0, 3/4).
+    only there, with mu+ = 0 if D > 0 (mu- = 0 if D < 0): sigma is the
+    polytope's vertex on a separability row with l+ = 0 (l- = 0), which is
+    (0, 1/4, 3/4) ((1/4, 0, 3/4)).
     """
     tp, tm, tl = target.as_fractions()
     dt = tp - tm
-    if abs(dt) <= tl / 3:
-        return Rat(0), target
     s = 2 * (abs(dt) - tl / 3)
-    if dt > 0:
-        return s, GhzSymmetricParams(Rat(0), Rat(1, 4), Rat(3, 4))
-    return s, GhzSymmetricParams(Rat(1, 4), Rat(0), Rat(3, 4))
+    if s <= 0:
+        return Rat(0), target
+    plus_zero, minus_zero = _boundary_mixers()
+    return s, plus_zero if dt > 0 else minus_zero
 
 
 # ---------------------------------------------------------------------------

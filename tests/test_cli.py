@@ -223,6 +223,21 @@ def test_convert_command(capsys, w_file, ghz_file):
     assert data["preservation"]["violations"] == 0
 
 
+def test_the_parser_is_built_once_and_parses_each_run_afresh(capsys, w_file, ghz_file):
+    from entactic import cli
+
+    parser = cli.build_parser()
+    argv = ["convert", "--from", w_file, "--to", ghz_file, "--theory", "bsp",
+            "--build", "--verify", "3"]
+    first = run_command(argv), capsys.readouterr()
+    # a usage error, a run that sets --seed and --p, then the first run again
+    assert run_command(argv[:6] + ["--verify", "3"]) == 2
+    assert run_command(argv + ["--seed", "5", "--p", "0.25"]) == 0
+    capsys.readouterr()
+    assert (run_command(argv), capsys.readouterr()) == first
+    assert cli.build_parser() is parser
+
+
 @pytest.mark.parametrize("r_upper", ["nan", "-1", "inf"])
 def test_convert_fsp_rejects_bad_r_upper(capsys, w_file, ghz_file, r_upper):
     # NaN and inf would print as invalid JSON, -1 as a bound below the least robustness 0

@@ -335,44 +335,137 @@ def test_fsp_sampler_keeps_the_reference_stream(n, d, k):
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
+def two_sided_bsp_overlaps(a_mat, m, rng):
+    """The BSP sampler as first written, for one cut: normalized Haar vectors
+    on both sides and one three-operand einsum.  It is the oracle for the
+    law of the one-sided sampler."""
+    left = count_stream_haar(rng, a_mat.shape[0], m)
+    right = count_stream_haar(rng, a_mat.shape[1], m)
+    return np.abs(np.einsum("ki,ij,kj->k", left.conj(), a_mat, right.conj())) ** 2
+
+
 def reference_bsp_overlaps(psi1, k, rng):
-    """The BSP sampler as first written: normalized Haar vectors per cut and
-    one three-operand einsum.  It fixes the draw order the sampler keeps."""
+    """The BSP draw order written out: the multinomial cut counts, then for
+    each cut with m > 0 samples the smaller side's normals (2, m, dS), the
+    rows on a balanced cut, and m uniforms.  The overlap is |A^T conj(l)|^2 /
+    |l|^2, formed explicitly, times the inverse-CDF Beta(1, D - 1) draw."""
     cuts = all_bipartitions(psi1.n)
-    assignment = rng.integers(len(cuts), size=k)
-    out = np.empty(k)
-    for ci, cut in enumerate(cuts):
-        idx = np.flatnonzero(assignment == ci)
-        if idx.size == 0:
+    counts = rng.multinomial(k, [1 / len(cuts)] * len(cuts))
+    out = [np.empty(0)]
+    for cut, m in zip(cuts, counts):
+        if m == 0:
             continue
         a_mat = linalg.cut_matrix(psi1, cut)
-        left = count_stream_haar(rng, a_mat.shape[0], idx.size)
-        right = count_stream_haar(rng, a_mat.shape[1], idx.size)
-        c = np.einsum("ki,ij,kj->k", left.conj(), a_mat, right.conj())
-        out[idx] = np.abs(c) ** 2
-    return out
+        if a_mat.shape[0] > a_mat.shape[1]:
+            a_mat = a_mat.T
+        g = rng.standard_normal((2, m, a_mat.shape[0]))
+        small = g[0] + 1j * g[1]
+        v = small.conj() @ a_mat
+        beta = -np.expm1(np.log1p(-rng.random(m)) / (a_mat.shape[1] - 1))
+        out.append(np.sum(np.abs(v) ** 2, axis=1) / np.sum(np.abs(small) ** 2, axis=1) * beta)
+    return np.concatenate(out)
+
+
+class RecordingRng:
+    """A generator that logs each draw's method and its size or count."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), []
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+
+        def logged(*args):
+            self.calls.append((name, args[0]))
+            return draw(*args)
+
+        return logged
 
 
 @pytest.mark.parametrize(
     "n, d, k",
-    [(3, 2, 5000), (3, 3, 5000), (3, 2, 2), (3, 3, 1), (4, 2, 5)],
+    # k = 1 and k = 0; fewer samples than cuts (3 at n = 3, 7 at n = 4);
+    # n = 4 has balanced 4 x 4 cuts, where the rows are the explicit side
+    [(3, 2, 5000), (3, 3, 5000), (4, 2, 5000), (3, 2, 2), (3, 3, 1), (4, 2, 5), (3, 2, 0)],
 )
-def test_bsp_sampler_keeps_the_reference_stream(n, d, k):
+def test_bsp_sampler_pins_its_draw_order(n, d, k):
     psi = random_state(n, d, 40 + n + d)
     cuts = all_bipartitions(n)
-    # a cut whose stored side, the one holding party 1, is the larger
-    shapes = [linalg.cut_matrix(psi, cut).shape for cut in cuts]
-    assert any(rows > cols for rows, cols in shapes)
-    rng_ref, rng_new = np.random.default_rng(k), np.random.default_rng(k)
+    rng_ref, rng_new = RecordingRng(k), RecordingRng(k)
     expected = reference_bsp_overlaps(psi, k, rng_ref)
     got = conversion._batch_free_overlaps(psi, conversion.BSP, k, rng_new)
+    assert got.shape == (k,)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
-    # the same numbers drawn: cuts left without samples (k < cuts) draw none
-    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    # the same draws, call for call, and the generator left in the same state
+    assert rng_new.calls == rng_ref.calls
+    assert rng_new.rng.bit_generator.state == rng_ref.rng.bit_generator.state
+    counts = np.random.default_rng(k).multinomial(k, [1 / len(cuts)] * len(cuts))
+    assert len(rng_new.calls) == 1 + 2 * np.count_nonzero(counts)
     if k > 1000:
-        # every cut got more than one row block of samples
-        counts = np.bincount(np.random.default_rng(k).integers(len(cuts), size=k))
-        assert counts.min() > conversion._AUDIT_BLOCK
+        # every cut got samples, the balanced ones too: both their sides are
+        # 4, so only the values tell that the rows were drawn
+        assert counts.min() > 0
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [random_state(3, 2, 71), random_state(4, 2, 72), random_state(2, 3, 73),
+     random_state(3, 3, 74), w_state()],
+)
+def test_bsp_sampler_keeps_the_two_sided_law(psi):
+    # per cut, the one-sided overlaps follow the two-sided sampler's law,
+    # whose mean is E|<l|A|r>|^2 = tr(A A^dag) / (dA dB) = 1 / (dA dB)
+    from scipy.stats import ks_2samp
+
+    m = 4000
+    rng_new, rng_old = np.random.default_rng(psi.n * psi.d), np.random.default_rng(99)
+    for cut in all_bipartitions(psi.n):
+        a_mat = linalg.cut_matrix(psi, cut)
+        new = conversion._cut_free_overlaps(a_mat, m, rng_new)
+        old = two_sided_bsp_overlaps(a_mat, m, rng_old)
+        assert ks_2samp(new, old).pvalue > 1e-3, cut
+        stderr = np.std(new, ddof=1) / math.sqrt(m)
+        assert abs(np.mean(new) - 1 / a_mat.size) < 5 * stderr, cut
+
+
+def test_bsp_sampler_takes_no_decomposition(monkeypatch):
+    # the audit stays independent of the Schmidt spectra behind g
+    def refuse(*args, **kwargs):
+        raise AssertionError("the audit decomposed a matrix")
+
+    for name in ("svd", "eigh", "eigvalsh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    psi = random_state(5, 2, 75)
+    qs = conversion._batch_free_overlaps(psi, conversion.BSP, 2000, np.random.default_rng(0))
+    assert qs.shape == (2000,)
+
+
+@pytest.mark.parametrize("psi", [ghz(4, 2), ghz(3, 3), product_state(4, 2, 76)])
+def test_bsp_overlaps_are_nonnegative_on_rank_deficient_marginals(psi):
+    qs = conversion._batch_free_overlaps(psi, conversion.BSP, 20_000, np.random.default_rng(1))
+    gbs = measures.geometric_bs(psi).value
+    assert np.all(qs >= 0) and np.all(qs <= 1 - gbs + 1e-12)
+
+
+def test_bsp_overlaps_clip_the_rounded_form_at_zero():
+    # a product state's 2 x 8 cut matrix is u w^T: a smaller-side vector
+    # orthogonal to u overlaps it exactly 0, and the Gram form rounds that
+    # to about -1e-16 on most such vectors
+    a_mat = linalg.cut_matrix(product_state(4, 2, 76), Bipartition(4, frozenset({1})))
+    u = a_mat[:, 0] / np.linalg.norm(a_mat[:, 0])
+    rng = np.random.default_rng(3)
+
+    class OrthogonalDraws:
+        random = rng.random
+
+        def standard_normal(self, shape):
+            g = rng.standard_normal(shape)
+            small = g[0] + 1j * g[1]
+            small -= np.outer(small @ u.conj(), u)
+            return np.stack([small.real, small.imag])
+
+    qs = conversion._cut_free_overlaps(a_mat, 1000, OrthogonalDraws())
+    assert np.all(qs >= 0) and np.max(qs) < 1e-15
 
 
 @pytest.mark.parametrize(

@@ -74,6 +74,31 @@ def test_separability_criterion_exact():
     assert not gs.is_fs_symmetric(gs.GhzSymmetricParams(F(1), F(0), F(0)))
 
 
+def test_separability_rows_give_the_homogeneous_criterion():
+    # the rows' test is |l+ - l-| <= l/3 + tol exactly, also for weights that
+    # sum to 1 only within WEIGHT_TOL and at either edge of the tolerance
+    rng = np.random.default_rng(5)
+    off = Fraction(gs.WEIGHT_TOL) / 2
+    for _ in range(300):
+        lp, lm = (F(int(x), 997) for x in rng.integers(0, 499, size=2))
+        for lr in (1 - lp - lm, 1 - lp - lm + off, 1 - lp - lm - off):
+            p = gs.GhzSymmetricParams(lp, lm, lr)
+            for tol in (0.0, 1e-9, abs(float(abs(lp - lm) - lr / 3))):
+                expected = abs(lp - lm) <= lr / 3 + Fraction(tol)
+                assert gs.is_fs_symmetric(p, tol=tol) is expected
+
+
+def test_symmetric_robustness_mixers_are_polytope_vertices():
+    verts = gs.polytope_vertices()
+    for target in ((F(1), F(0), F(0)), (F(0), F(1), F(0))):
+        _, mixer = gs.symmetric_robustness(gs.GhzSymmetricParams(*target))
+        assert mixer in verts
+        lp, lm, lr = mixer.as_fractions()
+        # zero weight on the target's heavier GHZ projector, on the boundary
+        assert (lp if target[0] else lm) == 0
+        assert abs(lp - lm) == lr / 3
+
+
 def test_polytope_vertices():
     verts = {tuple(v.as_fractions()) for v in gs.polytope_vertices()}
     assert verts == {
@@ -133,6 +158,9 @@ def test_symmetric_robustness_of_ghz_is_the_unique_mixer():
 def test_symmetric_robustness_zero_inside_polytope():
     s, _ = gs.symmetric_robustness(gs.GhzSymmetricParams(F(1, 10), F(1, 10), F(4, 5)))
     assert s == 0
+    # on the boundary too, where the target is its own mixer
+    target = gs.GhzSymmetricParams(F(1, 4), F(0), F(3, 4))
+    assert gs.symmetric_robustness(target) == (0, target)
 
 
 def test_symmetric_robustness_mixture_lands_on_boundary():
