@@ -23,8 +23,8 @@ from .linalg import (
     all_bipartitions,
     cut_matrix,
     from_cut_order,
-    is_ppt,
     kron_vectors,
+    partial_transpose,
 )
 from .measures import DEFAULT_SEED, geometric_bs, geometric_fs, robustness_bs_upper
 
@@ -164,6 +164,15 @@ def _bs_mixer_details(psi2: PureState):
     Across the minimizing cut with Schmidt form sum_i a_i |u_i>|v_i>, the
     separable state sum_{i != j} (a_i a_j / s) |u_i v_j><u_i v_j| brings the
     state to the separable boundary at exactly s = (sum a_i)^2 - 1.
+
+    The boundary mixture's partial transpose X across the cut must have no
+    eigenvalue below -BOUNDARY_PPT_TOL, and as the transpose takes
+    |u_i v_j><u_k v_l| to |conj(u_k) v_j><conj(u_i) v_l|, X lives on the
+    span of the r^2 orthonormal products conj(u_k) (x) v_j of the r kept
+    Schmidt vectors, the columns of W.  By Weyl's inequality lambda_min(X) is
+    at least lambda_min(W^dag X W) (or 0, if smaller and r^2 < D) less the
+    Frobenius norm of X - W W^dag X W W^dag, which `_boundary_pt_floor`
+    computes in O(D^2 r^2), with no eigendecomposition of X.
     """
     bound = robustness_bs_upper(psi2)
     cut: Bipartition = bound.certificate
@@ -187,9 +196,32 @@ def _bs_mixer_details(psi2: PureState):
         psi2.d,
         (psi2.density().entries + s * mixer.entries) / (1.0 + s),
     )
-    if not is_ppt(boundary, sorted(cut.parties), tol=BOUNDARY_PPT_TOL):
+    if _boundary_pt_floor(boundary, cut, u, vh) < -BOUNDARY_PPT_TOL:
         raise RuntimeError("mixer construction failed the boundary PPT check")
     return mixer, float(s), cut
+
+
+def _boundary_pt_floor(boundary: DensityMatrix, cut: Bipartition, u, vh) -> float:
+    """A lower bound on the smallest eigenvalue of X, the partial transpose
+    of `boundary` across the cut, from the kept Schmidt vectors u_k (the
+    columns of u) and v_j (the rows of vh): with W's orthonormal columns
+    conj(u_k) (x) v_j in party order, C = W^dag X W and E = X - W C W^dag,
+    it is lambda_min(C), or 0 when that is smaller and r^2 < D, less the
+    Frobenius norm of E.
+    """
+    r, dim = u.shape[1], boundary.dim
+    rows = from_cut_order(np.arange(dim), cut, boundary.d)
+    w = (u.conj()[:, None, :, None] * vh.T[None, :, None, :]).reshape(dim, r * r)[rows]
+    wh = w.conj().T
+    x = partial_transpose(boundary, sorted(cut.parties))
+    c = wh @ (x @ w)
+    c = (c + c.conj().T) / 2
+    # x becomes E in place, so the check holds no D x D array beyond it and W C W^dag
+    x -= (w @ c) @ wh
+    lam = float(np.linalg.eigvalsh(c)[0])
+    if r * r < dim:
+        lam = min(lam, 0.0)
+    return lam - math.sqrt(np.vdot(x, x).real)
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,10 @@ class PureState:
             raise ValueError(
                 f"expected {self.d**self.n} amplitudes, got {amps.shape}"
             )
-        nrm = np.linalg.norm(amps)
-        # NaN fails every comparison; the norm is finite iff every amplitude is
-        if not math.isfinite(nrm):
+        # vdot raises no floating-point warning: finite amplitudes can
+        # overflow the norm to inf, which is then reported as not 1
+        nrm = math.sqrt(np.vdot(amps, amps).real)
+        if not math.isfinite(nrm) and not np.all(np.isfinite(amps)):
             raise ValueError("state has non-finite amplitudes")
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(nrm - 1):.3e}")
@@ -77,12 +78,15 @@ class DensityMatrix:
             raise ValueError(f"expected {dim}x{dim} matrix, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("density matrix has non-finite entries")
-        if np.max(np.abs(m - m.conj().T)) > NORM_TOL:
-            raise ValueError("matrix not Hermitian")
-        if abs(np.trace(m).real - 1.0) > NORM_TOL:
-            raise ValueError(f"trace != 1: {np.trace(m).real}")
-        if np.linalg.eigvalsh(m)[0] < -PSD_TOL:
-            raise ValueError(f"negative eigenvalue {np.linalg.eigvalsh(m)[0]:.3e}")
+        # finite entries can overflow a difference or the trace to inf, which fails its check
+        with np.errstate(all="ignore"):
+            if np.max(np.abs(m - m.conj().T)) > NORM_TOL:
+                raise ValueError("matrix not Hermitian")
+            if abs(np.trace(m).real - 1.0) > NORM_TOL:
+                raise ValueError(f"trace != 1: {np.trace(m).real}")
+        lam = np.linalg.eigvalsh(m)[0]
+        if lam < -PSD_TOL:
+            raise ValueError(f"negative eigenvalue {lam:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 

@@ -164,6 +164,46 @@ def test_non_finite_amplitudes_exit_one(tmp_path, capsys):
     assert "non-finite" in one_line_error(capsys, ["catalog", "psi-w", "0.5", "0.5", "nan"])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["measure", "--kind", "gbs", "--in"],
+         '{"n": 2, "d": 2, "amplitudes": [[1e200, 0], [0, 0], [0, 0], [0, 0]]}',
+         "error: state not normalized: |norm - 1| = inf"),
+        (["twirl", "--in"],
+         '{"n": 1, "d": 2, "entries": [[1e308, 0], [0, 0], [0, 0], [1e308, 0]]}',
+         "error: trace != 1: inf"),
+        (["twirl", "--in"],
+         '{"n": 1, "d": 2, "entries": [[0.5, 0], [1e308, 0], [-1e308, 0], [0.5, 0]]}',
+         "error: matrix not Hermitian"),
+    ],
+    ids=["norm", "trace", "hermitian"],
+)
+def test_overflowing_input_is_one_line_without_warnings(tmp_path, capsys, argv, text, message):
+    # a finite input whose norm, trace or Hermitian residual overflows; any
+    # numpy warning is raised here as an error
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    assert one_line_error(capsys, argv + [str(path)]) == message
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # sizes beyond any 64-bit address space, so the allocation fails
+        # whatever the host's overcommit policy
+        ["catalog", "ghz", "50", "2"],
+        ["convert", "--from", "W", "--to", "GHZ", "--theory", "bsp", "--build",
+         "--verify", str(10**15)],
+    ],
+    ids=["catalog", "convert"],
+)
+def test_memory_error_is_one_line(capsys, w_file, ghz_file, argv):
+    argv = [{"W": w_file, "GHZ": ghz_file}.get(a, a) for a in argv]
+    assert one_line_error(capsys, argv).startswith("error: Unable to allocate")
+
+
 def test_twirl_command(tmp_path, capsys, ghz_file):
     rc, data = run_json(capsys, ["twirl", "--in", ghz_file])
     assert rc == 0

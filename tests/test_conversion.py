@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -171,16 +172,194 @@ def test_schmidt_cutoff_edges(factor, kept):
     assert (mixer.entries[2, 2].real > 0) == kept
 
 
+def record_floors(monkeypatch):
+    """Spy on the boundary check: each call's boundary, cut, kept Schmidt
+    rank and floor."""
+    floor, seen = conversion._boundary_pt_floor, []
+
+    def spy(boundary, cut, u, vh):
+        value = floor(boundary, cut, u, vh)
+        seen.append((boundary, cut, u.shape[1], value))
+        return value
+
+    monkeypatch.setattr(conversion, "_boundary_pt_floor", spy)
+    return seen
+
+
+def pt_minimum(boundary, cut):
+    """The smallest eigenvalue of the full partial transpose, by eigvalsh."""
+    return linalg.min_pt_eigenvalue(boundary, sorted(cut.parties))
+
+
+def party_order_product(a, b, cut, d):
+    return linalg.from_cut_order(linalg.kron_vectors([a, b]), cut, d)
+
+
+def subtract_from_pt(monkeypatch, vec, delta):
+    """Make the check's partial transpose delta |vec><vec| smaller."""
+    pt = conversion.partial_transpose
+    monkeypatch.setattr(
+        conversion,
+        "partial_transpose",
+        lambda rho, subset: pt(rho, subset) - delta * np.outer(vec, vec.conj()),
+    )
+
+
+def pt_kernel_vectors(psi, cut):
+    """Unit vectors that the boundary's partial transpose maps to 0: one on
+    the support (conj(u_0) v_1 - conj(u_1) v_0) / sqrt(2), and one off it, a
+    product with a Schmidt vector of zero weight on the larger side."""
+    u, sv, vh = np.linalg.svd(linalg.cut_matrix(psi, cut))  # every Schmidt vector
+    on = party_order_product(u[:, 0].conj(), vh[1], cut, psi.d)
+    on = (on - party_order_product(u[:, 1].conj(), vh[0], cut, psi.d)) / math.sqrt(2)
+    r = len(sv)
+    if u.shape[0] > r:
+        off = party_order_product(u[:, r].conj(), vh[0], cut, psi.d)
+    else:
+        off = party_order_product(u[:, 0].conj(), vh[r], cut, psi.d)
+    return on, off
+
+
 @pytest.mark.parametrize("factor,fails", [(0.5, False), (2.0, True)])
 def test_boundary_ppt_tolerance_edges(monkeypatch, factor, fails):
-    lam = -factor * conversion.BOUNDARY_PPT_TOL
-    monkeypatch.setattr(linalg, "min_pt_eigenvalue", lambda rho, subset: lam)
+    # an eigenvalue -factor * BOUNDARY_PPT_TOL, on the Schmidt support or off it,
+    # brings the floor to that value
     psi = random_state(3, 2, 21)
-    if fails:
-        with pytest.raises(RuntimeError, match="boundary PPT"):
-            conversion._bs_mixer_details(psi)
-    else:
-        assert conversion._bs_mixer_details(psi)[1] > 0
+    cut = measures.robustness_bs_upper(psi).certificate
+    delta = factor * conversion.BOUNDARY_PPT_TOL
+    for vec in pt_kernel_vectors(psi, cut):
+        with monkeypatch.context() as patch:
+            subtract_from_pt(patch, vec, delta)
+            seen = record_floors(patch)
+            if fails:
+                with pytest.raises(RuntimeError, match="boundary PPT"):
+                    conversion._bs_mixer_details(psi)
+            else:
+                assert conversion._bs_mixer_details(psi)[1] > 0
+            (boundary, _, rank, floor), = seen
+            assert rank == 2
+            shifted = conversion.partial_transpose(boundary, sorted(cut.parties))
+            assert np.linalg.eigvalsh(shifted)[0] == pytest.approx(-delta, abs=1e-13)
+            assert floor == pytest.approx(-delta, abs=1e-13)
+
+
+HAAR_TARGETS = [(n, 2, seed) for n in range(2, 7) for seed in range(3)] + [
+    (n, 3, seed) for n in range(2, 5) for seed in range(3)
+]
+
+
+def test_boundary_floor_bounds_the_full_pt_spectrum(monkeypatch):
+    seen = record_floors(monkeypatch)
+    for n, d, seed in HAAR_TARGETS:
+        conversion._bs_mixer_details(random_state(n, d, seed))
+    assert len(seen) == len(HAAR_TARGETS) >= 20
+    for boundary, cut, _, floor in seen:
+        assert -1e-12 <= floor <= pt_minimum(boundary, cut) + 1e-12
+
+
+BELL = PureState(2, 2, np.array([1, 0, 0, 1]) / math.sqrt(2))
+
+
+@pytest.mark.parametrize("psi", [BELL, random_state(2, 3, 5)])
+def test_boundary_floor_is_the_pt_minimum_when_the_support_is_everything(monkeypatch, psi):
+    seen = record_floors(monkeypatch)
+    conversion._bs_mixer_details(psi)
+    (boundary, cut, rank, floor), = seen
+    assert rank**2 == boundary.dim
+    assert floor == pytest.approx(pt_minimum(boundary, cut), abs=1e-12)
+
+
+@pytest.mark.parametrize("psi", [BELL, random_state(2, 3, 5), random_state(3, 2, 21)])
+def test_boundary_floor_of_a_lifted_spectrum(psi):
+    # X + t I has smallest eigenvalue t > 0: the floor keeps it when W spans
+    # everything, and otherwise reads 0 less |t (I - W W^dag)|_F
+    cut = measures.robustness_bs_upper(psi).certificate
+    mixer, s, _ = conversion._bs_mixer_details(psi)
+    u, _, vh = np.linalg.svd(linalg.cut_matrix(psi, cut), full_matrices=False)
+    dim, t = psi.d**psi.n, 1e-3
+    lifted = linalg.DensityMatrix.by_construction(
+        psi.n, psi.d, (psi.density().entries + s * mixer.entries) / (1 + s) + t * np.eye(dim)
+    )
+    expected = t if u.shape[1] ** 2 == dim else -t * math.sqrt(dim - u.shape[1] ** 2)
+    assert conversion._boundary_pt_floor(lifted, cut, u, vh) == pytest.approx(expected, abs=1e-12)
+
+
+def qutrit_target(n, c, seed):
+    """a|0>|f_0> + a|1>|f_1> + c|2>|f_2> with orthonormal Haar f_k on the
+    other n - 1 qutrits: Schmidt coefficient c across the cut {1}."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(3 ** (n - 1), 3)) + 1j * rng.normal(size=(3 ** (n - 1), 3))
+    f = np.linalg.qr(g)[0].T
+    a = math.sqrt((1.0 - c * c) / 2)
+    return PureState(n, 3, np.concatenate([a * f[0], a * f[1], c * f[2]]))
+
+
+@pytest.mark.parametrize("factor,rank", [(0.5, 2), (2.0, 3)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_boundary_floor_with_a_coefficient_at_the_schmidt_cutoff(monkeypatch, n, factor, rank):
+    # a dropped coefficient leaves the target a component off the support,
+    # which the floor counts in |E|
+    psi = qutrit_target(n, factor * conversion.SCHMIDT_CUTOFF, 8)
+    seen = record_floors(monkeypatch)
+    conversion._bs_mixer_details(psi)
+    (boundary, cut, kept, floor), = seen
+    assert cut == Bipartition(n, frozenset({1})) and kept == rank
+    assert -1e-12 <= floor <= pt_minimum(boundary, cut) + 1e-12
+
+
+def corrupt_mixer(monkeypatch, corruption):
+    """Route the mixer, the one square matrix `_bs_mixer_details` reorders,
+    through `corruption(matrix in cut order, cut, d)`."""
+    reorder = linalg.from_cut_order
+
+    def spy(array, cut, d):
+        return corruption(array, cut, d) if array.ndim == 2 else reorder(array, cut, d)
+
+    monkeypatch.setattr(conversion, "from_cut_order", spy)
+
+
+def mixer_across(psi, cut):
+    """The robustness mixer across `cut`, summed product by product in
+    party order, with unit trace."""
+    u, sv, vh = np.linalg.svd(linalg.cut_matrix(psi, cut), full_matrices=False)
+    mix = np.zeros((psi.d**psi.n,) * 2, dtype=complex)
+    for i, j in itertools.permutations(range(len(sv)), 2):
+        p = party_order_product(u[:, i], vh[j], cut, psi.d)
+        mix += sv[i] * sv[j] * np.outer(p, p.conj())
+    return mix / np.trace(mix).real
+
+
+def negate_first_weight(psi, cut):
+    u, _, vh = np.linalg.svd(linalg.cut_matrix(psi, cut), full_matrices=False)
+    p = linalg.kron_vectors([u[:, 0], vh[1]])
+
+    def corruption(array, cut, d):
+        weight = np.vdot(p, array @ p)
+        return linalg.from_cut_order(array - 2 * weight * np.outer(p, p.conj()), cut, d)
+
+    return corruption
+
+
+@pytest.mark.parametrize("case", ["cut order", "negated weight", "wrong cut"])
+@pytest.mark.parametrize("n,d,seed", [(3, 2, 0), (4, 2, 3), (3, 3, 2)])
+def test_boundary_check_refuses_a_corrupted_mixer(monkeypatch, case, n, d, seed):
+    psi = random_state(n, d, seed)
+    cut = measures.robustness_bs_upper(psi).certificate
+    # the cut's parties do not come first, so cut order is not party order
+    assert cut.parties != set(range(1, len(cut.parties) + 1))
+    other = next(c for c in all_bipartitions(n) if c != cut)
+    corruption = {
+        "cut order": lambda array, cut, d: array,
+        "negated weight": negate_first_weight(psi, cut),
+        "wrong cut": lambda array, cut, d: mixer_across(psi, other),
+    }[case]
+    corrupt_mixer(monkeypatch, corruption)
+    seen = record_floors(monkeypatch)
+    with pytest.raises(RuntimeError, match="boundary PPT"):
+        conversion._bs_mixer_details(psi)
+    (boundary, _, _, floor), = seen
+    # the old full-spectrum check refused these mixers too
+    assert floor <= pt_minimum(boundary, cut) < -0.1
 
 
 # --- channel construction and application -----------------------------------
