@@ -252,19 +252,39 @@ def _is_permutation_symmetric(rho: DensityMatrix, tol: float) -> bool:
     return True
 
 
+def _hermitian_coordinates(entry, dim: int) -> np.ndarray:
+    """The dim^2 isometric real coordinates of dim x dim Hermitian matrices.
+
+    Rows, in order: the diagonal entries, then sqrt(2) Re and sqrt(2) Im of
+    each strictly upper entry, so <c(X), c(Y)> = tr(XY) and |c(X)| is the
+    Frobenius norm of X.  `entry(i, j)` returns the entries at index arrays
+    i, j; entries of many matrices stack along a trailing axis, which
+    becomes the column axis.
+    """
+    i, j = np.triu_indices(dim, 1)
+    diag = np.arange(dim)
+    upper = math.sqrt(2) * entry(i, j)
+    return np.concatenate([entry(diag, diag).real, upper.real, upper.imag])
+
+
 def _fit_product_decomposition(rho: DensityMatrix):
     """Heuristic constructive fit: nonnegative mixture of random product
     projectors, refined by nonnegative least squares over a dictionary.
 
-    Sufficient-only: a small residual certifies separability constructively,
-    a large one proves nothing.
+    NNLS sees rho and each projector |v><v| in the dim^2 real coordinates
+    of Hermitian matrices: the diagonal entries, then sqrt(2) times the real
+    and the imaginary part of each strictly upper entry.  Their Euclidean
+    inner product is tr(XY), so the residual compared with FIT_TOL is
+    |rho - sigma|_F for the fitted mixture sigma.  Sufficient-only: a small
+    residual certifies separability constructively, a large one proves
+    nothing.
     """
     # imported here, as only this fit needs it: scipy.optimize costs ~0.4 s and 48 MB
     from scipy.optimize import nnls
 
     rng = np.random.default_rng(FIT_SEED)
     n, d, dim = rho.n, rho.d, rho.dim
-    target = np.concatenate([rho.entries.real.reshape(-1), rho.entries.imag.reshape(-1)])
+    target = _hermitian_coordinates(lambda i, j: rho.entries[i, j], dim)
 
     def draw(count):
         """`count` product vectors as rows (none if count <= 0), drawn party by party."""
@@ -276,10 +296,10 @@ def _fit_product_decomposition(rho: DensityMatrix):
     best_x, best_states, best_res = None, None, math.inf
     for _ in range(FIT_ROUNDS):
         states = np.concatenate([states, draw(FIT_DICTIONARY - len(states))])
-        # column j holds the real, then the imaginary entries of |v_j><v_j|;
-        # rebinding `a` frees last round's matrix before this one is built
-        a = np.multiply(states.T[:, None, :], states.T.conj()[None, :, :], order="C")
-        a = np.concatenate([a.real, a.imag]).reshape(-1, len(states))
+        # column j holds the coordinates of |v_j><v_j|, gathered entry by
+        # entry from the vectors without the dim x dim x N outer product
+        v = states.T
+        a = _hermitian_coordinates(lambda i, j: v[i] * v[j].conj(), dim)
         x, res = nnls(a, target)
         if res < best_res:
             best_x, best_states, best_res = x, states, res
@@ -346,7 +366,14 @@ def robustness_fs_upper_via_mix(
     bisect_tol: float = 1e-6,
 ) -> float:
     """Minimal s (bisection) with (psi + s mixer) / (1 + s) certified fully
-    separable.  Upper-bounds the separability robustness for this mixer."""
+    separable.  Upper-bounds the separability robustness for this mixer.
+
+    The bisection stops once hi - lo <= bisect_tol, or once lo and hi are
+    adjacent floats, so it ends for any finite bisect_tol > 0; any other
+    bisect_tol is a ValueError.
+    """
+    if not (math.isfinite(bisect_tol) and bisect_tol > 0):
+        raise ValueError(f"bisect_tol must be finite and > 0, got {bisect_tol!r}")
     cert = fs_certificate(mixer)
     if cert.verdict != CERTIFIED_FS:
         raise ValueError(f"mixer not certified fully separable: {cert.verdict}")
@@ -362,6 +389,8 @@ def robustness_fs_upper_via_mix(
     lo, hi = 0.0, S_MAX
     while hi - lo > bisect_tol:
         mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            break
         if fs_certificate(mix(mid)).verdict == CERTIFIED_FS:
             hi = mid
         else:

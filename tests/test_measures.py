@@ -419,6 +419,16 @@ def test_decomposition_fit_is_pinned():
     assert res.detail["fit_residual"] == pytest.approx(0.0014989839326515649, rel=1e-6)
 
 
+def test_certified_fits_report_the_frobenius_distance():
+    # the certified fits of this module: the pinned input above and |00><00|
+    # at the NPT route's tolerance edge
+    for rho in (product_mixture(2, 4, 0.0, seed=2), DensityMatrix(2, 2, np.diag([1.0, 0, 0, 0]))):
+        res, terms = measures._fit_product_decomposition(rho)
+        sigma = sum(p * np.outer(v, v.conj()) for p, v in terms)
+        assert res < measures.FIT_TOL
+        assert np.linalg.norm(rho.entries - sigma) == pytest.approx(res, abs=1e-12)
+
+
 def fake_nnls(monkeypatch, weights, residual):
     """Patch scipy's NNLS to return `weights` (then zeros) and `residual`,
     recording each matrix the fit passes it."""
@@ -459,7 +469,8 @@ def test_fit_weight_floor_edges(monkeypatch, factor, counted):
     calls = fake_nnls(monkeypatch, [factor * floor], 1.0)
     measures._fit_product_decomposition(rho)
     first, second = calls[:2]
-    assert first.flags.c_contiguous and first.shape == (2 * 16, measures.FIT_DICTIONARY)
+    # one row per real coordinate of a 4 x 4 Hermitian matrix
+    assert first.flags.c_contiguous and first.shape == (16, measures.FIT_DICTIONARY)
     assert np.array_equal(second[:, 0], first[:, 0]) is counted
 
 
@@ -469,12 +480,52 @@ def test_fit_with_no_room_for_draws_uses_the_basis_alone(monkeypatch):
     calls = fake_nnls(monkeypatch, [], 1.0)
     res, terms = measures._fit_product_decomposition(product_mixture(2, 4, 0.0, seed=2))
     assert (res, terms) == (1.0, [])
-    basis = np.zeros((32, 4))
-    basis[[0, 5, 10, 15], range(4)] = 1.0
+    # the diagonal comes first among the coordinates, so |k><k| maps to e_k
+    basis = np.eye(16, 4)
     assert np.array_equal(calls[0], basis)
     # nothing is kept either, so every later round draws a whole dictionary
     assert len(calls) == measures.FIT_ROUNDS
-    assert all(a.shape == (32, 4) and not np.array_equal(a, basis) for a in calls[1:])
+    assert all(a.shape == (16, 4) and not np.array_equal(a, basis) for a in calls[1:])
+
+
+def random_hermitian(dim, rng):
+    """A Hermitian matrix of unit Frobenius norm."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = g + g.conj().T
+    return h / np.linalg.norm(h)
+
+
+def coordinates(m):
+    return measures._hermitian_coordinates(lambda i, j: m[i, j], len(m))
+
+
+@pytest.mark.parametrize("dim", [4, 8, 16, 9])
+def test_hermitian_coordinates_are_isometric(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(10):
+        x, y = random_hermitian(dim, rng), random_hermitian(dim, rng)
+        assert coordinates(x).shape == (dim * dim,)
+        assert coordinates(x) @ coordinates(y) == pytest.approx(np.trace(x @ y).real, abs=1e-12)
+        assert np.linalg.norm(coordinates(x)) == pytest.approx(np.linalg.norm(x), abs=1e-12)
+
+
+def stacked_objective(rho, states, x):
+    """The fit's objective in its former layout: every real, then every
+    imaginary entry of rho - sum_j x_j |v_j><v_j|."""
+    a = np.einsum("ki,kj->ijk", states, states.conj())
+    b, m = rho.entries.reshape(-1), a.reshape(-1, len(states))
+    return np.linalg.norm(np.concatenate([(m @ x - b).real, (m @ x - b).imag]))
+
+
+@pytest.mark.parametrize("n,terms,noise,seed", [(2, 4, 0.0, 2), (3, 6, 0.1, 3)])
+def test_coordinates_leave_the_objective_unchanged(n, terms, noise, seed):
+    rho = product_mixture(n, terms, noise, seed)
+    rng = np.random.default_rng(seed)
+    states = kron_vectors(list(haar_vector_draws(rng, 2, (n, 50))))
+    cols = measures._hermitian_coordinates(lambda i, j: states.T[i] * states.T[j].conj(), rho.dim)
+    for x in (rng.dirichlet(np.ones(50)), np.zeros(50), rng.exponential(size=50)):
+        objective = np.linalg.norm(cols @ x - coordinates(rho.entries))
+        assert objective == pytest.approx(stacked_objective(rho, states, x), rel=1e-12)
 
 
 @pytest.mark.parametrize("factor,member", [(0.5, True), (2.0, False)])
@@ -504,23 +555,6 @@ def test_npt_route_tolerance_edges(monkeypatch, factor, npt):
     monkeypatch.setattr(linalg, "min_pt_eigenvalue", lambda rho, subset: -factor * PSD_TOL)
     res = measures.fs_certificate(DensityMatrix(2, 2, np.diag([1.0, 0.0, 0.0, 0.0])))
     assert res.route == ("npt-cut" if npt else "decomposition-fit")
-
-
-def shifts_upb_state() -> DensityMatrix:
-    """(I - sum of the Shifts UPB projectors) / 4: PPT across every cut yet
-    entangled, since no product vector lies in its range (Bennett et al.,
-    PRL 82, 5385 (1999))."""
-    zero, one = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    plus, minus = (zero + one) / math.sqrt(2), (zero - one) / math.sqrt(2)
-    upb = [(zero, one, plus), (one, plus, zero), (plus, zero, one), (minus, minus, minus)]
-    proj = sum(np.outer(v, v) for v in (kron_vectors(list(t)) for t in upb))
-    return DensityMatrix(3, 2, (np.eye(8) - proj) / 4)
-
-
-def test_shifts_upb_state_is_ppt_and_never_certified_fs():
-    rho = shifts_upb_state()
-    assert npt_cut(rho) is None
-    assert measures.fs_certificate(rho).verdict != measures.CERTIFIED_FS
 
 
 def test_cli_import_leaves_scipy_unloaded_until_the_fit():
@@ -560,6 +594,43 @@ def test_robustness_fs_upper_zero_for_free_state():
 def test_robustness_fs_upper_rejects_uncertified_mixer():
     with pytest.raises(ValueError):
         measures.robustness_fs_upper_via_mix(w_state().density(), ghz(3, 2).density())
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_robustness_fs_upper_rejects_a_tolerance_it_cannot_reach(monkeypatch, tol):
+    white = DensityMatrix(3, 2, np.eye(8) / 8)
+    calls = []
+    monkeypatch.setattr(measures, "fs_certificate", lambda rho: calls.append(rho))
+    with pytest.raises(ValueError, match="bisect_tol must be finite and > 0"):
+        measures.robustness_fs_upper_via_mix(ghz(3, 2).density(), white, bisect_tol=tol)
+    assert calls == []
+
+
+def test_robustness_fs_upper_accepts_the_default_tolerance_at_the_edge(monkeypatch):
+    # a free state returns before the loop, whatever the tolerance
+    rho = params_to_density(GhzSymmetricParams(0.1, 0.1, 0.8))
+    mixer = params_to_density(GhzSymmetricParams(0.0, 0.25, 0.75))
+    steps = []
+    certify = measures.fs_certificate
+    monkeypatch.setattr(measures, "fs_certificate", lambda rho: steps.append(rho) or certify(rho))
+    assert measures.robustness_fs_upper_via_mix(rho, mixer, bisect_tol=1e-6) == 0.0
+    assert len(steps) == 2
+
+
+def test_robustness_fs_upper_stops_at_adjacent_floats():
+    # no gap between floats near 2 is below 1e-300, so only adjacency ends
+    # this bisection; the polytope route decides every step, with no fit
+    rho, mixer = ghz(3, 2).density(), params_to_density(GhzSymmetricParams(0.0, 0.25, 0.75))
+    s = measures.robustness_fs_upper_via_mix(rho, mixer, bisect_tol=1e-300)
+    assert s == pytest.approx(2.0, abs=1e-6)
+
+    def verdict(t):
+        m = (rho.entries + t * mixer.entries) / (1.0 + t)
+        return measures.fs_certificate(DensityMatrix(3, 2, (m + m.conj().T) / 2)).verdict
+
+    # the returned weight is certified and the float just below it is not
+    assert verdict(s) == measures.CERTIFIED_FS
+    assert verdict(np.nextafter(s, 0.0)) != measures.CERTIFIED_FS
 
 
 def test_robustness_fs_upper_cap_error():
