@@ -113,17 +113,17 @@ def _cmd_measure(args):
         return 0
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(args.kind)
-    _emit(
-        {
-            "kind": args.kind,
-            "value": res.value,
-            "certificate": cert,
-            "iterations": res.iterations,
-            "converged": res.converged,
-        },
-        verbose_note=f"{args.kind} = {res.value:.12g}",
-        verbose=args.verbose,
-    )
+    out = {
+        "kind": args.kind,
+        "value": res.value,
+        "certificate": cert,
+        "iterations": res.iterations,
+        "converged": res.converged,
+    }
+    if args.kind == "gfs":
+        # the product state found, one list of [re, im] pairs per party
+        out["vectors"] = [[[z.real, z.imag] for z in v] for v in res.certificate]
+    _emit(out, verbose_note=f"{args.kind} = {res.value:.12g}", verbose=args.verbose)
     return 0
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -24,7 +25,7 @@ from .linalg import (
     cut_matrix,
     from_cut_order,
     kron_vectors,
-    partial_transpose,
+    schmidt_spectrum,
 )
 from .measures import DEFAULT_SEED, geometric_bs, geometric_fs, robustness_bs_upper
 
@@ -80,7 +81,7 @@ class PreparationMap:
 
     cert: ConversionCertificate
     p: float
-    mixer: DensityMatrix
+    mixer: DensityMatrix | SchmidtMixer
     mixer_cut: Bipartition
 
     def __post_init__(self):
@@ -136,43 +137,65 @@ def max_probability(
         provenance["r_route"] = f"min-cut-schmidt:{r_res.certificate}"
     else:
         provenance["r_route"] = "supplied-upper-bound"
-    if r <= 0:
-        # a free target needs no resource accounting; any p works
-        p_max = 1.0
-    else:
-        p_max = g / ((1.0 - g) * r)
+    # a free target needs no resource accounting; any p works
+    p_max = g / ((1.0 - g) * r) if r > 0 else 1.0
     if p_max >= 1.0 - _CLAMP_TOL:
         p_max = 1.0
-    return ConversionCertificate(
-        psi1=psi1,
-        psi2=psi2,
-        g_source=g,
-        r_target=r,
-        p_max=p_max,
-        theory=theory,
-        provenance=provenance,
-    )
+    return ConversionCertificate(psi1, psi2, g, r, p_max, theory, provenance)
 
 
 # ---------------------------------------------------------------------------
 # Robustness-achieving biseparable mixer
 
 
+@dataclass(frozen=True, eq=False)
+class SchmidtMixer:
+    """sum_{i != j} (weights[i, j] / s) |u_i v_j><u_i v_j| across `cut`, kept
+    as the columns u_i of `u` (on the cut's parties), the rows v_j of `vh`,
+    their Schmidt coefficients and the weights, which the boundary check
+    reads as stored; `entries` is built from them on first read."""
+
+    n: int
+    d: int
+    cut: Bipartition
+    u: np.ndarray
+    vh: np.ndarray
+    coefficients: np.ndarray
+    weights: np.ndarray
+    s: float
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        u, vh = self.u, self.vh
+        # row (i, j) is the product vector u_i v_j in cut order
+        products = (u.T[:, None, :, None] * vh[None, :, None, :]).reshape(self.weights.size, -1)
+        mix = (products.T * self.weights.reshape(-1)) @ products.conj()
+        mix = from_cut_order(mix / self.s, self.cut, self.d)
+        mix = (mix + mix.conj().T) / 2
+        mix.setflags(write=False)
+        return mix
+
+
 def _bs_mixer_details(psi2: PureState):
     """Mixer, robustness value and cut realizing the biseparable bound.
 
     Across the minimizing cut with Schmidt form sum_i a_i |u_i>|v_i>, the
-    separable state sum_{i != j} (a_i a_j / s) |u_i v_j><u_i v_j| brings the
-    state to the separable boundary at exactly s = (sum a_i)^2 - 1.
+    separable state M = sum_{i != j} (a_i a_j / s) |u_i v_j><u_i v_j|
+    (Vidal & Tarrach, PRA 59, 141 (1999)) brings the state to the separable
+    boundary at exactly s = (sum a_i)^2 - 1.  M is a `SchmidtMixer` with
+    weights w_ij = a_i a_j; a free target is its own mixer.
 
-    The boundary mixture's partial transpose X across the cut must have no
-    eigenvalue below -BOUNDARY_PPT_TOL, and as the transpose takes
-    |u_i v_j><u_k v_l| to |conj(u_k) v_j><conj(u_i) v_l|, X lives on the
-    span of the r^2 orthonormal products conj(u_k) (x) v_j of the r kept
-    Schmidt vectors, the columns of W.  By Weyl's inequality lambda_min(X) is
-    at least lambda_min(W^dag X W) (or 0, if smaller and r^2 < D) less the
-    Frobenius norm of X - W W^dag X W W^dag, which `_boundary_pt_floor`
-    computes in O(D^2 r^2), with no eigendecomposition of X.
+    The check: let psi = sum_i a_i |u_i v_i> over the kept a_i.  As the
+    transpose takes |u_i v_j><u_k v_l| to |conj(u_k) v_j><conj(u_i) v_l|,
+    (1 + s) times the partial transpose of (psi + s M) / (1 + s) is, in the
+    orthonormal basis conj(u_k) v_j, a_i^2 + w_ii on each (i, i),
+    [[w_ik, a_i a_k], [a_i a_k, w_ki]] on each pair {ik, ki}, and 0 off the
+    r^2 products: a_i^2, and 0 and 2 a_i a_k per pair.  The target is psi
+    plus delta, the memoized spectrum's coefficients less the kept ones (the
+    dropped ones whole; factors from another cut fail here).  The partial
+    transpose keeps the Frobenius norm, so by Weyl's inequality the
+    closed-form minimum, from the stored weights, less 2|delta| + |delta|^2
+    bounds the boundary's spectrum; it must be >= -BOUNDARY_PPT_TOL.
     """
     bound = robustness_bs_upper(psi2)
     cut: Bipartition = bound.certificate
@@ -181,47 +204,23 @@ def _bs_mixer_details(psi2: PureState):
         return psi2.density(), 0.0, cut
     u, sv, vh = np.linalg.svd(cut_matrix(psi2, cut), full_matrices=False)
     keep = sv > SCHMIDT_CUTOFF
-    u, sv, vh = u[:, keep], sv[keep], vh[keep, :]
-    # row (i, j) is the product vector u_i v_j, weighted a_i a_j off the diagonal
-    products = (u.T[:, None, :, None] * vh[None, :, None, :]).reshape(len(sv) ** 2, -1)
-    weights = np.outer(sv, sv)
+    weights = np.outer(sv[keep], sv[keep])
     np.fill_diagonal(weights, 0.0)
-    mix = (products.T * weights.reshape(-1)) @ products.conj()
-    mix = from_cut_order(mix / s, cut, psi2.d)
-    mix = (mix + mix.conj().T) / 2
-    mixer = DensityMatrix.by_construction(psi2.n, psi2.d, mix)
-    # the boundary mixture must be PPT across the construction cut
-    boundary = DensityMatrix.by_construction(
-        psi2.n,
-        psi2.d,
-        (psi2.density().entries + s * mixer.entries) / (1.0 + s),
-    )
-    if _boundary_pt_floor(boundary, cut, u, vh) < -BOUNDARY_PPT_TOL:
+    mixer = SchmidtMixer(psi2.n, psi2.d, cut, u[:, keep], vh[keep], sv[keep], weights, s)
+    if _boundary_pt_floor_from_factors(psi2, mixer) < -BOUNDARY_PPT_TOL:
         raise RuntimeError("mixer construction failed the boundary PPT check")
     return mixer, float(s), cut
 
 
-def _boundary_pt_floor(boundary: DensityMatrix, cut: Bipartition, u, vh) -> float:
-    """A lower bound on the smallest eigenvalue of X, the partial transpose
-    of `boundary` across the cut, from the kept Schmidt vectors u_k (the
-    columns of u) and v_j (the rows of vh): with W's orthonormal columns
-    conj(u_k) (x) v_j in party order, C = W^dag X W and E = X - W C W^dag,
-    it is lambda_min(C), or 0 when that is smaller and r^2 < D, less the
-    Frobenius norm of E.
-    """
-    r, dim = u.shape[1], boundary.dim
-    rows = from_cut_order(np.arange(dim), cut, boundary.d)
-    w = (u.conj()[:, None, :, None] * vh.T[None, :, None, :]).reshape(dim, r * r)[rows]
-    wh = w.conj().T
-    x = partial_transpose(boundary, sorted(cut.parties))
-    c = wh @ (x @ w)
-    c = (c + c.conj().T) / 2
-    # x becomes E in place, so the check holds no D x D array beyond it and W C W^dag
-    x -= (w @ c) @ wh
-    lam = float(np.linalg.eigvalsh(c)[0])
-    if r * r < dim:
-        lam = min(lam, 0.0)
-    return lam - math.sqrt(np.vdot(x, x).real)
+def _boundary_pt_floor_from_factors(psi2: PureState, mixer: SchmidtMixer) -> float:
+    """The check's lower bound on the boundary's partial transpose spectrum."""
+    a, w, r = mixer.coefficients, mixer.weights, mixer.coefficients.size
+    exact = np.sqrt(schmidt_spectrum(psi2, mixer.cut))
+    delta = math.hypot(*(exact[:r] - a[: exact.size]), *exact[r:], *a[exact.size :])
+    pairs = (w + w.T) / 2 - np.hypot((w - w.T) / 2, np.outer(a, a))
+    lam = 0.0 if r * r < mixer.u.shape[0] * mixer.vh.shape[1] else math.inf
+    lam = min(lam, np.min(a**2 + np.diag(w)), np.min(pairs[~np.eye(r, dtype=bool)], initial=lam))
+    return lam / (1.0 + mixer.s) - 2.0 * delta - delta**2
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from entactic.cli import run_command
-from entactic.linalg import density_to_json, state_from_json, state_to_json
+from entactic.linalg import PureState, density_to_json, state_from_json, state_to_json
 from entactic.catalog import ghz, w_state
 
 
@@ -52,6 +52,26 @@ def test_measure_gfs(capsys, w_file):
     rc, data = run_json(capsys, ["measure", "--kind", "gfs", "--in", w_file, "--seed", "3"])
     assert rc == 0
     assert data["value"] == pytest.approx(5 / 9, abs=1e-6)
+
+
+HAAR_QUTRITS = np.random.default_rng(8).normal(size=(27, 2)) @ np.array([1, 1j])
+
+
+@pytest.mark.parametrize(
+    "psi", [w_state(), PureState(3, 3, HAAR_QUTRITS / np.linalg.norm(HAAR_QUTRITS))]
+)
+def test_measure_gfs_prints_the_product_state_it_found(capsys, tmp_path, psi):
+    path = tmp_path / "psi.json"
+    path.write_text(state_to_json(psi))
+    rc, data = run_json(capsys, ["measure", "--kind", "gfs", "--in", str(path), "--seed", "3"])
+    assert rc == 0 and data["certificate"] == "product-state"
+    vectors = [np.array([complex(re, im) for re, im in vec]) for vec in data["vectors"]]
+    assert [vec.shape for vec in vectors] == [(psi.d,)] * psi.n
+    product = vectors[0]
+    for vec in vectors[1:]:
+        product = np.kron(product, vec)
+    overlap = abs(np.vdot(product, psi.amplitudes)) ** 2
+    assert 1 - overlap == pytest.approx(data["value"], abs=1e-12)
 
 
 def test_measure_rpure_needs_cut(capsys, ghz_file):

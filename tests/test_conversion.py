@@ -1,11 +1,11 @@
 import dataclasses
-import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from entactic import conversion, linalg, measures
+from entactic import conversion, linalg, measures, report
 from entactic.catalog import ghz, psi_ghz_plus, w_state
 from entactic.linalg import Bipartition, PureState, all_bipartitions, apply_channel, is_ppt
 
@@ -133,12 +133,12 @@ def test_bs_mixer_reaches_separable_boundary():
     mixer, s, cut = conversion._bs_mixer_details(psi)
     boundary = (psi.density().entries + s * mixer.entries) / (1 + s)
     assert is_ppt(
-        type(mixer)(3, 2, (boundary + boundary.conj().T) / 2),
+        linalg.DensityMatrix(3, 2, (boundary + boundary.conj().T) / 2),
         sorted(cut.parties),
         tol=1e-8,
     )
     # the mixer itself is separable across the construction cut
-    assert is_ppt(mixer, sorted(cut.parties), tol=1e-10)
+    assert is_ppt(linalg.DensityMatrix(3, 2, mixer.entries), sorted(cut.parties), tol=1e-10)
 
 
 def test_bs_mixer_for_product_target_is_the_target():
@@ -173,74 +173,67 @@ def test_schmidt_cutoff_edges(factor, kept):
 
 
 def record_floors(monkeypatch):
-    """Spy on the boundary check: each call's boundary, cut, kept Schmidt
-    rank and floor."""
-    floor, seen = conversion._boundary_pt_floor, []
+    """Spy on the boundary check: each call's mixer and floor."""
+    floor, seen = conversion._boundary_pt_floor_from_factors, []
 
-    def spy(boundary, cut, u, vh):
-        value = floor(boundary, cut, u, vh)
-        seen.append((boundary, cut, u.shape[1], value))
+    def spy(psi, mixer):
+        value = floor(psi, mixer)
+        seen.append((mixer, value))
         return value
 
-    monkeypatch.setattr(conversion, "_boundary_pt_floor", spy)
+    monkeypatch.setattr(conversion, "_boundary_pt_floor_from_factors", spy)
     return seen
 
 
-def pt_minimum(boundary, cut):
-    """The smallest eigenvalue of the full partial transpose, by eigvalsh."""
-    return linalg.min_pt_eigenvalue(boundary, sorted(cut.parties))
+def corrupt_weights(monkeypatch, corruption):
+    """Route the weights `_bs_mixer_details` stores through corruption(weights)."""
+    make = conversion.SchmidtMixer
+
+    def spy(n, d, cut, u, vh, coefficients, weights, s):
+        return make(n, d, cut, u, vh, coefficients, corruption(weights.copy()), s)
+
+    monkeypatch.setattr(conversion, "SchmidtMixer", spy)
 
 
-def party_order_product(a, b, cut, d):
-    return linalg.from_cut_order(linalg.kron_vectors([a, b]), cut, d)
+def pt_minimum(psi, mixer):
+    """The smallest eigenvalue of the materialized boundary mixture's full
+    partial transpose across the mixer's cut, by eigvalsh."""
+    boundary = (psi.density().entries + mixer.s * mixer.entries) / (1 + mixer.s)
+    rho = linalg.DensityMatrix.by_construction(psi.n, psi.d, boundary)
+    return linalg.min_pt_eigenvalue(rho, sorted(mixer.cut.parties))
 
 
-def subtract_from_pt(monkeypatch, vec, delta):
-    """Make the check's partial transpose delta |vec><vec| smaller."""
-    pt = conversion.partial_transpose
-    monkeypatch.setattr(
-        conversion,
-        "partial_transpose",
-        lambda rho, subset: pt(rho, subset) - delta * np.outer(vec, vec.conj()),
-    )
+def lower_first_pair_weight(t):
+    """Lower w_01 so that the pair block [[w_01, a_0 a_1], [a_1 a_0, w_10]],
+    over 1 + s, gets the eigenvalue -t: with w_10 = a_0 a_1 = w and
+    T = t (1 + s), by x = (2 w T + T^2) / (w + T)."""
 
+    def corruption(weights):
+        # the weights a_i a_j sum to (sum a_i)^2 - 1 = s
+        w, big_t = weights[0, 1], t * (1 + weights.sum())
+        weights[0, 1] -= (2 * w * big_t + big_t**2) / (w + big_t)
+        return weights
 
-def pt_kernel_vectors(psi, cut):
-    """Unit vectors that the boundary's partial transpose maps to 0: one on
-    the support (conj(u_0) v_1 - conj(u_1) v_0) / sqrt(2), and one off it, a
-    product with a Schmidt vector of zero weight on the larger side."""
-    u, sv, vh = np.linalg.svd(linalg.cut_matrix(psi, cut))  # every Schmidt vector
-    on = party_order_product(u[:, 0].conj(), vh[1], cut, psi.d)
-    on = (on - party_order_product(u[:, 1].conj(), vh[0], cut, psi.d)) / math.sqrt(2)
-    r = len(sv)
-    if u.shape[0] > r:
-        off = party_order_product(u[:, r].conj(), vh[0], cut, psi.d)
-    else:
-        off = party_order_product(u[:, 0].conj(), vh[r], cut, psi.d)
-    return on, off
+    return corruption
 
 
 @pytest.mark.parametrize("factor,fails", [(0.5, False), (2.0, True)])
 def test_boundary_ppt_tolerance_edges(monkeypatch, factor, fails):
-    # an eigenvalue -factor * BOUNDARY_PPT_TOL, on the Schmidt support or off it,
-    # brings the floor to that value
+    # one weight lowered until the boundary's partial transpose has the
+    # eigenvalue -factor * BOUNDARY_PPT_TOL brings the floor to that value
     psi = random_state(3, 2, 21)
-    cut = measures.robustness_bs_upper(psi).certificate
     delta = factor * conversion.BOUNDARY_PPT_TOL
-    for vec in pt_kernel_vectors(psi, cut):
-        with monkeypatch.context() as patch:
-            subtract_from_pt(patch, vec, delta)
-            seen = record_floors(patch)
-            if fails:
-                with pytest.raises(RuntimeError, match="boundary PPT"):
-                    conversion._bs_mixer_details(psi)
-            else:
-                assert conversion._bs_mixer_details(psi)[1] > 0
-            (boundary, _, rank, floor), = seen
-            assert rank == 2
-            shifted = conversion.partial_transpose(boundary, sorted(cut.parties))
-            assert np.linalg.eigvalsh(shifted)[0] == pytest.approx(-delta, abs=1e-13)
-            assert floor == pytest.approx(-delta, abs=1e-13)
+    corrupt_weights(monkeypatch, lower_first_pair_weight(delta))
+    seen = record_floors(monkeypatch)
+    if fails:
+        with pytest.raises(RuntimeError, match="boundary PPT"):
+            conversion._bs_mixer_details(psi)
+    else:
+        assert conversion._bs_mixer_details(psi)[1] > 0
+    (mixer, floor), = seen
+    assert mixer.coefficients.size == 2
+    assert floor == pytest.approx(-delta, abs=1e-15)
+    assert pt_minimum(psi, mixer) == pytest.approx(-delta, abs=1e-15)
 
 
 HAAR_TARGETS = [(n, 2, seed) for n in range(2, 7) for seed in range(3)] + [
@@ -250,11 +243,13 @@ HAAR_TARGETS = [(n, 2, seed) for n in range(2, 7) for seed in range(3)] + [
 
 def test_boundary_floor_bounds_the_full_pt_spectrum(monkeypatch):
     seen = record_floors(monkeypatch)
-    for n, d, seed in HAAR_TARGETS:
-        conversion._bs_mixer_details(random_state(n, d, seed))
+    targets = [random_state(n, d, seed) for n, d, seed in HAAR_TARGETS]
+    for psi in targets:
+        conversion._bs_mixer_details(psi)
     assert len(seen) == len(HAAR_TARGETS) >= 20
-    for boundary, cut, _, floor in seen:
-        assert -1e-12 <= floor <= pt_minimum(boundary, cut) + 1e-12
+    for psi, (mixer, floor) in zip(targets, seen):
+        # the closed form is the full spectrum's minimum, less its charge
+        assert floor == pytest.approx(pt_minimum(psi, mixer), abs=1e-15)
 
 
 BELL = PureState(2, 2, np.array([1, 0, 0, 1]) / math.sqrt(2))
@@ -264,24 +259,23 @@ BELL = PureState(2, 2, np.array([1, 0, 0, 1]) / math.sqrt(2))
 def test_boundary_floor_is_the_pt_minimum_when_the_support_is_everything(monkeypatch, psi):
     seen = record_floors(monkeypatch)
     conversion._bs_mixer_details(psi)
-    (boundary, cut, rank, floor), = seen
-    assert rank**2 == boundary.dim
-    assert floor == pytest.approx(pt_minimum(boundary, cut), abs=1e-12)
+    (mixer, floor), = seen
+    assert mixer.coefficients.size**2 == psi.d**psi.n
+    assert floor == pytest.approx(pt_minimum(psi, mixer), abs=1e-15)
 
 
 @pytest.mark.parametrize("psi", [BELL, random_state(2, 3, 5), random_state(3, 2, 21)])
-def test_boundary_floor_of_a_lifted_spectrum(psi):
-    # X + t I has smallest eigenvalue t > 0: the floor keeps it when W spans
-    # everything, and otherwise reads 0 less |t (I - W W^dag)|_F
-    cut = measures.robustness_bs_upper(psi).certificate
-    mixer, s, _ = conversion._bs_mixer_details(psi)
-    u, _, vh = np.linalg.svd(linalg.cut_matrix(psi, cut), full_matrices=False)
-    dim, t = psi.d**psi.n, 1e-3
-    lifted = linalg.DensityMatrix.by_construction(
-        psi.n, psi.d, (psi.density().entries + s * mixer.entries) / (1 + s) + t * np.eye(dim)
-    )
-    expected = t if u.shape[1] ** 2 == dim else -t * math.sqrt(dim - u.shape[1] ** 2)
-    assert conversion._boundary_pt_floor(lifted, cut, u, vh) == pytest.approx(expected, abs=1e-12)
+def test_boundary_floor_of_a_lifted_spectrum(monkeypatch, psi):
+    # every weight raised by t (1 + s) lifts each block's spectrum by t, so
+    # the floor reads t when the r^2 products span everything and 0 otherwise
+    t = 1e-3
+    corrupt_weights(monkeypatch, lambda weights: weights + t * (1 + weights.sum()))
+    seen = record_floors(monkeypatch)
+    conversion._bs_mixer_details(psi)
+    (mixer, floor), = seen
+    expected = t if mixer.coefficients.size**2 == psi.d**psi.n else 0.0
+    assert floor == pytest.approx(expected, abs=1e-15)
+    assert pt_minimum(psi, mixer) == pytest.approx(expected, abs=1e-15)
 
 
 def qutrit_target(n, c, seed):
@@ -297,69 +291,94 @@ def qutrit_target(n, c, seed):
 @pytest.mark.parametrize("factor,rank", [(0.5, 2), (2.0, 3)])
 @pytest.mark.parametrize("n", [2, 3])
 def test_boundary_floor_with_a_coefficient_at_the_schmidt_cutoff(monkeypatch, n, factor, rank):
-    # a dropped coefficient leaves the target a component off the support,
-    # which the floor counts in |E|
-    psi = qutrit_target(n, factor * conversion.SCHMIDT_CUTOFF, 8)
+    # a dropped coefficient c leaves the target a component off the
+    # factors, which the floor charges as 2 c + c^2
+    c = factor * conversion.SCHMIDT_CUTOFF
+    psi = qutrit_target(n, c, 8)
     seen = record_floors(monkeypatch)
     conversion._bs_mixer_details(psi)
-    (boundary, cut, kept, floor), = seen
-    assert cut == Bipartition(n, frozenset({1})) and kept == rank
-    assert -1e-12 <= floor <= pt_minimum(boundary, cut) + 1e-12
+    (mixer, floor), = seen
+    assert mixer.cut == Bipartition(n, frozenset({1})) and mixer.coefficients.size == rank
+    assert floor <= pt_minimum(psi, mixer) + 1e-15
+    charged = 2 * c + c * c if rank == 2 else 0.0
+    assert floor == pytest.approx(-charged, abs=1e-15)
 
 
-def corrupt_mixer(monkeypatch, corruption):
-    """Route the mixer, the one square matrix `_bs_mixer_details` reorders,
-    through `corruption(matrix in cut order, cut, d)`."""
-    reorder = linalg.from_cut_order
-
-    def spy(array, cut, d):
-        return corruption(array, cut, d) if array.ndim == 2 else reorder(array, cut, d)
-
-    monkeypatch.setattr(conversion, "from_cut_order", spy)
+def factors_from(psi, other):
+    """`conversion.cut_matrix` with the matrix of the cut `other` in place
+    of the one asked for, so the mixer's factors come from `other`."""
+    return lambda state, cut: linalg.cut_matrix(psi, other)
 
 
-def mixer_across(psi, cut):
-    """The robustness mixer across `cut`, summed product by product in
-    party order, with unit trace."""
-    u, sv, vh = np.linalg.svd(linalg.cut_matrix(psi, cut), full_matrices=False)
-    mix = np.zeros((psi.d**psi.n,) * 2, dtype=complex)
-    for i, j in itertools.permutations(range(len(sv)), 2):
-        p = party_order_product(u[:, i], vh[j], cut, psi.d)
-        mix += sv[i] * sv[j] * np.outer(p, p.conj())
-    return mix / np.trace(mix).real
+def scale_first_pair_weight(weights, scale):
+    weights[0, 1] *= scale
+    return weights
 
 
-def negate_first_weight(psi, cut):
-    u, _, vh = np.linalg.svd(linalg.cut_matrix(psi, cut), full_matrices=False)
-    p = linalg.kron_vectors([u[:, 0], vh[1]])
-
-    def corruption(array, cut, d):
-        weight = np.vdot(p, array @ p)
-        return linalg.from_cut_order(array - 2 * weight * np.outer(p, p.conj()), cut, d)
-
-    return corruption
-
-
-@pytest.mark.parametrize("case", ["cut order", "negated weight", "wrong cut"])
+@pytest.mark.parametrize("case", ["wrong weight", "negated weight", "wrong cut"])
 @pytest.mark.parametrize("n,d,seed", [(3, 2, 0), (4, 2, 3), (3, 3, 2)])
 def test_boundary_check_refuses_a_corrupted_mixer(monkeypatch, case, n, d, seed):
     psi = random_state(n, d, seed)
     cut = measures.robustness_bs_upper(psi).certificate
-    # the cut's parties do not come first, so cut order is not party order
-    assert cut.parties != set(range(1, len(cut.parties) + 1))
     other = next(c for c in all_bipartitions(n) if c != cut)
-    corruption = {
-        "cut order": lambda array, cut, d: array,
-        "negated weight": negate_first_weight(psi, cut),
-        "wrong cut": lambda array, cut, d: mixer_across(psi, other),
-    }[case]
-    corrupt_mixer(monkeypatch, corruption)
+    if case == "wrong cut":
+        monkeypatch.setattr(conversion, "cut_matrix", factors_from(psi, other))
+    else:
+        scale = 0.5 if case == "wrong weight" else -1.0
+        corrupt_weights(monkeypatch, lambda weights: scale_first_pair_weight(weights, scale))
     seen = record_floors(monkeypatch)
     with pytest.raises(RuntimeError, match="boundary PPT"):
         conversion._bs_mixer_details(psi)
-    (boundary, _, _, floor), = seen
-    # the old full-spectrum check refused these mixers too
-    assert floor <= pt_minimum(boundary, cut) < -0.1
+    (mixer, floor), = seen
+    # refused by a margin far beyond BOUNDARY_PPT_TOL
+    assert floor < -0.01
+    if case != "wrong cut":
+        # the full spectrum refuses these mixers too
+        assert floor <= pt_minimum(psi, mixer) + 1e-15 and pt_minimum(psi, mixer) < -0.01
+
+
+def old_mixer_entries(psi):
+    """The mixer as built before it was kept as its factors: the rank-r^2
+    GEMM in cut order, / s, reordered to party order, then hermitized."""
+    bound = measures.robustness_bs_upper(psi)
+    cut, s = bound.certificate, bound.value
+    u, sv, vh = np.linalg.svd(linalg.cut_matrix(psi, cut), full_matrices=False)
+    keep = sv > conversion.SCHMIDT_CUTOFF
+    u, sv, vh = u[:, keep], sv[keep], vh[keep, :]
+    products = (u.T[:, None, :, None] * vh[None, :, None, :]).reshape(len(sv) ** 2, -1)
+    weights = np.outer(sv, sv)
+    np.fill_diagonal(weights, 0.0)
+    mix = (products.T * weights.reshape(-1)) @ products.conj()
+    mix = linalg.from_cut_order(mix / s, cut, psi.d)
+    return (mix + mix.conj().T) / 2
+
+
+def test_materialized_mixer_is_the_old_construction():
+    # bit for bit on the targets of the thm4 claim, at the seeds reproduce is run with
+    for seed in (1, 7, 99, 2024, 12345):
+        rng = np.random.default_rng(seed)
+        for psi in report._haar_states(3, 2, rng, 4) + report._haar_states(3, 3, rng, 1):
+            mixer = conversion._bs_mixer_details(psi)[0]
+            assert np.array_equal(mixer.entries, old_mixer_entries(psi))
+    shapes = [(n, 2) for n in range(2, 10)] + [(n, 3) for n in range(2, 5)]
+    for n, d in shapes:
+        psi = random_state(n, d, 60 + n)
+        mixer = conversion._bs_mixer_details(psi)[0]
+        assert np.max(np.abs(mixer.entries - old_mixer_entries(psi))) <= 1e-15
+
+
+def test_a_build_holds_no_square_matrix():
+    psi1, psi2 = random_state(11, 2, 41), random_state(11, 2, 42)
+    cert = conversion.max_probability(psi1, psi2, conversion.BSP)
+    tracemalloc.start()
+    try:
+        m = conversion.build_filter_map(cert, cert.p_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 2048 x 2048 complex mixer alone is 67 MB
+    assert peak < 16 * 2**20
+    linalg.DensityMatrix(11, 2, m.mixer.entries)
 
 
 # --- channel construction and application -----------------------------------

@@ -326,14 +326,8 @@ def test_matrices_made_by_construction_pass_the_public_checks(monkeypatch):
         w_state().density(), measures.w_robustness_mixer(), bisect_tol=1e-2
     )
 
-    floor = conversion._boundary_pt_floor
-
-    def floor_spy(rho, *args):
-        made.append(rho)  # the boundary mixture
-        return floor(rho, *args)
-
-    monkeypatch.setattr(conversion, "_boundary_pt_floor", floor_spy)
     for seed in range(3):
+        # the biseparable mixer, materialized from its factors
         made.append(conversion._bs_mixer_details(random_state(4, 2, seed))[0])
 
     assert len(made) > 40
