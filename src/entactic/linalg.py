@@ -18,6 +18,11 @@ import numpy as np
 
 NORM_TOL = 1e-12
 PSD_TOL = 1e-10
+# a cut places a mixing ray's PPT threshold only when every eigenvalue of the
+# mixer's partial transpose is at least this, so whitening by it stays well
+# conditioned (it amplifies rounding in the state's partial transpose by at
+# most 1/PENCIL_FLOOR)
+PENCIL_FLOOR = 1e-6
 
 
 class ShapeError(ValueError):
@@ -286,6 +291,32 @@ def npt_cut(rho: DensityMatrix, tol: float = PSD_TOL) -> tuple[Bipartition, floa
         if lam < -tol:
             return cut, lam
     return None
+
+
+def ppt_threshold(rho: DensityMatrix, mixer: DensityMatrix) -> float | None:
+    """Where the ray (rho + s mixer) / (1 + s) turns PPT, from the cuts the
+    mixer's partial transpose gates in; None when it gates in no cut.
+
+    On a cut, let A and B be the partial transposes of rho and the mixer.
+    The mixture's is (A + sB) / (1 + s), affine in s up to the positive
+    factor.  When B > 0, write B = T^-dag T^-1 with T = V w^(-1/2) from
+    B = V diag(w) V^dag; then A + sB >= 0 iff s >= the top eigenvalue of
+    T^dag (-A) T, the cut's threshold.  For every s below it the mixture
+    has a negative eigenvalue on that cut.  Only cuts whose B has every
+    eigenvalue >= PENCIL_FLOOR count; the one `eigh` of B gives both that gate
+    and T.  The result is the largest threshold over the counted cuts, so a
+    max over fewer cuts is still a point below which every mixture is NPT.
+    """
+    best = None
+    for cut in all_bipartitions(rho.n):
+        subset = sorted(cut.parties)
+        w, v = np.linalg.eigh(partial_transpose(mixer, subset))
+        if w[0] < PENCIL_FLOOR:
+            continue
+        t = v / np.sqrt(w)
+        s = float(np.linalg.eigvalsh(t.conj().T @ -partial_transpose(rho, subset) @ t)[-1])
+        best = s if best is None else max(best, s)
+    return best
 
 
 def apply_channel(prep_map, rho: DensityMatrix) -> DensityMatrix:

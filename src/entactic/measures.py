@@ -26,7 +26,9 @@ from .linalg import (
     cut_purity,
     haar_vector_draws,
     kron_vectors,
+    min_pt_eigenvalue,
     npt_cut,
+    ppt_threshold,
     schmidt_spectrum,
     vector_norms,
 )
@@ -52,6 +54,16 @@ FIT_ROUNDS = 8
 FIT_DICTIONARY = 600
 FIT_SEED = 2024
 S_MAX = 16.0  # largest mixing weight the separable-mixture bisection tries
+# the mixing ray's PPT threshold is rounded down by this relative margin
+# before the search starts there, so rounding cannot place it above the
+# threshold it computes
+THRESHOLD_MARGIN = 1e-9
+# two-qubit route: the smallest partial-transpose eigenvalue must be at least
+# this, so that rounding cannot certify a state on the PPT boundary
+PPT_MARGIN = 1e-12
+# near-identity route: the smallest eigenvalue mu of rho is lowered by this
+# before the ball test, so rounding in mu cannot certify a state outside it
+NEAR_IDENTITY_MARGIN = 1e-12
 # cut pruning: a cut is skipped only when its purity bound clears the best
 # score so far by more than this, so ties and near-ties are always scored
 PRUNE_TOL = 1e-9
@@ -319,11 +331,22 @@ def _fit_product_decomposition(rho: DensityMatrix):
 def fs_certificate(rho: DensityMatrix) -> CertResult:
     """Decide full separability where a sufficient route applies.
 
-    Routes, in order: exact criterion on the GHZ-symmetric family; negative
-    partial transpose across any cut; symmetric 3-qubit + PPT; constructive
-    product-decomposition fit.  (Members of the diagonal {000, 111, W, Wbar}
-    family are permutation symmetric, so the first three routes decide them.)
-    Returns UNKNOWN when no route fires; that is a value, not an error.
+    Routes, in order:
+    - `ghz-symmetric-polytope`: exact criterion on the 3-qubit GHZ-symmetric
+      family;
+    - `npt-cut`: negative partial transpose across any cut;
+    - `two-qubit-ppt`: on two qubits PPT is equivalent to separability
+      (Horodecki, Horodecki & Horodecki, PLA 223, 1 (1996)); certified only
+      when the partial transpose's smallest eigenvalue is >= PPT_MARGIN;
+    - `near-identity`: an n-qubit rho with smallest eigenvalue mu is
+      D mu I/D + (1 - D mu) rho1 with rho1 >= 0, which is fully separable
+      when 1 - D mu < 1/(1 + 2^(2n-1)) (Braunstein et al., PRL 83, 1054
+      (1999)); mu is lowered by NEAR_IDENTITY_MARGIN first;
+    - `symmetric-ppt`: permutation-symmetric 3 qubits + PPT;
+    - `decomposition-fit`: constructive product-decomposition fit.
+    (Members of the diagonal {000, 111, W, Wbar} family are permutation
+    symmetric, so the routes before the fit decide them.)  Returns UNKNOWN
+    when no route fires; that is a value, not an error.
     """
     if (rho.n, rho.d) == (3, 2):
         params = gs.twirl(rho)
@@ -344,6 +367,18 @@ def fs_certificate(rho: DensityMatrix) -> CertResult:
             route="npt-cut",
             detail={"cut": str(cut), "min_eigenvalue": lam},
         )
+
+    if (rho.n, rho.d) == (2, 2):
+        lam = min_pt_eigenvalue(rho, [1])
+        if lam >= PPT_MARGIN:
+            return CertResult(CERTIFIED_FS, route="two-qubit-ppt", detail={"min_eigenvalue": lam})
+
+    if rho.d == 2:
+        weight = 1.0 - rho.dim * (float(np.linalg.eigvalsh(rho.entries)[0]) - NEAR_IDENTITY_MARGIN)
+        radius = 1.0 / (1.0 + 2.0 ** (2 * rho.n - 1))
+        if weight < radius:
+            detail = {"weight": weight, "radius": radius}
+            return CertResult(CERTIFIED_FS, route="near-identity", detail=detail)
 
     if (rho.n, rho.d) == (3, 2) and _is_permutation_symmetric(rho, STRUCTURE_TOL):
         # all cuts already verified PPT above; for symmetric 3-qubit states
@@ -368,6 +403,20 @@ def robustness_fs_upper_via_mix(
     """Minimal s (bisection) with (psi + s mixer) / (1 + s) certified fully
     separable.  Upper-bounds the separability robustness for this mixer.
 
+    The mixer must be certified first, then psi itself (s = 0).  Next the
+    search is placed by the ray's PPT threshold s_ppt from
+    `linalg.ppt_threshold`: every mixture below it has a negative partial
+    transpose on some cut, so none is fully separable.  Only cuts whose
+    mixer partial transpose has every eigenvalue >= `linalg.PENCIL_FLOOR`
+    count (a max over fewer cuts is still such a point).  With
+    lo = s_ppt (1 - THRESHOLD_MARGIN), lo >= S_MAX raises RobustnessCapError
+    at once; otherwise the first probe is lo + bisect_tol (at least the
+    next float above lo, at most S_MAX), returned when certified.  Else
+    S_MAX must be certified and [probe, S_MAX] is bisected.  When no cut
+    passes the gate, or s_ppt <= 0, the search is the plain bisection of
+    [0, S_MAX], with S_MAX checked first.  s_ppt only places the search:
+    the returned s is always a point fs_certificate certified.
+
     The bisection stops once hi - lo <= bisect_tol, or once lo and hi are
     adjacent floats, so it ends for any finite bisect_tol > 0; any other
     bisect_tol is a ValueError.
@@ -378,20 +427,31 @@ def robustness_fs_upper_via_mix(
     if cert.verdict != CERTIFIED_FS:
         raise ValueError(f"mixer not certified fully separable: {cert.verdict}")
 
-    def mix(s):
+    def certified(s):
         m = (psi.entries + s * mixer.entries) / (1.0 + s)
-        return DensityMatrix.by_construction(psi.n, psi.d, (m + m.conj().T) / 2)
+        rho = DensityMatrix.by_construction(psi.n, psi.d, (m + m.conj().T) / 2)
+        return fs_certificate(rho).verdict == CERTIFIED_FS
 
     if fs_certificate(psi).verdict == CERTIFIED_FS:
         return 0.0
-    if fs_certificate(mix(S_MAX)).verdict != CERTIFIED_FS:
+    lo = 0.0
+    s_ppt = ppt_threshold(psi, mixer)
+    if s_ppt is not None and s_ppt > 0:
+        lo = s_ppt * (1.0 - THRESHOLD_MARGIN)
+        if lo >= S_MAX:
+            raise RobustnessCapError(f"no certified mixture below s = {S_MAX}: NPT up to s = {lo}")
+        first = min(max(lo + bisect_tol, math.nextafter(lo, math.inf)), S_MAX)
+        if certified(first):
+            return first
+        lo = first
+    if lo >= S_MAX or not certified(S_MAX):
         raise RobustnessCapError(f"no certified mixture below s = {S_MAX}")
-    lo, hi = 0.0, S_MAX
+    hi = S_MAX
     while hi - lo > bisect_tol:
         mid = (lo + hi) / 2
         if not lo < mid < hi:
             break
-        if fs_certificate(mix(mid)).verdict == CERTIFIED_FS:
+        if certified(mid):
             hi = mid
         else:
             lo = mid

@@ -21,6 +21,7 @@ from entactic.linalg import (
     min_pt_eigenvalue,
     npt_cut,
     partial_transpose,
+    ppt_threshold,
     reduced_density,
     reduced_density_pure,
     schmidt_spectrum,
@@ -245,6 +246,69 @@ def test_npt_cut_tolerance_edges(monkeypatch, factor, npt):
         assert (found is not None) is npt
         if npt:
             assert found == (all_bipartitions(2)[0], -factor * tol)
+
+
+WHITE3 = DensityMatrix(3, 2, np.eye(8) / 8)
+
+
+def ghz3():
+    v = np.zeros(8)
+    v[[0, 7]] = 1 / math.sqrt(2)
+    return PureState(3, 2, v).density()
+
+
+def w3():
+    v = np.zeros(8)
+    v[[1, 2, 4]] = 1 / math.sqrt(3)
+    return PureState(3, 2, v).density()
+
+
+def test_ppt_threshold_closed_forms():
+    # (rho + s I/8)/(1 + s) turns PPT where s/8 lifts rho's most negative
+    # partial-transpose eigenvalue to 0: -1/2 for GHZ, -sqrt(2)/3 for W, and
+    # -p/2 + (1 - p)/8 for p GHZ + (1 - p) I/8
+    assert ppt_threshold(ghz3(), WHITE3) == pytest.approx(4.0, abs=1e-12)
+    assert ppt_threshold(w3(), WHITE3) == pytest.approx(8 * math.sqrt(2) / 3, abs=1e-12)
+    for p in (0.25, 0.6, 0.77, 0.95, 1.0):
+        rho = DensityMatrix(3, 2, p * ghz3().entries + (1 - p) * WHITE3.entries)
+        assert ppt_threshold(rho, WHITE3) == pytest.approx(5 * p - 1, abs=1e-12)
+
+
+@pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (3, 2), (4, 3)])
+def test_ppt_threshold_separates_npt_from_ppt_mixtures(n, seed):
+    # toward a product state mixed with white noise, whose partial
+    # transposes are all >= 1/(2D): just below the threshold some cut is
+    # NPT, just above it every cut is PPT
+    rho = random_state(n, 2, seed).density()
+    product = random_state(1, 2, seed).density().entries
+    for k in range(1, n):
+        product = np.kron(product, random_state(1, 2, seed + k).density().entries)
+    mixer = DensityMatrix(n, 2, (product + np.eye(2**n) / 2**n) / 2)
+    s = ppt_threshold(rho, mixer)
+
+    def lowest(t):
+        m = DensityMatrix.by_construction(n, 2, (rho.entries + t * mixer.entries) / (1 + t))
+        return min(min_pt_eigenvalue(m, sorted(cut.parties)) for cut in all_bipartitions(n))
+
+    assert s > 0
+    assert lowest(s * (1 - 1e-6)) < 0 <= lowest(s * (1 + 1e-6))
+
+
+def white_toward_000(lam):
+    """(1 - t)|000><000| + t I/8 with t = 8 lam: diagonal, so its partial
+    transpose is itself, with smallest eigenvalue lam."""
+    m = np.diag([1.0 - 8 * lam + lam] + [lam] * 7)
+    return DensityMatrix(3, 2, m)
+
+
+@pytest.mark.parametrize("factor,gated_in", [(0.5, False), (2.0, True)])
+def test_ppt_threshold_floor_edges(factor, gated_in):
+    mixer = white_toward_000(factor * linalg.PENCIL_FLOOR)
+    s = ppt_threshold(ghz3(), mixer)
+    assert (s is not None) is gated_in
+    if gated_in:
+        # GHZ's -1/2 block on {100, 011} is lifted by s lam on each side
+        assert s == pytest.approx(0.5 / (factor * linalg.PENCIL_FLOOR), rel=1e-9)
 
 
 def test_state_json_roundtrip():

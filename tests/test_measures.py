@@ -20,7 +20,9 @@ from entactic.linalg import (
     all_bipartitions,
     haar_vector_draws,
     kron_vectors,
+    min_pt_eigenvalue,
     npt_cut,
+    ppt_threshold,
     schmidt_spectrum,
 )
 
@@ -405,15 +407,23 @@ def product_mixture(n, terms, noise, seed):
     return DensityMatrix(n, 2, (1 - noise) * m + noise * np.eye(2**n) / 2**n)
 
 
+def reaches_the_fit():
+    """|00><00|: its partial transpose has the eigenvalue 0, below PPT_MARGIN,
+    so no route before the fit decides it."""
+    return DensityMatrix(2, 2, np.diag([1.0, 0.0, 0.0, 0.0]))
+
+
 def test_decomposition_fit_is_pinned():
-    # Both inputs pass every earlier route and reach the fit, so a change to
-    # its rng order (FIT_SEED, the draw sequence) moves these numbers.
-    res = measures.fs_certificate(product_mixture(2, 4, 0.0, seed=2))
-    assert (res.verdict, res.route, res.detail["terms"]) == (
-        measures.CERTIFIED_FS, "decomposition-fit", 16
-    )
+    # A change to the fit's rng order (FIT_SEED, the draw sequence) moves
+    # these numbers.  The 2-qubit input is certified by the two-qubit-ppt
+    # route before the fit, so the fit is called on it directly.
+    rho = product_mixture(2, 4, 0.0, seed=2)
+    assert measures.fs_certificate(rho).route == "two-qubit-ppt"
+    res, terms = measures._fit_product_decomposition(rho)
+    assert len(terms) == 16
     # an exact 16-term fit: the residual is rounding noise, not a figure
-    assert res.detail["residual"] < 1e-15
+    assert res < 1e-15
+    # this input passes every earlier route and reaches the fit
     res = measures.fs_certificate(product_mixture(3, 6, 0.1, seed=3))
     assert (res.verdict, res.route) == (measures.UNKNOWN, "none")
     assert res.detail["fit_residual"] == pytest.approx(0.0014989839326515649, rel=1e-6)
@@ -449,7 +459,7 @@ def fake_nnls(monkeypatch, weights, residual):
 @pytest.mark.parametrize("factor,certified", [(0.5, True), (2.0, False)])
 def test_fit_tolerance_edges(monkeypatch, factor, certified):
     calls = fake_nnls(monkeypatch, [1.0], factor * measures.FIT_TOL)
-    res = measures.fs_certificate(product_mixture(2, 4, 0.0, seed=2))
+    res = measures.fs_certificate(reaches_the_fit())
     if certified:
         assert (res.verdict, res.route, len(calls)) == (measures.CERTIFIED_FS, "decomposition-fit", 1)
         assert res.detail == {"residual": factor * measures.FIT_TOL, "terms": 1}
@@ -459,7 +469,7 @@ def test_fit_tolerance_edges(monkeypatch, factor, certified):
 
 @pytest.mark.parametrize("factor,counted", [(0.5, False), (2.0, True)])
 def test_fit_weight_floor_edges(monkeypatch, factor, counted):
-    rho = product_mixture(2, 4, 0.0, seed=2)
+    rho = reaches_the_fit()
     floor = measures.FIT_WEIGHT_FLOOR
     # reported: a certified fit counts only the terms above the floor
     fake_nnls(monkeypatch, [1.0, factor * floor], 0.0)
@@ -557,6 +567,87 @@ def test_npt_route_tolerance_edges(monkeypatch, factor, npt):
     assert res.route == ("npt-cut" if npt else "decomposition-fit")
 
 
+def no_fit(monkeypatch):
+    """Make the fit a no-op that never certifies, so a state the exact
+    routes leave ends on route "none"."""
+    monkeypatch.setattr(measures, "_fit_product_decomposition", lambda rho: (1.0, []))
+
+
+def bell_with_white(lam):
+    """(1 - t) Phi+ + t I/4 whose partial transpose has smallest eigenvalue
+    lam = -(1 - t)/2 + t/4."""
+    t = 4 * (lam + 0.5) / 3
+    return DensityMatrix(2, 2, (1 - t) * ghz(2, 2).density().entries + t * np.eye(4) / 4)
+
+
+def test_two_qubit_ppt_route():
+    res = measures.fs_certificate(product_mixture(2, 4, 0.0, seed=2))
+    assert (res.verdict, res.route) == (measures.CERTIFIED_FS, "two-qubit-ppt")
+    assert res.detail["min_eigenvalue"] >= measures.PPT_MARGIN
+
+
+@pytest.mark.parametrize(
+    "lam,route",
+    [
+        (2.0 * measures.PPT_MARGIN, "two-qubit-ppt"),
+        (0.5 * measures.PPT_MARGIN, "none"),
+        (0.0, "none"),
+        # PPT within PSD_TOL but negative: neither NPT-certified nor PPT-certified
+        (-0.5 * PSD_TOL, "none"),
+        (-2.0 * PSD_TOL, "npt-cut"),
+    ],
+)
+def test_two_qubit_ppt_margin_edges(monkeypatch, lam, route):
+    no_fit(monkeypatch)
+    rho = bell_with_white(lam)
+    assert min_pt_eigenvalue(rho, [1]) == pytest.approx(lam, abs=1e-15)
+    assert measures.fs_certificate(rho).route == route
+
+
+def w_with_white(p):
+    return DensityMatrix(3, 2, p * w_state().density().entries + (1 - p) * np.eye(8) / 8)
+
+
+# the Braunstein et al. ball for n qubits: 1 - D mu < 1/(1 + 2^(2n - 1))
+RADIUS3 = 1 / 33
+
+
+@pytest.mark.parametrize("offset,near", [(-1e-9, True), (1e-9, False)])
+def test_near_identity_route_on_w_with_white_noise(offset, near):
+    # p W + (1 - p) I/8 has mu = (1 - p)/8, so 1 - D mu = p
+    res = measures.fs_certificate(w_with_white(RADIUS3 + offset))
+    assert res.verdict == measures.CERTIFIED_FS
+    assert (res.route == "near-identity") is near
+    if near:
+        assert res.detail["radius"] == RADIUS3
+        weight = RADIUS3 + offset + 8 * measures.NEAR_IDENTITY_MARGIN
+        assert res.detail["weight"] == pytest.approx(weight, abs=1e-14)
+
+
+@pytest.mark.parametrize("factor,near", [(0.5, False), (2.0, True)])
+def test_near_identity_margin_edges(factor, near):
+    # mu is lowered by the margin, so the tested weight is p + D * margin
+    p = RADIUS3 - factor * 8 * measures.NEAR_IDENTITY_MARGIN
+    assert (measures.fs_certificate(w_with_white(p)).route == "near-identity") is near
+
+
+def test_near_identity_route_on_four_qubits():
+    rng = np.random.default_rng(4)
+    v = haar_vector_draws(rng, 16)
+    p = 0.5 / (1 + 2**7)
+    rho = DensityMatrix(4, 2, p * np.outer(v, v.conj()) + (1 - p) * np.eye(16) / 16)
+    res = measures.fs_certificate(rho)
+    assert (res.verdict, res.route) == (measures.CERTIFIED_FS, "near-identity")
+    assert res.detail["radius"] == 1 / (1 + 2**7)
+
+
+def test_near_identity_route_is_for_qubits_only(monkeypatch):
+    # the qubit ball does not apply to qutrits, so white noise falls through
+    no_fit(monkeypatch)
+    res = measures.fs_certificate(DensityMatrix(2, 3, np.eye(9) / 9))
+    assert (res.verdict, res.route) == (measures.UNKNOWN, "none")
+
+
 def test_cli_import_leaves_scipy_unloaded_until_the_fit():
     code = (
         "import sys, numpy as np; import entactic.cli; "
@@ -639,3 +730,208 @@ def test_robustness_fs_upper_cap_error():
     mixer = PureState(3, 2, np.eye(8)[0]).density()
     with pytest.raises(measures.RobustnessCapError, match=f"s = {measures.S_MAX}"):
         measures.robustness_fs_upper_via_mix(ghz(3, 2).density(), mixer)
+
+
+def test_lemma2_bisection_returns_exactly_two():
+    # the W mixer's partial transposes are singular, so no cut places a
+    # threshold and the plain bisection of [0, S_MAX] lands on 2 exactly
+    mixer = measures.w_robustness_mixer()
+    assert ppt_threshold(w_state().density(), mixer) is None
+    assert measures.robustness_fs_upper_via_mix(w_state().density(), mixer) == 2.0
+
+
+def plain_bisection(psi, mixer, bisect_tol, certify):
+    """The search as it was before the PPT threshold placed it, kept as the
+    oracle for mixers that gate in no cut."""
+    assert certify(mixer).verdict == measures.CERTIFIED_FS
+
+    def mix(s):
+        m = (psi.entries + s * mixer.entries) / (1.0 + s)
+        return DensityMatrix.by_construction(psi.n, psi.d, (m + m.conj().T) / 2)
+
+    if certify(psi).verdict == measures.CERTIFIED_FS:
+        return 0.0
+    if certify(mix(measures.S_MAX)).verdict != measures.CERTIFIED_FS:
+        raise measures.RobustnessCapError
+    lo, hi = 0.0, measures.S_MAX
+    while hi - lo > bisect_tol:
+        mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            break
+        if certify(mix(mid)).verdict == measures.CERTIFIED_FS:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+FALLBACK_MIXERS = {
+    # smallest partial-transpose eigenvalues about 1e-17 and 3.5e-17
+    "w-mixer": (w_state, measures.w_robustness_mixer),
+    "ghz-symmetric": (lambda: ghz(3, 2), lambda: params_to_density(GhzSymmetricParams(0.0, 0.25, 0.75))),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-300])
+@pytest.mark.parametrize("name", sorted(FALLBACK_MIXERS))
+def test_mixers_no_cut_gates_in_keep_the_plain_bisection(monkeypatch, name, tol):
+    psi, mixer = (make() for make in FALLBACK_MIXERS[name])
+    psi = psi.density()
+    assert ppt_threshold(psi, mixer) is None
+    certify = measures.fs_certificate
+    seen = {"oracle": [], "search": []}
+
+    def recording(key):
+        return lambda rho: seen[key].append(rho.entries) or certify(rho)
+
+    expected = plain_bisection(psi, mixer, tol, recording("oracle"))
+    monkeypatch.setattr(measures, "fs_certificate", recording("search"))
+    assert measures.robustness_fs_upper_via_mix(psi, mixer, bisect_tol=tol) == expected
+    # the same mixtures, bit for bit, in the same order
+    assert len(seen["search"]) == len(seen["oracle"])
+    assert all(np.array_equal(a, b) for a, b in zip(seen["search"], seen["oracle"]))
+
+
+WHITE = DensityMatrix(3, 2, np.eye(8) / 8)
+
+
+def noisy_ghz(p):
+    return DensityMatrix(3, 2, p * ghz(3, 2).density().entries + (1 - p) * np.eye(8) / 8)
+
+
+@pytest.mark.parametrize(
+    "psi,s_ppt",
+    [
+        (ghz(3, 2).density(), 4.0),
+        (w_state().density(), 8 * math.sqrt(2) / 3),
+        (noisy_ghz(0.6), 2.0),
+        (noisy_ghz(0.77), 5 * 0.77 - 1),
+    ],
+    ids=["ghz", "w", "ghz-0.6", "ghz-0.77"],
+)
+def test_search_starts_just_below_the_ppt_threshold(monkeypatch, psi, s_ppt):
+    assert ppt_threshold(psi, WHITE) == pytest.approx(s_ppt, abs=1e-12)
+    lo = ppt_threshold(psi, WHITE) * (1 - measures.THRESHOLD_MARGIN)
+    m = (psi.entries + lo * WHITE.entries) / (1 + lo)
+    lowest = min(np.linalg.eigvalsh(linalg.partial_transpose(DensityMatrix(3, 2, m), sorted(cut.parties)))[0]
+                 for cut in all_bipartitions(3))
+    assert lowest < 0
+    # the mixer, psi, then the first probe at lo + bisect_tol, certified
+    calls = []
+    certify = measures.fs_certificate
+    monkeypatch.setattr(measures, "fs_certificate", lambda rho: calls.append(rho) or certify(rho))
+    s = measures.robustness_fs_upper_via_mix(psi, WHITE)
+    assert len(calls) == 3
+    assert s == lo + 1e-6
+    assert abs(s - s_ppt) <= 1e-6
+
+
+def skewed_mixer():
+    """0.9 |000><000| + 0.1 I/8: GHZ's -1/2 block on {100, 011} is lifted by
+    s/80 on each side, so the ray turns PPT at s = 40."""
+    return DensityMatrix(3, 2, 0.9 * np.diag(np.eye(8)[0]) + 0.1 * np.eye(8) / 8)
+
+
+def test_a_threshold_beyond_the_cap_raises_before_any_mixture(monkeypatch):
+    assert ppt_threshold(ghz(3, 2).density(), skewed_mixer()) == pytest.approx(40.0, abs=1e-12)
+
+    def fit(rho):
+        raise AssertionError("the fit ran")
+
+    monkeypatch.setattr(measures, "_fit_product_decomposition", fit)
+    calls = []
+    certify = measures.fs_certificate
+    monkeypatch.setattr(measures, "fs_certificate", lambda rho: calls.append(rho) or certify(rho))
+    with pytest.raises(measures.RobustnessCapError, match=f"s = {measures.S_MAX}"):
+        measures.robustness_fs_upper_via_mix(ghz(3, 2).density(), skewed_mixer())
+    assert len(calls) == 2  # the mixer and psi
+
+
+def stub_certifier(monkeypatch, psi, s_free):
+    """Replace the certifier on the GHZ -> I/8 ray: the mixer is free, psi is
+    not, and a mixture is certified iff its |000><111| entry 1/(2(1 + s))
+    puts s at or above s_free.  Returns the list of certified-or-not calls
+    and the verdict function."""
+    calls = []
+
+    def free(rho):
+        return rho is WHITE or (rho is not psi and 0.5 / rho.entries[0, 7].real - 1 >= s_free)
+
+    def certify(rho):
+        calls.append(rho)
+        return measures.CertResult(measures.CERTIFIED_FS if free(rho) else measures.CERTIFIED_NOT_FS, "stub")
+
+    def verdict(t):
+        m = (psi.entries + t * WHITE.entries) / (1.0 + t)
+        return free(DensityMatrix.by_construction(3, 2, (m + m.conj().T) / 2))
+
+    monkeypatch.setattr(measures, "fs_certificate", certify)
+    return calls, verdict
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-300])
+def test_a_failed_first_probe_bisects_up_to_the_cap(monkeypatch, tol):
+    # s_ppt = 4, but the stub certifies only from 5 on: the probe at
+    # 4 + tol fails, S_MAX is checked, and [probe, S_MAX] is bisected
+    psi = ghz(3, 2).density()
+    calls, verdict = stub_certifier(monkeypatch, psi, 5.0)
+    s = measures.robustness_fs_upper_via_mix(psi, WHITE, bisect_tol=tol)
+    lo = ppt_threshold(psi, WHITE) * (1 - measures.THRESHOLD_MARGIN)
+    # at 1e-300, lo + tol rounds to lo, so the probe is the next float up
+    probe = max(lo + tol, np.nextafter(lo, np.inf))
+
+    def mixture(t):
+        m = (psi.entries + t * WHITE.entries) / (1.0 + t)
+        return (m + m.conj().T) / 2
+
+    assert not np.array_equal(mixture(probe), mixture(lo))
+    assert np.array_equal(calls[2].entries, mixture(probe))
+    assert np.array_equal(calls[3].entries, mixture(measures.S_MAX))
+    assert verdict(s) and 5.0 - 1e-12 <= s <= 5.0 + tol + 1e-12
+    if tol == 1e-300:
+        # no gap between floats near 5 is below 1e-300, so only adjacency
+        # ends the bisection
+        assert not verdict(np.nextafter(s, 0.0))
+
+
+@pytest.mark.parametrize("factor,first_probe_certified", [(0.5, False), (2.0, True)])
+def test_threshold_margin_edges(monkeypatch, factor, first_probe_certified):
+    # with s_ppt placed exactly on the stub's boundary at 5, the first probe
+    # lo + bisect_tol clears it iff bisect_tol exceeds the margin 5 * margin
+    psi = ghz(3, 2).density()
+    monkeypatch.setattr(measures, "ppt_threshold", lambda rho, mixer: 5.0)
+    calls, verdict = stub_certifier(monkeypatch, psi, 5.0)
+    tol = factor * 5.0 * measures.THRESHOLD_MARGIN
+    s = measures.robustness_fs_upper_via_mix(psi, WHITE, bisect_tol=tol)
+    assert (len(calls) == 3) is first_probe_certified
+    assert verdict(s) and abs(s - 5.0) <= tol
+
+
+@pytest.mark.parametrize("factor,certifier_calls", [(0.5, 3), (2.0, 2)])
+def test_pencil_floor_edges_in_the_search(monkeypatch, factor, certifier_calls):
+    # toward (1 - t)|000><000| + t I/8 the ray stays NPT up to s = 1/(2 lam)
+    # with lam = t/8.  Gated in, that is far above S_MAX and raises at once;
+    # gated out, the plain bisection checks S_MAX first and raises there
+    lam = factor * linalg.PENCIL_FLOOR
+    mixer = DensityMatrix(3, 2, np.diag([1.0 - 7 * lam] + [lam] * 7))
+    calls = []
+    certify = measures.fs_certificate
+    monkeypatch.setattr(measures, "fs_certificate", lambda rho: calls.append(rho) or certify(rho))
+    with pytest.raises(measures.RobustnessCapError, match=f"s = {measures.S_MAX}"):
+        measures.robustness_fs_upper_via_mix(ghz(3, 2).density(), mixer)
+    assert len(calls) == certifier_calls
+
+
+@pytest.mark.parametrize("s_free,returned", [(0.0, measures.S_MAX), (20.0, None)])
+def test_the_first_probe_stops_at_the_cap(monkeypatch, s_free, returned):
+    # lo just below S_MAX and a tolerance past it: the probe is S_MAX itself,
+    # returned when certified and otherwise not tried a second time
+    psi = ghz(3, 2).density()
+    monkeypatch.setattr(measures, "ppt_threshold", lambda rho, mixer: measures.S_MAX - 1e-3)
+    calls, verdict = stub_certifier(monkeypatch, psi, s_free)
+    if returned is None:
+        with pytest.raises(measures.RobustnessCapError):
+            measures.robustness_fs_upper_via_mix(psi, WHITE, bisect_tol=1.0)
+    else:
+        assert measures.robustness_fs_upper_via_mix(psi, WHITE, bisect_tol=1.0) == returned
+    assert len(calls) == 3
