@@ -18,10 +18,10 @@ import numpy as np
 
 NORM_TOL = 1e-12
 PSD_TOL = 1e-10
-# a cut places a mixing ray's PPT threshold only when every eigenvalue of the
-# mixer's partial transpose is at least this, so whitening by it stays well
-# conditioned (it amplifies rounding in the state's partial transpose by at
-# most 1/PENCIL_FLOOR)
+# a mixing ray's PPT threshold is computed on each cut only on the range of
+# the mixer's partial transpose where its eigenvalues are at least this, so
+# whitening by them stays well conditioned (it amplifies rounding in the
+# state's partial transpose by at most 1/PENCIL_FLOOR)
 PENCIL_FLOOR = 1e-6
 
 
@@ -77,6 +77,8 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
+        if self.n < 1 or self.d < 2:
+            raise ValueError(f"invalid system shape n={self.n}, d={self.d}")
         dim = self.d**self.n
         m = np.asarray(self.entries, dtype=complex)
         if m.shape != (dim, dim):
@@ -293,29 +295,28 @@ def npt_cut(rho: DensityMatrix, tol: float = PSD_TOL) -> tuple[Bipartition, floa
     return None
 
 
-def ppt_threshold(rho: DensityMatrix, mixer: DensityMatrix) -> float | None:
-    """Where the ray (rho + s mixer) / (1 + s) turns PPT, from the cuts the
-    mixer's partial transpose gates in; None when it gates in no cut.
+def ppt_threshold(rho: DensityMatrix, mixer: DensityMatrix) -> float:
+    """A point below which every mixture (rho + s mixer) / (1 + s) has a
+    negative partial transpose on some cut; -inf when rho has no cut.
 
     On a cut, let A and B be the partial transposes of rho and the mixer.
     The mixture's is (A + sB) / (1 + s), affine in s up to the positive
-    factor.  When B > 0, write B = T^-dag T^-1 with T = V w^(-1/2) from
-    B = V diag(w) V^dag; then A + sB >= 0 iff s >= the top eigenvalue of
-    T^dag (-A) T, the cut's threshold.  For every s below it the mixture
-    has a negative eigenvalue on that cut.  Only cuts whose B has every
-    eigenvalue >= PENCIL_FLOOR count; the one `eigh` of B gives both that gate
-    and T.  The result is the largest threshold over the counted cuts, so a
-    max over fewer cuts is still a point below which every mixture is NPT.
+    factor.  From B = V diag(w) V^dag keep the eigenvectors with
+    w >= PENCIL_FLOOR and let T = V w^(-1/2) on them, so T^dag B T = 1.
+    Then (Tx)^dag (A + sB) (Tx) = x^dag (T^dag A T + s) x, which is negative
+    for some x whenever s is below the top eigenvalue of T^dag (-A) T, the
+    cut's threshold.  When every w is kept that is exactly where the cut
+    turns PPT; on a smaller range it is a point below it.  The result is
+    the largest threshold over the cuts.
     """
-    best = None
+    best = -math.inf
     for cut in all_bipartitions(rho.n):
         subset = sorted(cut.parties)
         w, v = np.linalg.eigh(partial_transpose(mixer, subset))
-        if w[0] < PENCIL_FLOOR:
-            continue
-        t = v / np.sqrt(w)
+        kept = w >= PENCIL_FLOOR
+        t = v[:, kept] / np.sqrt(w[kept])
         s = float(np.linalg.eigvalsh(t.conj().T @ -partial_transpose(rho, subset) @ t)[-1])
-        best = s if best is None else max(best, s)
+        best = max(best, s)
     return best
 
 
@@ -356,9 +357,10 @@ def state_to_json(psi: PureState) -> str:
     )
 
 
-def _parse_wire(text: str, kind: str, key: str) -> tuple[int, int, np.ndarray]:
-    """(n, d, complex values) from the JSON wire format; every shape error
-    becomes a one-line ValueError."""
+def _parse_wire(text: str, kind: str, key: str, power: int) -> tuple[int, int, np.ndarray]:
+    """(n, d, complex values) from the JSON wire format, with n >= 1, d >= 2
+    and d**(power n) values; every shape error becomes a one-line
+    ValueError."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -371,15 +373,25 @@ def _parse_wire(text: str, kind: str, key: str) -> tuple[int, int, np.ndarray]:
     for name in ("n", "d"):
         if not isinstance(obj[name], int) or isinstance(obj[name], bool):
             raise ValueError(f"malformed {kind} JSON: '{name}' must be an integer")
+    n, d = obj["n"], obj["d"]
+    if n < 1 or d < 2:
+        raise ValueError(f"malformed {kind} JSON: n = {n}, d = {d}; need n >= 1 and d >= 2")
     try:
         values = np.array([complex(re, im) for re, im in obj[key]])
     except (TypeError, ValueError):
         raise ValueError(f"malformed {kind} JSON: '{key}' must be a list of [re, im] pairs") from None
-    return obj["n"], obj["d"], values
+    # a count equal to d**k >= 2**k has more than k bits, so a shorter one is
+    # refused without building d**k
+    k = power * n
+    if k >= values.size.bit_length() or d**k != values.size:
+        raise ValueError(
+            f"malformed {kind} JSON: n = {n}, d = {d} needs {d}^{k} {key}, got {values.size}"
+        )
+    return n, d, values
 
 
 def state_from_json(text: str) -> PureState:
-    n, d, amps = _parse_wire(text, "state", "amplitudes")
+    n, d, amps = _parse_wire(text, "state", "amplitudes", 1)
     return PureState(n, d, amps)
 
 
@@ -395,8 +407,5 @@ def density_to_json(rho: DensityMatrix) -> str:
 
 
 def density_from_json(text: str) -> DensityMatrix:
-    n, d, flat = _parse_wire(text, "density", "entries")
-    dim = d**n
-    if flat.size != dim * dim:
-        raise ValueError(f"malformed density JSON: expected {dim * dim} entries, got {flat.size}")
-    return DensityMatrix(n, d, flat.reshape(dim, dim))
+    n, d, flat = _parse_wire(text, "density", "entries", 2)
+    return DensityMatrix(n, d, flat.reshape(d**n, d**n))

@@ -22,6 +22,7 @@ from .linalg import (
     DensityMatrix,
     PSD_TOL,
     PureState,
+    ShapeError,
     all_bipartitions,
     cut_purity,
     haar_vector_draws,
@@ -403,19 +404,16 @@ def robustness_fs_upper_via_mix(
     """Minimal s (bisection) with (psi + s mixer) / (1 + s) certified fully
     separable.  Upper-bounds the separability robustness for this mixer.
 
-    The mixer must be certified first, then psi itself (s = 0).  Next the
-    search is placed by the ray's PPT threshold s_ppt from
-    `linalg.ppt_threshold`: every mixture below it has a negative partial
-    transpose on some cut, so none is fully separable.  Only cuts whose
-    mixer partial transpose has every eigenvalue >= `linalg.PENCIL_FLOOR`
-    count (a max over fewer cuts is still such a point).  With
-    lo = s_ppt (1 - THRESHOLD_MARGIN), lo >= S_MAX raises RobustnessCapError
-    at once; otherwise the first probe is lo + bisect_tol (at least the
-    next float above lo, at most S_MAX), returned when certified.  Else
-    S_MAX must be certified and [probe, S_MAX] is bisected.  When no cut
-    passes the gate, or s_ppt <= 0, the search is the plain bisection of
-    [0, S_MAX], with S_MAX checked first.  s_ppt only places the search:
-    the returned s is always a point fs_certificate certified.
+    psi and the mixer must share (n, d) (else ShapeError); the mixer must be
+    certified first, then psi itself (s = 0).  The search starts at
+    lo = max(s_ppt, 0) (1 - THRESHOLD_MARGIN), where s_ppt from
+    `linalg.ppt_threshold` is a point below which every mixture has a
+    negative partial transpose on some cut, so none is fully separable.
+    lo >= S_MAX raises RobustnessCapError at once; otherwise the first probe
+    is lo + bisect_tol (at least the next float above lo, at most S_MAX),
+    returned when certified.  Else S_MAX must be certified and
+    [probe, S_MAX] is bisected.  s_ppt only places the search: the returned
+    s is always a point fs_certificate certified.
 
     The bisection stops once hi - lo <= bisect_tol, or once lo and hi are
     adjacent floats, so it ends for any finite bisect_tol > 0; any other
@@ -423,6 +421,10 @@ def robustness_fs_upper_via_mix(
     """
     if not (math.isfinite(bisect_tol) and bisect_tol > 0):
         raise ValueError(f"bisect_tol must be finite and > 0, got {bisect_tol!r}")
+    if (psi.n, psi.d) != (mixer.n, mixer.d):
+        raise ShapeError(
+            f"state (n, d) = ({psi.n}, {psi.d}) and mixer (n, d) = ({mixer.n}, {mixer.d}) differ"
+        )
     cert = fs_certificate(mixer)
     if cert.verdict != CERTIFIED_FS:
         raise ValueError(f"mixer not certified fully separable: {cert.verdict}")
@@ -434,16 +436,12 @@ def robustness_fs_upper_via_mix(
 
     if fs_certificate(psi).verdict == CERTIFIED_FS:
         return 0.0
-    lo = 0.0
-    s_ppt = ppt_threshold(psi, mixer)
-    if s_ppt is not None and s_ppt > 0:
-        lo = s_ppt * (1.0 - THRESHOLD_MARGIN)
-        if lo >= S_MAX:
-            raise RobustnessCapError(f"no certified mixture below s = {S_MAX}: NPT up to s = {lo}")
-        first = min(max(lo + bisect_tol, math.nextafter(lo, math.inf)), S_MAX)
-        if certified(first):
-            return first
-        lo = first
+    lo = max(ppt_threshold(psi, mixer), 0.0) * (1.0 - THRESHOLD_MARGIN)
+    if lo >= S_MAX:
+        raise RobustnessCapError(f"no certified mixture below s = {S_MAX}: NPT up to s = {lo}")
+    lo = min(max(lo + bisect_tol, math.nextafter(lo, math.inf)), S_MAX)
+    if certified(lo):
+        return lo
     if lo >= S_MAX or not certified(S_MAX):
         raise RobustnessCapError(f"no certified mixture below s = {S_MAX}")
     hi = S_MAX

@@ -120,6 +120,11 @@ def test_measure_malformed_json_exit_one(tmp_path, capsys):
         '{"n": "three", "d": 2, "amplitudes": [[1, 0]]}',
         '{"n": 2.5, "d": 2, "amplitudes": [[1, 0]]}',
         '[3, 2]',
+        '{"n": 0, "d": 2, "amplitudes": [[1, 0]]}',
+        '{"n": 2, "d": 3, "amplitudes": [[1, 0]]}',
+        # refused from the count alone, without building 3**n
+        '{"n": 10000000, "d": 3, "amplitudes": [[1, 0]]}',
+        '{"n": 100000000, "d": 3, "amplitudes": [[1, 0]]}',
     ],
 )
 def test_measure_malformed_state_shapes_exit_one(tmp_path, capsys, text):
@@ -136,6 +141,10 @@ def test_measure_malformed_state_shapes_exit_one(tmp_path, capsys, text):
         '{"n": 1, "d": 2, "entries": 5}',
         '{"n": 1, "d": 2, "entries": [[1, 0], [0, 0], [0, 0]]}',
         '{"n": true, "d": 2, "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}',
+        '{"n": -3, "d": 1, "entries": [[1, 0]]}',
+        '{"n": 0, "d": 2, "entries": [[1, 0]]}',
+        '{"n": 1, "d": 1, "entries": [[1, 0]]}',
+        '{"n": -1, "d": 2, "entries": [[1, 0]]}',
     ],
 )
 def test_malformed_density_shapes_exit_one(tmp_path, capsys, text):

@@ -18,6 +18,7 @@ from entactic.linalg import (
     density_to_json,
     haar_vector_draws,
     is_ppt,
+    kron_vectors,
     min_pt_eigenvalue,
     npt_cut,
     partial_transpose,
@@ -45,6 +46,13 @@ def test_pure_state_rejects_unnormalized():
 def test_pure_state_rejects_bad_dimension():
     with pytest.raises(ValueError):
         PureState(2, 2, np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("n,d", [(0, 2), (1, 1), (-1, 2), (-3, 1)])
+def test_density_matrix_rejects_a_shape_that_is_no_system(n, d):
+    # each of these would otherwise ask for a 1 x 1 or a fractional matrix
+    with pytest.raises(ValueError, match=f"invalid system shape n={n}, d={d}"):
+        DensityMatrix(n, d, np.ones((1, 1)))
 
 
 def test_density_matrix_rejects_nonhermitian():
@@ -301,14 +309,38 @@ def white_toward_000(lam):
     return DensityMatrix(3, 2, m)
 
 
-@pytest.mark.parametrize("factor,gated_in", [(0.5, False), (2.0, True)])
-def test_ppt_threshold_floor_edges(factor, gated_in):
-    mixer = white_toward_000(factor * linalg.PENCIL_FLOOR)
-    s = ppt_threshold(ghz3(), mixer)
-    assert (s is not None) is gated_in
-    if gated_in:
+@pytest.mark.parametrize("factor,whole_range", [(0.5, False), (2.0, True)])
+def test_ppt_threshold_floor_edges(factor, whole_range):
+    lam = factor * linalg.PENCIL_FLOOR
+    s = ppt_threshold(ghz3(), white_toward_000(lam))
+    if whole_range:
         # GHZ's -1/2 block on {100, 011} is lifted by s lam on each side
-        assert s == pytest.approx(0.5 / (factor * linalg.PENCIL_FLOOR), rel=1e-9)
+        assert s == pytest.approx(0.5 / lam, rel=1e-9)
+    else:
+        # only |000> is kept, where GHZ's partial transpose is +1/2
+        assert s == pytest.approx(-0.5 / (1 - 7 * lam), rel=1e-12)
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (2, 3)])
+def test_ppt_threshold_on_a_singular_mixer_is_still_npt_below(n, d):
+    # 1-3 random product terms make partial transposes of rank at most 3,
+    # so every cut's threshold comes from the range of the mixer's alone
+    rng = np.random.default_rng(100 * n + d)
+    positive = 0
+    for _ in range(40):
+        rho = random_state(n, d, int(rng.integers(10**6))).density()
+        local = haar_vector_draws(rng, d, (n, int(rng.integers(1, 4))))
+        products = kron_vectors(list(local))
+        weights = rng.dirichlet(np.ones(len(products)))
+        mixer = DensityMatrix(n, d, (weights * products.T) @ products.conj())
+        s = ppt_threshold(rho, mixer)
+        if s <= 0:
+            continue
+        positive += 1
+        t = s * (1 - 1e-6)
+        m = DensityMatrix.by_construction(n, d, (rho.entries + t * mixer.entries) / (1 + t))
+        assert min(min_pt_eigenvalue(m, sorted(cut.parties)) for cut in all_bipartitions(n)) < 0
+    assert positive >= 5
 
 
 def test_state_json_roundtrip():
@@ -338,6 +370,15 @@ def test_state_json_diagnostics():
         density_from_json(
             '{"n": 1, "d": 2, "entries": [[1, 0], [0, 0], [0, 0], [0, NaN]]}'
         )
+    # a shape that is no system, or a count that does not fit it, is named
+    with pytest.raises(ValueError, match=r"^malformed density JSON: n = -3, d = 1; need n >= 1 and d >= 2$"):
+        density_from_json('{"n": -3, "d": 1, "entries": [[1, 0]]}')
+    with pytest.raises(ValueError, match=r"^malformed density JSON: n = 1, d = 2 needs 2\^2 entries, got 3$"):
+        density_from_json('{"n": 1, "d": 2, "entries": [[1, 0], [0, 0], [0, 0]]}')
+    # refused from the count alone, without building 3**n
+    huge = r"^malformed state JSON: n = 100000000, d = 3 needs 3\^100000000 amplitudes, got 1$"
+    with pytest.raises(ValueError, match=huge):
+        state_from_json('{"n": 100000000, "d": 3, "amplitudes": [[1, 0]]}')
 
 
 def test_apply_channel_output_is_density():
@@ -386,8 +427,10 @@ def test_matrices_made_by_construction_pass_the_public_checks(monkeypatch):
         return certify(rho, *args)
 
     monkeypatch.setattr(measures, "fs_certificate", certify_spy)
+    # at this tolerance the first probe is the next float above the
+    # threshold, which is not certified, so the ray is bisected to the cap
     measures.robustness_fs_upper_via_mix(
-        w_state().density(), measures.w_robustness_mixer(), bisect_tol=1e-2
+        w_state().density(), measures.w_robustness_mixer(), bisect_tol=1e-300
     )
 
     for seed in range(3):

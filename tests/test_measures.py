@@ -687,6 +687,25 @@ def test_robustness_fs_upper_rejects_uncertified_mixer():
         measures.robustness_fs_upper_via_mix(w_state().density(), ghz(3, 2).density())
 
 
+@pytest.mark.parametrize(
+    "psi,mixer",
+    [
+        (ghz(3, 2), DensityMatrix(2, 2, np.eye(4) / 4)),
+        (ghz(3, 2), DensityMatrix(4, 2, np.eye(16) / 16)),
+        # the same 16 x 16 size under another tensor structure
+        (ghz(2, 4), DensityMatrix(4, 2, np.eye(16) / 16)),
+    ],
+    ids=["smaller", "larger", "same-size"],
+)
+def test_robustness_fs_upper_rejects_a_mixer_of_another_system(monkeypatch, psi, mixer):
+    def certify(rho):
+        raise AssertionError("the certifier ran")
+
+    monkeypatch.setattr(measures, "fs_certificate", certify)
+    with pytest.raises(linalg.ShapeError, match=r"state \(n, d\) = .* and mixer \(n, d\) = .* differ"):
+        measures.robustness_fs_upper_via_mix(psi.density(), mixer)
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_robustness_fs_upper_rejects_a_tolerance_it_cannot_reach(monkeypatch, tol):
     white = DensityMatrix(3, 2, np.eye(8) / 8)
@@ -732,64 +751,53 @@ def test_robustness_fs_upper_cap_error():
         measures.robustness_fs_upper_via_mix(ghz(3, 2).density(), mixer)
 
 
-def test_lemma2_bisection_returns_exactly_two():
-    # the W mixer's partial transposes are singular, so no cut places a
-    # threshold and the plain bisection of [0, S_MAX] lands on 2 exactly
-    mixer = measures.w_robustness_mixer()
-    assert ppt_threshold(w_state().density(), mixer) is None
-    assert measures.robustness_fs_upper_via_mix(w_state().density(), mixer) == 2.0
+def test_lemma2_search_lands_within_tolerance_of_two(monkeypatch):
+    # the W mixer's partial transposes are singular; on their range the
+    # ray's threshold is 2, and the first probe above it is certified
+    psi, mixer = w_state().density(), measures.w_robustness_mixer()
+    calls = []
+    certify = measures.fs_certificate
+    monkeypatch.setattr(measures, "fs_certificate", lambda rho: calls.append(rho) or certify(rho))
+    s = measures.robustness_fs_upper_via_mix(psi, mixer)
+    assert len(calls) == 3
+    assert abs(s - 2.0) <= 1e-6
+    m = (psi.entries + s * mixer.entries) / (1.0 + s)
+    assert certify(DensityMatrix(3, 2, (m + m.conj().T) / 2)).verdict == measures.CERTIFIED_FS
 
 
-def plain_bisection(psi, mixer, bisect_tol, certify):
-    """The search as it was before the PPT threshold placed it, kept as the
-    oracle for mixers that gate in no cut."""
-    assert certify(mixer).verdict == measures.CERTIFIED_FS
-
-    def mix(s):
-        m = (psi.entries + s * mixer.entries) / (1.0 + s)
-        return DensityMatrix.by_construction(psi.n, psi.d, (m + m.conj().T) / 2)
-
-    if certify(psi).verdict == measures.CERTIFIED_FS:
-        return 0.0
-    if certify(mix(measures.S_MAX)).verdict != measures.CERTIFIED_FS:
-        raise measures.RobustnessCapError
-    lo, hi = 0.0, measures.S_MAX
-    while hi - lo > bisect_tol:
-        mid = (lo + hi) / 2
-        if not lo < mid < hi:
-            break
-        if certify(mix(mid)).verdict == measures.CERTIFIED_FS:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-FALLBACK_MIXERS = {
-    # smallest partial-transpose eigenvalues about 1e-17 and 3.5e-17
-    "w-mixer": (w_state, measures.w_robustness_mixer),
-    "ghz-symmetric": (lambda: ghz(3, 2), lambda: params_to_density(GhzSymmetricParams(0.0, 0.25, 0.75))),
+SINGULAR_MIXERS = {
+    # smallest partial-transpose eigenvalues about 1e-17 and 3.5e-17.  The
+    # last value is the smallest float the search certifies at bisect_tol
+    # 1e-300, just below the exact 2: ROADMAP item 1's symmetric-ppt and
+    # polytope routes certify mixtures within PSD_TOL outside the FS set
+    "w-mixer": (w_state, measures.w_robustness_mixer, 1.9999999983500005),
+    "ghz-symmetric": (
+        lambda: ghz(3, 2),
+        lambda: params_to_density(GhzSymmetricParams(0.0, 0.25, 0.75)),
+        1.9999999993999995,
+    ),
 }
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-300])
-@pytest.mark.parametrize("name", sorted(FALLBACK_MIXERS))
-def test_mixers_no_cut_gates_in_keep_the_plain_bisection(monkeypatch, name, tol):
-    psi, mixer = (make() for make in FALLBACK_MIXERS[name])
-    psi = psi.density()
-    assert ppt_threshold(psi, mixer) is None
+@pytest.mark.parametrize("name", sorted(SINGULAR_MIXERS))
+def test_singular_mixers_place_the_search_at_two(monkeypatch, name, tol):
+    make_psi, make_mixer, smallest = SINGULAR_MIXERS[name]
+    psi, mixer = make_psi().density(), make_mixer()
+    s_ppt = ppt_threshold(psi, mixer)
+    assert s_ppt == pytest.approx(2.0, abs=1e-12)
+    calls = []
     certify = measures.fs_certificate
-    seen = {"oracle": [], "search": []}
-
-    def recording(key):
-        return lambda rho: seen[key].append(rho.entries) or certify(rho)
-
-    expected = plain_bisection(psi, mixer, tol, recording("oracle"))
-    monkeypatch.setattr(measures, "fs_certificate", recording("search"))
-    assert measures.robustness_fs_upper_via_mix(psi, mixer, bisect_tol=tol) == expected
-    # the same mixtures, bit for bit, in the same order
-    assert len(seen["search"]) == len(seen["oracle"])
-    assert all(np.array_equal(a, b) for a, b in zip(seen["search"], seen["oracle"]))
+    monkeypatch.setattr(measures, "fs_certificate", lambda rho: calls.append(rho) or certify(rho))
+    s = measures.robustness_fs_upper_via_mix(psi, mixer, bisect_tol=tol)
+    if tol == 1e-6:
+        # the mixer, psi, and the first probe, certified
+        assert s == s_ppt * (1 - measures.THRESHOLD_MARGIN) + tol
+        assert len(calls) == 3
+    else:
+        # the probe just above the threshold fails, and [probe, S_MAX] is
+        # bisected down to adjacent floats
+        assert s == smallest
 
 
 WHITE = DensityMatrix(3, 2, np.eye(8) / 8)
@@ -907,11 +915,12 @@ def test_threshold_margin_edges(monkeypatch, factor, first_probe_certified):
     assert verdict(s) and abs(s - 5.0) <= tol
 
 
-@pytest.mark.parametrize("factor,certifier_calls", [(0.5, 3), (2.0, 2)])
+@pytest.mark.parametrize("factor,certifier_calls", [(0.5, 4), (2.0, 2)])
 def test_pencil_floor_edges_in_the_search(monkeypatch, factor, certifier_calls):
     # toward (1 - t)|000><000| + t I/8 the ray stays NPT up to s = 1/(2 lam)
-    # with lam = t/8.  Gated in, that is far above S_MAX and raises at once;
-    # gated out, the plain bisection checks S_MAX first and raises there
+    # with lam = t/8.  With lam kept, that is far above S_MAX and raises at
+    # once; with only |000> kept the threshold is negative, so the search
+    # probes bisect_tol, then checks S_MAX and raises there
     lam = factor * linalg.PENCIL_FLOOR
     mixer = DensityMatrix(3, 2, np.diag([1.0 - 7 * lam] + [lam] * 7))
     calls = []
