@@ -221,7 +221,7 @@ def _cmd_convert(args):
     if args.build:
         p = args.p if args.p is not None else cert.p_max
         prep = conversion.build_filter_map(cert, p)
-        out["built"] = {"p": prep.p, "mixer_cut": str(prep.mixer_cut)}
+        out["built"] = {"p": prep.p, "mixer_cut": str(prep.mixer.cut)}
         if args.verify is not None:
             rep = conversion.verify_preservation_sampled(prep, args.verify, args.seed)
             out["preservation"] = {

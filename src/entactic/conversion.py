@@ -38,9 +38,9 @@ AUDIT_TOL = 1e-9  # slack on both preservation inequalities before a violation
 OVERLAP_FLOOR = 1e-15  # a free input overlapping psi1 at most this bounds no mixing weight
 FREE_SOURCE_TOL = 1e-9  # a source whose geometric measure is at most this is free
 # the biseparable mixer: a target whose robustness bound is below
-# FREE_TARGET_TOL is its own mixer; Schmidt coefficients at or below
-# SCHMIDT_CUTOFF are dropped; the boundary mixture must be PPT within
-# BOUNDARY_PPT_TOL
+# FREE_TARGET_TOL is mixed with its top Schmidt product; Schmidt coefficients
+# at or below SCHMIDT_CUTOFF are dropped; the boundary mixture must be PPT
+# within BOUNDARY_PPT_TOL
 FREE_TARGET_TOL = 1e-12
 SCHMIDT_CUTOFF = 1e-14
 BOUNDARY_PPT_TOL = 1e-8
@@ -76,13 +76,12 @@ class ConversionCertificate:
 @dataclass(frozen=True)
 class PreparationMap:
     """Filter-and-prepare channel (cert.psi1, p, cert.psi2, mixer) with its
-    CPTP completion; its audit reads the certificate's quantities, and
-    mixer_cut is the cut the mixer was built across."""
+    CPTP completion; its audit reads the certificate's quantities.  A BSP
+    mixer is a `SchmidtMixer`; an FSP one, which a caller supplies, a DensityMatrix."""
 
     cert: ConversionCertificate
     p: float
     mixer: DensityMatrix | SchmidtMixer
-    mixer_cut: Bipartition
 
     def __post_init__(self):
         if not 0 < self.p <= 1:
@@ -150,10 +149,10 @@ def max_probability(
 
 @dataclass(frozen=True, eq=False)
 class SchmidtMixer:
-    """sum_{i != j} (weights[i, j] / s) |u_i v_j><u_i v_j| across `cut`, kept
+    """sum_{i, j} (weights[i, j] / s) |u_i v_j><u_i v_j| across `cut`, kept
     as the columns u_i of `u` (on the cut's parties), the rows v_j of `vh`,
-    their Schmidt coefficients and the weights, which the boundary check
-    reads as stored; `entries` is built from them on first read."""
+    their Schmidt coefficients and the weights, which sum to s and which the
+    boundary check reads as stored; `entries` is built from them on first read."""
 
     n: int
     d: int
@@ -176,14 +175,16 @@ class SchmidtMixer:
         return mix
 
 
-def _bs_mixer_details(psi2: PureState):
-    """Mixer, robustness value and cut realizing the biseparable bound.
+def _bs_mixer_details(psi2: PureState) -> SchmidtMixer:
+    """The biseparable mixer realizing the target's robustness bound s.
 
     Across the minimizing cut with Schmidt form sum_i a_i |u_i>|v_i>, the
     separable state M = sum_{i != j} (a_i a_j / s) |u_i v_j><u_i v_j|
     (Vidal & Tarrach, PRA 59, 141 (1999)) brings the state to the separable
     boundary at exactly s = (sum a_i)^2 - 1.  M is a `SchmidtMixer` with
-    weights w_ij = a_i a_j; a free target is its own mixer.
+    weights w_ij = a_i a_j (0 for i = j).  A free target (s below
+    FREE_TARGET_TOL) gets its top Schmidt product, weight 1 over s = 1:
+    exactly biseparable and within FREE_TARGET_TOL of it, so unchecked.
 
     The check: let psi = sum_i a_i |u_i v_i> over the kept a_i.  As the
     transpose takes |u_i v_j><u_k v_l| to |conj(u_k) v_j><conj(u_i) v_l|,
@@ -200,16 +201,16 @@ def _bs_mixer_details(psi2: PureState):
     bound = robustness_bs_upper(psi2)
     cut: Bipartition = bound.certificate
     s = bound.value
-    if s < FREE_TARGET_TOL:
-        return psi2.density(), 0.0, cut
     u, sv, vh = np.linalg.svd(cut_matrix(psi2, cut), full_matrices=False)
+    if s < FREE_TARGET_TOL:
+        return SchmidtMixer(psi2.n, psi2.d, cut, u[:, :1], vh[:1], sv[:1], np.ones((1, 1)), 1.0)
     keep = sv > SCHMIDT_CUTOFF
     weights = np.outer(sv[keep], sv[keep])
     np.fill_diagonal(weights, 0.0)
     mixer = SchmidtMixer(psi2.n, psi2.d, cut, u[:, keep], vh[keep], sv[keep], weights, s)
     if _boundary_pt_floor_from_factors(psi2, mixer) < -BOUNDARY_PPT_TOL:
         raise RuntimeError("mixer construction failed the boundary PPT check")
-    return mixer, float(s), cut
+    return mixer
 
 
 def _boundary_pt_floor_from_factors(psi2: PureState, mixer: SchmidtMixer) -> float:
@@ -236,8 +237,7 @@ def build_filter_map(cert: ConversionCertificate, p: float) -> PreparationMap:
         raise ValueError(FSP_BUILD_REFUSAL)
     if p > cert.p_max + _P_SLACK:
         raise ValueError(f"p = {p} exceeds certified maximum {cert.p_max}")
-    mixer, _, mixer_cut = _bs_mixer_details(cert.psi2)
-    return PreparationMap(cert=cert, p=p, mixer=mixer, mixer_cut=mixer_cut)
+    return PreparationMap(cert=cert, p=p, mixer=_bs_mixer_details(cert.psi2))
 
 
 def ghz_to_any_bsp(psi: PureState) -> PreparationMap:

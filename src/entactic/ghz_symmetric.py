@@ -10,7 +10,6 @@ robustness in closed form, in exact rational arithmetic.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -100,30 +99,20 @@ _FS_ROWS = (
 )
 
 
-def _integer_rows(rows):
-    """Rows a.x <= b made homogeneous in (l+, l-, l), a.x <= b (l+ + l- + l),
-    as pairs (c, k): c . (l+, l-, l) <= 0 is the row times the least k that
-    makes its coefficients integers, so a slack tol on the row is k tol."""
-    out = []
-    for (a1, a2), b in rows:
-        h = (a1 - b, a2 - b, -b)
-        k = math.lcm(*(x.denominator for x in h))
-        out.append((tuple(int(x * k) for x in h), k))
-    return tuple(out)
-
-
-_SEPARABILITY_ROWS = _integer_rows(_FS_ROWS[:2])
+# The separability rows made homogeneous in (l+, l-, l): a.x <= b holds
+# iff h . (l+, l-, l) <= 0 with h = (a1 - b, a2 - b, -b), as l+ + l- + l = 1;
+# these are (1, -1, -1/3) and (-1, 1, -1/3).
+_SEPARABILITY_ROWS = tuple((a1 - b, a2 - b, -b) for (a1, a2), b in _FS_ROWS[:2])
 
 
 def is_fs_symmetric(p: GhzSymmetricParams, tol: float = 0.0) -> bool:
-    """Whether p meets both separability rows of `_FS_ROWS` within tol, each
-    made homogeneous, so that the test is exactly |l+ - l-| <= l/3 + tol
-    also for weights that sum to 1 only within WEIGHT_TOL.  Evaluated
-    exactly, in integers over the weights' common denominator."""
-    vals = (*p.as_fractions(), _as_fraction(tol))
-    den = math.lcm(*(v.denominator for v in vals))
-    lp, lm, lr, slack = (v.numerator * (den // v.denominator) for v in vals)
-    return all(c1 * lp + c2 * lm + c3 * lr <= k * slack for (c1, c2, c3), k in _SEPARABILITY_ROWS)
+    """Whether p meets both separability rows within tol, in the homogeneous
+    form, so that the test is exactly |l+ - l-| <= l/3 + tol also for
+    weights that sum to 1 only within WEIGHT_TOL.  Evaluated exactly, in
+    Fractions."""
+    lp, lm, lr = p.as_fractions()
+    slack = _as_fraction(tol)
+    return all(h1 * lp + h2 * lm + h3 * lr <= slack for h1, h2, h3 in _SEPARABILITY_ROWS)
 
 
 def polytope_vertices() -> list[GhzSymmetricParams]:

@@ -377,9 +377,11 @@ def _parse_wire(text: str, kind: str, key: str, power: int) -> tuple[int, int, n
     if n < 1 or d < 2:
         raise ValueError(f"malformed {kind} JSON: n = {n}, d = {d}; need n >= 1 and d >= 2")
     try:
-        values = np.array([complex(re, im) for re, im in obj[key]])
+        values = np.array([_wire_complex(re, im) for re, im in obj[key]])
     except (TypeError, ValueError):
         raise ValueError(f"malformed {kind} JSON: '{key}' must be a list of [re, im] pairs") from None
+    except OverflowError:
+        raise ValueError(f"malformed {kind} JSON: a number in '{key}' is too large") from None
     # a count equal to d**k >= 2**k has more than k bits, so a shorter one is
     # refused without building d**k
     k = power * n
@@ -388,6 +390,12 @@ def _parse_wire(text: str, kind: str, key: str, power: int) -> tuple[int, int, n
             f"malformed {kind} JSON: n = {n}, d = {d} needs {d}^{k} {key}, got {values.size}"
         )
     return n, d, values
+
+
+def _wire_complex(re, im) -> complex:
+    if type(re) is bool or type(im) is bool:  # complex() would read them as 1 and 0
+        raise TypeError("a boolean is not a number")
+    return complex(re, im)
 
 
 def state_from_json(text: str) -> PureState:

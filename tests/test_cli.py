@@ -104,6 +104,10 @@ def test_directory_in_place_of_a_file_exit_one(tmp_path, capsys, argv):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+# an integer literal no float can hold
+BIG = "1" + "0" * 400
+
+
 def test_measure_malformed_json_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 3, "d": 2, "amplitudes": [[1, 0]]}')
@@ -125,6 +129,12 @@ def test_measure_malformed_json_exit_one(tmp_path, capsys):
         # refused from the count alone, without building 3**n
         '{"n": 10000000, "d": 3, "amplitudes": [[1, 0]]}',
         '{"n": 100000000, "d": 3, "amplitudes": [[1, 0]]}',
+        # booleans are no amplitudes; an integer beyond the float range is refused
+        '{"n": 2, "d": 2, "amplitudes": [[true, false], [0, 0], [0, 0], [0, 0]]}',
+        pytest.param(
+            '{"n": 2, "d": 2, "amplitudes": [[' + BIG + ', 0], [0, 0], [0, 0], [0, 0]]}',
+            id="amplitude-beyond-float-range",
+        ),
     ],
 )
 def test_measure_malformed_state_shapes_exit_one(tmp_path, capsys, text):
@@ -145,6 +155,11 @@ def test_measure_malformed_state_shapes_exit_one(tmp_path, capsys, text):
         '{"n": 0, "d": 2, "entries": [[1, 0]]}',
         '{"n": 1, "d": 1, "entries": [[1, 0]]}',
         '{"n": -1, "d": 2, "entries": [[1, 0]]}',
+        '{"n": 1, "d": 2, "entries": [[1, 0], [0, 0], [0, 0], [false, 0]]}',
+        pytest.param(
+            '{"n": 1, "d": 2, "entries": [[1, 0], [0, 0], [0, 0], [0, ' + BIG + "]]}",
+            id="entry-beyond-float-range",
+        ),
     ],
 )
 def test_malformed_density_shapes_exit_one(tmp_path, capsys, text):
@@ -172,6 +187,19 @@ def test_state_or_density_input_reports_the_state_error(tmp_path, capsys, argv):
     bad.write_text('{"n": 3, "d": 2, "amplitudes": 5}')
     assert run_command(argv + [str(bad)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: malformed state JSON")
+
+
+@pytest.mark.parametrize(
+    "pair", ["[true, false]", "[0, true]", pytest.param(f"[{BIG}, 0]", id="beyond-float-range")]
+)
+def test_twirl_refuses_amplitudes_that_are_no_floats(tmp_path, capsys, pair):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 3, "d": 2, "amplitudes": [' + pair + ", [0, 0]" * 7 + "]}")
+    assert run_command(["twirl", "--in", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: malformed state JSON")
 
 

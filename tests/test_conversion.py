@@ -130,7 +130,9 @@ def test_max_probability_rejects_unknown_theory():
 
 def test_bs_mixer_reaches_separable_boundary():
     psi = random_state(3, 2, 21)
-    mixer, s, cut = conversion._bs_mixer_details(psi)
+    mixer = conversion._bs_mixer_details(psi)
+    s, cut = mixer.s, mixer.cut
+    assert s == measures.robustness_bs_upper(psi).value
     boundary = (psi.density().entries + s * mixer.entries) / (1 + s)
     assert is_ppt(
         linalg.DensityMatrix(3, 2, (boundary + boundary.conj().T) / 2),
@@ -143,21 +145,41 @@ def test_bs_mixer_reaches_separable_boundary():
 
 def test_bs_mixer_for_product_target_is_the_target():
     psi = product_state(3, 2, 6)
-    mixer, s, _ = conversion._bs_mixer_details(psi)
-    assert s == 0.0
+    mixer = conversion._bs_mixer_details(psi)
+    assert measures.robustness_bs_upper(psi).value < conversion.FREE_TARGET_TOL
     assert np.allclose(mixer.entries, psi.density().entries, atol=1e-12)
 
 
 @pytest.mark.parametrize("factor,free", [(0.5, True), (2.0, False)])
 def test_free_target_tolerance_edges(factor, free):
     psi = two_qubit_state(math.asin(factor * conversion.FREE_TARGET_TOL) / 2)
-    mixer, s, _ = conversion._bs_mixer_details(psi)
+    mixer = conversion._bs_mixer_details(psi)
     if free:
-        assert s == 0.0 and np.array_equal(mixer.entries, psi.density().entries)
+        assert measures.robustness_bs_upper(psi).value < conversion.FREE_TARGET_TOL
+        # one product u_1 v_1 across the mixer's cut, within 1e-12 of the target
+        assert mixer.u.shape[1] == mixer.vh.shape[0] == mixer.coefficients.size == 1
+        assert mixer.weights.tolist() == [[1.0]] and mixer.s == 1.0
+        assert np.max(np.abs(mixer.entries - psi.density().entries)) <= 1e-12
     else:
-        assert s == pytest.approx(factor * conversion.FREE_TARGET_TOL, rel=1e-3)
+        assert mixer.s == pytest.approx(factor * conversion.FREE_TARGET_TOL, rel=1e-3)
         # the mixer holds only the cross products |01> and |10>
         assert mixer.entries[0, 0] == 0.0 and mixer.entries[1, 1].real > 0.4
+
+
+FREE_TARGETS = [
+    product_state(3, 2, 6),
+    # free within FREE_TARGET_TOL, though entangled
+    two_qubit_state(math.asin(0.5 * conversion.FREE_TARGET_TOL) / 2),
+]
+
+
+@pytest.mark.parametrize("psi", FREE_TARGETS)
+def test_free_target_mixer_is_a_biseparable_pure_state(psi):
+    mixer = conversion._bs_mixer_details(psi)
+    assert np.linalg.matrix_rank(mixer.entries) == 1
+    assert np.trace(mixer.entries).real == pytest.approx(1.0, abs=1e-15)
+    rho = linalg.DensityMatrix.by_construction(psi.n, psi.d, mixer.entries)
+    assert linalg.min_pt_eigenvalue(rho, sorted(mixer.cut.parties)) >= -1e-15
 
 
 @pytest.mark.parametrize("factor,kept", [(0.5, False), (2.0, True)])
@@ -167,8 +189,8 @@ def test_schmidt_cutoff_edges(factor, kept):
     c = factor * conversion.SCHMIDT_CUTOFF
     a = math.sqrt((1.0 - c * c) / 2)
     psi = PureState(2, 3, np.array([a, 0, 0, 0, a, 0, 0, 0, c]))
-    mixer, s, _ = conversion._bs_mixer_details(psi)
-    assert s == pytest.approx(1.0, abs=1e-12)
+    mixer = conversion._bs_mixer_details(psi)
+    assert mixer.s == pytest.approx(1.0, abs=1e-12)
     assert (mixer.entries[2, 2].real > 0) == kept
 
 
@@ -229,7 +251,7 @@ def test_boundary_ppt_tolerance_edges(monkeypatch, factor, fails):
         with pytest.raises(RuntimeError, match="boundary PPT"):
             conversion._bs_mixer_details(psi)
     else:
-        assert conversion._bs_mixer_details(psi)[1] > 0
+        assert conversion._bs_mixer_details(psi).s > 0
     (mixer, floor), = seen
     assert mixer.coefficients.size == 2
     assert floor == pytest.approx(-delta, abs=1e-15)
@@ -358,12 +380,12 @@ def test_materialized_mixer_is_the_old_construction():
     for seed in (1, 7, 99, 2024, 12345):
         rng = np.random.default_rng(seed)
         for psi in report._haar_states(3, 2, rng, 4) + report._haar_states(3, 3, rng, 1):
-            mixer = conversion._bs_mixer_details(psi)[0]
+            mixer = conversion._bs_mixer_details(psi)
             assert np.array_equal(mixer.entries, old_mixer_entries(psi))
     shapes = [(n, 2) for n in range(2, 10)] + [(n, 3) for n in range(2, 5)]
     for n, d in shapes:
         psi = random_state(n, d, 60 + n)
-        mixer = conversion._bs_mixer_details(psi)[0]
+        mixer = conversion._bs_mixer_details(psi)
         assert np.max(np.abs(mixer.entries - old_mixer_entries(psi))) <= 1e-15
 
 
@@ -379,6 +401,25 @@ def test_a_build_holds_no_square_matrix():
     # the 2048 x 2048 complex mixer alone is 67 MB
     assert peak < 16 * 2**20
     linalg.DensityMatrix(11, 2, m.mixer.entries)
+
+
+def test_a_build_toward_a_product_target_holds_no_square_matrix(monkeypatch):
+    psi1, psi2 = random_state(11, 2, 41), product_state(11, 2, 43)
+    cert = conversion.max_probability(psi1, psi2, conversion.BSP)
+
+    def refuse(self):
+        raise AssertionError("built the target's density matrix")
+
+    monkeypatch.setattr(PureState, "density", refuse)
+    tracemalloc.start()
+    try:
+        m = conversion.build_filter_map(cert, cert.p_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the target as its own 2048 x 2048 mixer peaked at 64 MB
+    assert peak < 2**20
+    assert m.mixer.cut == measures.robustness_bs_upper(psi2).certificate
 
 
 # --- channel construction and application -----------------------------------
@@ -404,8 +445,8 @@ def test_build_filter_map_carries_the_bs_mixer_and_cut(monkeypatch):
         m = conversion.build_filter_map(cert, cert.p_max)
         assert m.cert is cert
         assert calls.pop() is psi2 and not calls
-        mixer, _, cut = details(psi2)
-        assert m.mixer_cut == cut == measures.robustness_bs_upper(psi2).certificate
+        mixer = details(psi2)
+        assert m.mixer.cut == mixer.cut == measures.robustness_bs_upper(psi2).certificate
         assert np.array_equal(m.mixer.entries, mixer.entries)
 
 
@@ -429,15 +470,15 @@ def test_p_slack_edges(factor, ok):
 
 def test_preparation_map_rejects_bad_p():
     cert = conversion.max_probability(w_state(), ghz(3, 2), conversion.BSP)
-    mixer, _, cut = conversion._bs_mixer_details(ghz(3, 2))
+    mixer = conversion._bs_mixer_details(ghz(3, 2))
     with pytest.raises(ValueError):
-        conversion.PreparationMap(cert, p=0.0, mixer=mixer, mixer_cut=cut)
+        conversion.PreparationMap(cert, p=0.0, mixer=mixer)
 
 
 def test_preparation_map_holds_only_its_certificate_p_and_mixer():
     cert = conversion.max_probability(w_state(), ghz(3, 2), conversion.BSP)
     fields = [f.name for f in dataclasses.fields(conversion.PreparationMap)]
-    assert fields == ["cert", "p", "mixer", "mixer_cut"]
+    assert fields == ["cert", "p", "mixer"]
     assert "deterministic" not in [f.name for f in dataclasses.fields(cert)]
     # deterministic follows p_max, so the two cannot disagree
     assert not cert.deterministic and cert.p_max < 1.0
@@ -445,9 +486,7 @@ def test_preparation_map_holds_only_its_certificate_p_and_mixer():
     assert not dataclasses.replace(cert, p_max=0.999).deterministic
     # the mixer must act on the target's system
     with pytest.raises(linalg.ShapeError):
-        conversion.PreparationMap(
-            cert, p=0.5, mixer=ghz(4, 2).density(), mixer_cut=all_bipartitions(3)[0]
-        )
+        conversion.PreparationMap(cert, p=0.5, mixer=ghz(4, 2).density())
 
 
 @pytest.mark.parametrize("theory, r_upper", [(conversion.BSP, None), (conversion.FSP, 2.0)])
@@ -696,10 +735,7 @@ def test_extremal_probe_attains_the_measure():
 def test_fsp_probe_uses_the_audit_seed(monkeypatch):
     psi1 = random_state(3, 2, 21)
     cert = conversion.max_probability(psi1, w_state(), conversion.FSP, r_upper=2.0)
-    # the mixer is fully separable, so separable across any cut
-    m = conversion.PreparationMap(
-        cert, p=0.1, mixer=measures.w_robustness_mixer(), mixer_cut=all_bipartitions(3)[0]
-    )
+    m = conversion.PreparationMap(cert, p=0.1, mixer=measures.w_robustness_mixer())
     seeds = []
 
     def spy(psi, seed=measures.DEFAULT_SEED):
@@ -718,10 +754,10 @@ def test_fsp_probe_uses_the_audit_seed(monkeypatch):
 def test_preservation_fails_above_certified_p():
     psi2 = random_state(3, 2, 33)
     cert = conversion.max_probability(w_state(), psi2, conversion.BSP)
-    mixer, _, cut = conversion._bs_mixer_details(psi2)
+    mixer = conversion._bs_mixer_details(psi2)
     if cert.p_max >= 1.0:
         pytest.skip("target too weak to exceed the budget")
-    over = conversion.PreparationMap(cert, p=min(1.0, 1.5 * cert.p_max), mixer=mixer, mixer_cut=cut)
+    over = conversion.PreparationMap(cert, p=min(1.0, 1.5 * cert.p_max), mixer=mixer)
     rep = conversion.verify_preservation_sampled(over, 2000, seed=1)
     assert rep.violations >= 1
 

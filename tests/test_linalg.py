@@ -379,6 +379,20 @@ def test_state_json_diagnostics():
     huge = r"^malformed state JSON: n = 100000000, d = 3 needs 3\^100000000 amplitudes, got 1$"
     with pytest.raises(ValueError, match=huge):
         state_from_json('{"n": 100000000, "d": 3, "amplitudes": [[1, 0]]}')
+    # JSON true and false are no numbers, though complex() would read them
+    # as 1 and 0; an integer beyond the float range is refused in one line
+    pairs = r"^malformed state JSON: 'amplitudes' must be a list of \[re, im\] pairs$"
+    with pytest.raises(ValueError, match=pairs):
+        state_from_json('{"n": 1, "d": 2, "amplitudes": [[true, false], [0, 0]]}')
+    with pytest.raises(ValueError, match=pairs):
+        state_from_json('{"n": 1, "d": 2, "amplitudes": [[1, 0], [0, false]]}')
+    with pytest.raises(ValueError, match=r"^malformed density JSON: 'entries' must be"):
+        density_from_json('{"n": 1, "d": 2, "entries": [[1, 0], [0, 0], [0, 0], [true, 0]]}')
+    big = "1" + "0" * 400
+    with pytest.raises(ValueError, match=r"^malformed state JSON: a number in 'amplitudes' is too large$"):
+        state_from_json(f'{{"n": 1, "d": 2, "amplitudes": [[{big}, 0], [0, 0]]}}')
+    with pytest.raises(ValueError, match=r"^malformed density JSON: a number in 'entries' is too large$"):
+        density_from_json(f'{{"n": 1, "d": 2, "entries": [[1, 0], [0, 0], [0, 0], [0, -{big}]]}}')
 
 
 def test_apply_channel_output_is_density():
@@ -435,7 +449,7 @@ def test_matrices_made_by_construction_pass_the_public_checks(monkeypatch):
 
     for seed in range(3):
         # the biseparable mixer, materialized from its factors
-        made.append(conversion._bs_mixer_details(random_state(4, 2, seed))[0])
+        made.append(conversion._bs_mixer_details(random_state(4, 2, seed)))
 
     assert len(made) > 40
     for rho in made:
