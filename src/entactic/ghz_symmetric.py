@@ -99,22 +99,6 @@ _FS_ROWS = (
 )
 
 
-# The separability rows made homogeneous in (l+, l-, l): a.x <= b holds
-# iff h . (l+, l-, l) <= 0 with h = (a1 - b, a2 - b, -b), as l+ + l- + l = 1;
-# these are (1, -1, -1/3) and (-1, 1, -1/3).
-_SEPARABILITY_ROWS = tuple((a1 - b, a2 - b, -b) for (a1, a2), b in _FS_ROWS[:2])
-
-
-def is_fs_symmetric(p: GhzSymmetricParams, tol: float = 0.0) -> bool:
-    """Whether p meets both separability rows within tol, in the homogeneous
-    form, so that the test is exactly |l+ - l-| <= l/3 + tol also for
-    weights that sum to 1 only within WEIGHT_TOL.  Evaluated exactly, in
-    Fractions."""
-    lp, lm, lr = p.as_fractions()
-    slack = _as_fraction(tol)
-    return all(h1 * lp + h2 * lm + h3 * lr <= slack for h1, h2, h3 in _SEPARABILITY_ROWS)
-
-
 def polytope_vertices() -> list[GhzSymmetricParams]:
     """Vertices of the fully separable GHZ-symmetric polytope."""
     return [GhzSymmetricParams(lp, lm, 1 - lp - lm) for lp, lm in _lp_vertices(_FS_ROWS)]
@@ -141,8 +125,9 @@ def symmetric_robustness(
     for some fully separable GHZ-symmetric sigma; returns (s, sigma).
 
     Closed form, with D = l+ - l- of the target: s = 2(|D| - l/3) outside
-    the polytope.  Write mu = s sigma; the cost sum(mu) is at least
-    |mu+ - mu-| + mu_l, the two separability conditions force
+    the polytope, so s == 0 exactly when |D| <= l/3, also for weights that
+    sum to 1 only within WEIGHT_TOL.  Write mu = s sigma; the cost sum(mu)
+    is at least |mu+ - mu-| + mu_l, the two separability conditions force
     mu_l >= (3|D| - l)/2, and the bound grows with mu_l, so it is attained
     only there, with mu+ = 0 if D > 0 (mu- = 0 if D < 0): sigma is the
     polytope's vertex on a separability row with l+ = 0 (l- = 0), which is

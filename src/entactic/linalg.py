@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
@@ -17,7 +18,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 NORM_TOL = 1e-12
-PSD_TOL = 1e-10
+PSD_TOL = 1e-10  # how far below 0 an input density matrix's eigenvalue may be
+EIGVAL_ROUNDING = 4  # eigenvalue_slack's multiple of D eps |A|_F
 # a mixing ray's PPT threshold is computed on each cut only on the range of
 # the mixer's partial transpose where its eigenvalues are at least this, so
 # whitening by them stays well conditioned (it amplifies rounding in the
@@ -273,6 +275,15 @@ def partial_transpose(rho: DensityMatrix, subset: Sequence[int]) -> np.ndarray:
     return t.transpose(perm).reshape(rho.dim, rho.dim)
 
 
+def eigenvalue_slack(a: np.ndarray) -> float:
+    """EIGVAL_ROUNDING D eps |A|_F, the bound on the rounding in every
+    eigenvalue `np.linalg.eigvalsh` returns for the D x D Hermitian array a:
+    it is backward stable, and the worst measured on rank-deficient product
+    mixtures was 0.42 D eps |A|_F.  A partial transpose keeps the Frobenius
+    norm, so one slack per state covers every cut."""
+    return EIGVAL_ROUNDING * len(a) * sys.float_info.epsilon * math.sqrt(np.vdot(a, a).real)
+
+
 def is_ppt(rho: DensityMatrix, subset: Sequence[int], tol: float = PSD_TOL) -> bool:
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
@@ -283,14 +294,16 @@ def min_pt_eigenvalue(rho: DensityMatrix, subset: Sequence[int]) -> float:
     return float(np.linalg.eigvalsh(partial_transpose(rho, subset))[0])
 
 
-def npt_cut(rho: DensityMatrix, tol: float = PSD_TOL) -> tuple[Bipartition, float] | None:
+def npt_cut(rho: DensityMatrix) -> tuple[Bipartition, float] | None:
     """The first cut in `all_bipartitions` order whose partial transpose has
-    an eigenvalue below -tol, with that smallest eigenvalue, or None when
-    every cut is PPT within tol.  The sweep stops at that cut; an NPT cut
-    proves the state is not fully separable."""
+    an eigenvalue below -eigenvalue_slack(rho), with that smallest
+    eigenvalue, or None when no cut does.  The sweep stops at that cut; an
+    eigenvalue beyond rounding below 0 proves the state is not fully
+    separable."""
+    slack = eigenvalue_slack(rho.entries)
     for cut in all_bipartitions(rho.n):
         lam = min_pt_eigenvalue(rho, sorted(cut.parties))
-        if lam < -tol:
+        if lam < -slack:
             return cut, lam
     return None
 

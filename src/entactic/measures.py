@@ -20,11 +20,11 @@ from .catalog import WEIGHT_SUM_TOL, w_bar, w_state
 from .linalg import (
     Bipartition,
     DensityMatrix,
-    PSD_TOL,
     PureState,
     ShapeError,
     all_bipartitions,
     cut_purity,
+    eigenvalue_slack,
     haar_vector_draws,
     kron_vectors,
     min_pt_eigenvalue,
@@ -59,12 +59,6 @@ S_MAX = 16.0  # largest mixing weight the separable-mixture bisection tries
 # before the search starts there, so rounding cannot place it above the
 # threshold it computes
 THRESHOLD_MARGIN = 1e-9
-# two-qubit route: the smallest partial-transpose eigenvalue must be at least
-# this, so that rounding cannot certify a state on the PPT boundary
-PPT_MARGIN = 1e-12
-# near-identity route: the smallest eigenvalue mu of rho is lowered by this
-# before the ball test, so rounding in mu cannot certify a state outside it
-NEAR_IDENTITY_MARGIN = 1e-12
 # cut pruning: a cut is skipped only when its purity bound clears the best
 # score so far by more than this, so ties and near-ties are always scored
 PRUNE_TOL = 1e-9
@@ -334,31 +328,36 @@ def fs_certificate(rho: DensityMatrix) -> CertResult:
 
     Routes, in order:
     - `ghz-symmetric-polytope`: exact criterion on the 3-qubit GHZ-symmetric
-      family;
-    - `npt-cut`: negative partial transpose across any cut;
+      family, read from its restricted robustness s in Fractions: FS when
+      s == 0, NOT_FS when s > 2 slack, and on to the next route otherwise;
+    - `npt-cut`: a partial-transpose eigenvalue below -slack on some cut;
     - `two-qubit-ppt`: on two qubits PPT is equivalent to separability
       (Horodecki, Horodecki & Horodecki, PLA 223, 1 (1996)); certified only
-      when the partial transpose's smallest eigenvalue is >= PPT_MARGIN;
+      when the partial transpose's smallest eigenvalue is >= slack;
     - `near-identity`: an n-qubit rho with smallest eigenvalue mu is
       D mu I/D + (1 - D mu) rho1 with rho1 >= 0, which is fully separable
       when 1 - D mu < 1/(1 + 2^(2n-1)) (Braunstein et al., PRL 83, 1054
-      (1999)); mu is lowered by NEAR_IDENTITY_MARGIN first;
-    - `symmetric-ppt`: permutation-symmetric 3 qubits + PPT;
+      (1999)); mu is lowered by the slack first;
+    - `symmetric-ppt`: permutation-symmetric 3 qubits + PPT (no cut NPT
+      beyond the slack);
     - `decomposition-fit`: constructive product-decomposition fit.
-    (Members of the diagonal {000, 111, W, Wbar} family are permutation
-    symmetric, so the routes before the fit decide them.)  Returns UNKNOWN
-    when no route fires; that is a value, not an error.
+    The slack is `linalg.eigenvalue_slack(rho.entries)`, the rounding bound
+    on every eigenvalue these routes read.  (Members of the diagonal
+    {000, 111, W, Wbar} family are permutation symmetric, so the routes
+    before the fit decide them.)  Returns UNKNOWN when no route fires; that
+    is a value, not an error.
     """
     if (rho.n, rho.d) == (3, 2):
         params = gs.twirl(rho)
         recon = gs.params_to_density(params)
         if np.max(np.abs(recon.entries - rho.entries)) <= STRUCTURE_TOL:
-            fs = gs.is_fs_symmetric(params, tol=PSD_TOL)
-            return CertResult(
-                CERTIFIED_FS if fs else CERTIFIED_NOT_FS,
-                route="ghz-symmetric-polytope",
-                detail={"params": params.as_floats()},
-            )
+            s = gs.symmetric_robustness(params)[0]
+            if s == 0 or float(s) > 2 * eigenvalue_slack(rho.entries):
+                return CertResult(
+                    CERTIFIED_FS if s == 0 else CERTIFIED_NOT_FS,
+                    route="ghz-symmetric-polytope",
+                    detail={"params": params.as_floats()},
+                )
 
     npt = npt_cut(rho)
     if npt is not None:
@@ -369,21 +368,22 @@ def fs_certificate(rho: DensityMatrix) -> CertResult:
             detail={"cut": str(cut), "min_eigenvalue": lam},
         )
 
+    slack = eigenvalue_slack(rho.entries)
     if (rho.n, rho.d) == (2, 2):
         lam = min_pt_eigenvalue(rho, [1])
-        if lam >= PPT_MARGIN:
+        if lam >= slack:
             return CertResult(CERTIFIED_FS, route="two-qubit-ppt", detail={"min_eigenvalue": lam})
 
     if rho.d == 2:
-        weight = 1.0 - rho.dim * (float(np.linalg.eigvalsh(rho.entries)[0]) - NEAR_IDENTITY_MARGIN)
+        weight = 1.0 - rho.dim * (float(np.linalg.eigvalsh(rho.entries)[0]) - slack)
         radius = 1.0 / (1.0 + 2.0 ** (2 * rho.n - 1))
         if weight < radius:
             detail = {"weight": weight, "radius": radius}
             return CertResult(CERTIFIED_FS, route="near-identity", detail=detail)
 
     if (rho.n, rho.d) == (3, 2) and _is_permutation_symmetric(rho, STRUCTURE_TOL):
-        # all cuts already verified PPT above; for symmetric 3-qubit states
-        # PPT is sufficient for full separability
+        # all cuts already verified PPT above, within the slack; for
+        # symmetric 3-qubit states PPT is sufficient for full separability
         return CertResult(CERTIFIED_FS, route="symmetric-ppt", detail={})
 
     res, terms = _fit_product_decomposition(rho)

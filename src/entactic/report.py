@@ -101,7 +101,8 @@ def _claim_lemma2(seed):
         for a in np.linspace(0, math.pi / 2, 16)
         for b in np.linspace(0, 2 * math.pi, 4)
     )
-    # both states PPT across every cut within PSD_TOL
+    # no partial transpose of either state has an eigenvalue below rounding
+    # (linalg.eigenvalue_slack)
     ppt = npt_cut(mixer) is None and npt_cut(boundary) is None
     expected = [2.0, 2.0, 0.0, 0.0, True]
     computed = [

@@ -82,7 +82,7 @@ def test_ac4_w_robustness_and_witness():
     mix = (w_state().density().entries + 2.0 * tau.entries) / 3.0
     assert np.max(np.abs(mix - eta.entries)) <= 1e-12
     for rho in (tau, eta):
-        assert npt_cut(rho, tol=1e-10) is None
+        assert npt_cut(rho) is None
 
 
 def test_ac5_unique_separable_mixer():

@@ -582,11 +582,14 @@ def test_claim_registry_traceability():
 
 @pytest.mark.parametrize("factor,ppt", [(0.5, True), (2.0, False)])
 def test_lemma2_claim_ppt_floor_edges(monkeypatch, factor, ppt):
-    # the claim's PPT check on the W mixer and boundary allows -PSD_TOL
+    # the claim's PPT check on the W mixer and boundary allows eigenvalues
+    # down to minus each state's rounding slack
     from entactic import linalg, measures, report
-    from entactic.linalg import PSD_TOL
+    from entactic.linalg import eigenvalue_slack
 
-    monkeypatch.setattr(linalg, "min_pt_eigenvalue", lambda rho, subset: -factor * PSD_TOL)
+    monkeypatch.setattr(
+        linalg, "min_pt_eigenvalue", lambda rho, subset: -factor * eigenvalue_slack(rho.entries)
+    )
     monkeypatch.setattr(measures, "robustness_fs_upper_via_mix", lambda psi, mixer: 2.0)
     _, computed, _ = report._claim_lemma2(7)
     assert computed[-1] is ppt

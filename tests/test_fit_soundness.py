@@ -1,5 +1,5 @@
-"""Known-answer soundness of the certifier on inputs that reach the
-decomposition fit.
+"""Known-answer soundness of the certifier, on inputs that reach the
+decomposition fit and on inputs at the edges of its exact routes.
 
 Each case states a fact about the input that holds by construction or by a
 theorem, computed here without the certifier's own routes, and checks that
@@ -7,7 +7,9 @@ no verdict contradicts it.  Wherever the fit certifies, its residual is
 recomputed from the returned terms as the Frobenius distance.
 """
 
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entactic import measures
-from entactic.linalg import DensityMatrix, kron_vectors, npt_cut
+from entactic.catalog import ghz, w_state
+from entactic.ghz_symmetric import GhzSymmetricParams, params_to_density
+from entactic.linalg import DensityMatrix, density_from_json, kron_vectors, npt_cut
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -126,3 +130,67 @@ def test_local_unitary_images_of_the_shifts_upb_state_are_never_certified_fs(see
     u = local_unitary(np.random.default_rng(seed), 3)
     m = u @ shifts_upb_state().entries @ u.conj().T
     assert certify(3, (m + m.conj().T) / 2).verdict != measures.CERTIFIED_FS
+
+
+def through_json(n, m):
+    """m as the certify benchmark writes and reads a density: Hermitian part,
+    unit trace, JSON [re, im] pairs, `density_from_json`."""
+    m = (m + m.conj().T) / 2
+    m = m / np.trace(m).real
+    pairs = [[z.real, z.imag] for z in m.reshape(-1).tolist()]
+    return density_from_json(json.dumps({"n": n, "d": 2, "entries": pairs}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.booleans(), SEEDS)
+def test_rank_deficient_product_mixtures_are_never_npt(n, pure, seed):
+    # every partial transpose of a product mixture is PSD, so a computed
+    # eigenvalue below 0 is rounding, which the slack must cover: the worst
+    # of 4,500 such draws was 0.42 D eps |rho|_F, against EIGVAL_ROUNDING = 4
+    rng = np.random.default_rng(seed)
+    terms = 1 if pure else 2 * n
+    vectors = [product_vector(rng, n) for _ in range(terms)]
+    m = sum(w * np.outer(v, v.conj()) for w, v in zip(rng.dirichlet(np.ones(terms)), vectors))
+    assert npt_cut(through_json(n, m)) is None
+
+
+@pytest.mark.parametrize("offset", [-1e-9, -1e-12, 1e-12, 1e-9])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_ghz_symmetric_points_are_certified_fs_only_inside_the_polytope(sign, offset):
+    # l = 3/5 and l+ - l- = sign (l/3 + offset) in exact Fractions: fully
+    # separable iff offset <= 0 (the polytope |l+ - l-| <= l/3 is exact for
+    # the family), so the state is in the polytope or at least 1e-12 out
+    lr = Fraction(3, 5)
+    gap = sign * (lr / 3 + Fraction(str(offset)))
+    rho = params_to_density(GhzSymmetricParams((1 - lr + gap) / 2, (1 - lr - gap) / 2, lr))
+    res = measures.fs_certificate(rho)
+    assert res.route == "ghz-symmetric-polytope"
+    assert res.verdict == (measures.CERTIFIED_FS if offset < 0 else measures.CERTIFIED_NOT_FS)
+
+
+SINGULAR_RAYS = {
+    # Lemma 2's W ray and Lemma 1's GHZ ray, each fully separable exactly
+    # from s = 2 on, where their partial transposes are singular
+    "w": (w_state, measures.w_robustness_mixer),
+    "ghz": (lambda: ghz(3, 2), lambda: params_to_density(GhzSymmetricParams(0.0, 0.25, 0.75))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGULAR_RAYS))
+def test_singular_rays_certify_nothing_beyond_rounding_below_two(monkeypatch, name):
+    make_psi, make_mixer = SINGULAR_RAYS[name]
+    certified = []
+    certify = measures.fs_certificate
+
+    def spy(rho):
+        res = certify(rho)
+        if res.verdict == measures.CERTIFIED_FS:
+            certified.append(rho.entries)
+        return res
+
+    monkeypatch.setattr(measures, "fs_certificate", spy)
+    s = measures.robustness_fs_upper_via_mix(make_psi().density(), make_mixer(), bisect_tol=1e-300)
+    assert s >= 2 - 1e-12
+    assert certified
+    for m in certified:
+        assert min_pt_eigenvalue(m, 3) >= -1e-11

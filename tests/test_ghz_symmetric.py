@@ -66,26 +66,33 @@ def test_twirl_of_named_states():
     assert lr == pytest.approx(1.0)
 
 
+def fs(p):
+    """Membership in the fully separable polytope: zero restricted robustness."""
+    return gs.symmetric_robustness(p)[0] == 0
+
+
 def test_separability_criterion_exact():
-    assert gs.is_fs_symmetric(gs.GhzSymmetricParams(F(1, 4), F(0), F(3, 4)))
+    assert fs(gs.GhzSymmetricParams(F(1, 10), F(1, 10), F(4, 5)))
     # boundary case: |l+ - l-| == l/3 exactly
-    assert gs.is_fs_symmetric(gs.GhzSymmetricParams(F(1, 4), F(0), F(3, 4)))
-    assert not gs.is_fs_symmetric(gs.GhzSymmetricParams(F(1, 4) + F(1, 100), F(0), F(3, 4) - F(1, 100)))
-    assert not gs.is_fs_symmetric(gs.GhzSymmetricParams(F(1), F(0), F(0)))
+    assert fs(gs.GhzSymmetricParams(F(1, 4), F(0), F(3, 4)))
+    assert not fs(gs.GhzSymmetricParams(F(1, 4) + F(1, 100), F(0), F(3, 4) - F(1, 100)))
+    assert not fs(gs.GhzSymmetricParams(F(1), F(0), F(0)))
 
 
 def test_separability_rows_give_the_homogeneous_criterion():
-    # the rows' test is |l+ - l-| <= l/3 + tol exactly, also for weights that
-    # sum to 1 only within WEIGHT_TOL and at either edge of the tolerance
+    # s == 0 is |l+ - l-| <= l/3 exactly, and s > 2 tol (the polytope
+    # route's NOT_FS test) is |l+ - l-| > l/3 + tol exactly, also for
+    # weights that sum to 1 only within WEIGHT_TOL
     rng = np.random.default_rng(5)
     off = Fraction(gs.WEIGHT_TOL) / 2
     for _ in range(300):
         lp, lm = (F(int(x), 997) for x in rng.integers(0, 499, size=2))
         for lr in (1 - lp - lm, 1 - lp - lm + off, 1 - lp - lm - off):
             p = gs.GhzSymmetricParams(lp, lm, lr)
-            for tol in (0.0, 1e-9, abs(float(abs(lp - lm) - lr / 3))):
-                expected = abs(lp - lm) <= lr / 3 + Fraction(tol)
-                assert gs.is_fs_symmetric(p, tol=tol) is expected
+            s = gs.symmetric_robustness(p)[0]
+            assert (s == 0) is (abs(lp - lm) <= lr / 3)
+            for tol in (1e-9, abs(float(abs(lp - lm) - lr / 3))):
+                assert (s > 2 * Fraction(tol)) is (abs(lp - lm) > lr / 3 + Fraction(tol))
 
 
 def test_symmetric_robustness_mixers_are_polytope_vertices():
@@ -108,7 +115,7 @@ def test_polytope_vertices():
         (F(1, 4), F(0), F(3, 4)),
     }
     for v in gs.polytope_vertices():
-        assert gs.is_fs_symmetric(v)
+        assert fs(v)
 
 
 # Robustness values frozen from an independent floating-point LP solve
@@ -127,7 +134,7 @@ ORACLE = [
 def test_symmetric_robustness_against_lp_oracle(target, expected):
     s, mixer = gs.symmetric_robustness(gs.GhzSymmetricParams(*target))
     assert s == expected
-    assert gs.is_fs_symmetric(mixer)
+    assert fs(mixer)
 
 
 def test_symmetric_robustness_against_linprog():
@@ -171,7 +178,7 @@ def test_symmetric_robustness_mixture_lands_on_boundary():
     mix = gs.GhzSymmetricParams(
         (tp + s * mp) / (1 + s), (tm + s * mm) / (1 + s), (tr + s * mr) / (1 + s)
     )
-    assert gs.is_fs_symmetric(mix)
+    assert fs(mix)
     xp, xm, xr = mix.as_fractions()
     assert abs(xp - xm) == xr / 3  # exactly on the separability boundary
 
@@ -186,17 +193,17 @@ def test_symmetric_robustness_certificate_property(seed):
     target = gs.GhzSymmetricParams(lp, lm, 1 - lp - lm)
     s, mixer = gs.symmetric_robustness(target)
     assert s >= 0
-    assert gs.is_fs_symmetric(mixer)
+    assert fs(mixer)
     tp, tm, tr = target.as_fractions()
     mp, mm, mr = mixer.as_fractions()
     mix = gs.GhzSymmetricParams(
         (tp + s * mp) / (1 + s), (tm + s * mm) / (1 + s), (tr + s * mr) / (1 + s)
     )
-    assert gs.is_fs_symmetric(mix)
+    assert fs(mix)
     if s == 0:
-        assert gs.is_fs_symmetric(target)
+        assert fs(target)
     else:
-        assert not gs.is_fs_symmetric(target)
+        assert not fs(target)
         xp, xm, xr = mix.as_fractions()
         assert abs(xp - xm) == xr / 3  # the least s lands exactly on the boundary
 

@@ -16,6 +16,7 @@ from entactic.linalg import (
     cut_matrix,
     density_from_json,
     density_to_json,
+    eigenvalue_slack,
     haar_vector_draws,
     is_ppt,
     kron_vectors,
@@ -244,16 +245,37 @@ def test_npt_cut_sweeps_every_cut_of_a_ppt_state(monkeypatch):
     assert asked == [cut.parties for cut in all_bipartitions(3)]
 
 
+def dephased_bell(b):
+    """(|00><00| + |11><11|)/2 + b (|00><11| + |11><00|).  Its partial
+    transpose's {01, 10} block is [[0, b], [b, 0]], a Hadamard-conjugated
+    diag(b, -b), so its smallest eigenvalue is exactly -|b|."""
+    m = np.diag([0.5, 0.0, 0.0, 0.5])
+    m[0, 3] = m[3, 0] = b
+    return DensityMatrix(2, 2, m)
+
+
 @pytest.mark.parametrize("factor,npt", [(0.5, False), (1.0, False), (2.0, True)])
-def test_npt_cut_tolerance_edges(monkeypatch, factor, npt):
-    # an eigenvalue of exactly -tol still counts as PPT
-    rho = DensityMatrix(2, 2, np.eye(4) / 4)
-    for tol in (linalg.PSD_TOL, 1e-6):
-        counted_min_pt(monkeypatch, -factor * tol)
-        found = npt_cut(rho, tol=tol)
-        assert (found is not None) is npt
-        if npt:
-            assert found == (all_bipartitions(2)[0], -factor * tol)
+def test_npt_cut_tolerance_edges(factor, npt):
+    # an eigenvalue of exactly -slack still counts as PPT; b this small
+    # leaves the Frobenius norm, and so the slack, as at b = 0
+    slack = eigenvalue_slack(dephased_bell(0.0).entries)
+    rho = dephased_bell(factor * slack)
+    assert eigenvalue_slack(rho.entries) == slack
+    assert min_pt_eigenvalue(rho, [1]) == -factor * slack
+    found = npt_cut(rho)
+    assert (found is not None) is npt
+    if npt:
+        assert found == (all_bipartitions(2)[0], -factor * slack)
+
+
+def test_eigenvalue_slack_is_one_per_state():
+    # EIGVAL_ROUNDING D eps |A|_F, the same for every partial transpose
+    rho = random_state(3, 2, 5).density()
+    slack = linalg.EIGVAL_ROUNDING * 8 * np.finfo(float).eps * np.linalg.norm(rho.entries)
+    assert eigenvalue_slack(rho.entries) == pytest.approx(slack, rel=1e-15)
+    for cut in all_bipartitions(3):
+        pt = partial_transpose(rho, sorted(cut.parties))
+        assert eigenvalue_slack(pt) == pytest.approx(slack, rel=1e-14)
 
 
 WHITE3 = DensityMatrix(3, 2, np.eye(8) / 8)

@@ -13,11 +13,11 @@ from entactic import linalg, measures
 from entactic.catalog import cluster_state, four_qubit_phi, ghz, w_state
 from entactic.ghz_symmetric import GhzSymmetricParams, params_to_density
 from entactic.linalg import (
-    PSD_TOL,
     Bipartition,
     DensityMatrix,
     PureState,
     all_bipartitions,
+    eigenvalue_slack,
     haar_vector_draws,
     kron_vectors,
     min_pt_eigenvalue,
@@ -86,6 +86,29 @@ def test_maximize_over_products_best_restart_fields():
     assert res.converged and 1 <= res.iterations <= measures.MAX_SWEEPS
     prod = PureState(3, 2, np.kron(np.kron(*res.certificate[:2]), res.certificate[2]))
     assert abs(np.vdot(prod.amplitudes, w_state().amplitudes)) ** 2 == pytest.approx(res.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("factor,frozen", [(0.5, True), (2.0, False)])
+def test_sweep_tolerance_edges(monkeypatch, factor, frozen):
+    # a product target is reached in the first sweep; every eigenvalue the
+    # k-th sweep's updates return is then lifted by (k - 1) factor SWEEP_TOL,
+    # so each later sweep gains factor SWEEP_TOL, up to rounding
+    n, eigh, calls = 2, np.linalg.eigh, []
+
+    def lifted(m):
+        lam, vec = eigh(m)
+        calls.append(m)
+        return lam + (len(calls) - 1) // n * factor * measures.SWEEP_TOL, vec
+
+    monkeypatch.setattr(np.linalg, "eigh", lifted)
+    target = kron_vectors([np.array([1.0, 0.0]), np.array([0.6, 0.8])])
+    res = measures.maximize_over_products(target[None], [1.0], n, 2)
+    if frozen:
+        # every restart is frozen after its second sweep
+        assert (res.iterations, res.converged) == (2, True)
+        assert len(calls) == 2 * n
+    else:
+        assert (res.iterations, res.converged) == (measures.MAX_SWEEPS, False)
 
 
 def test_geometric_fs_fixtures():
@@ -334,7 +357,7 @@ def test_w_mixer_and_boundary_weights():
 
 def test_mixer_and_boundary_are_ppt_across_all_cuts():
     for rho in (measures.w_robustness_mixer(), measures.w_robustness_boundary()):
-        assert npt_cut(rho, tol=1e-10) is None
+        assert npt_cut(rho) is None
 
 
 # --- separability certification --------------------------------------------
@@ -408,8 +431,8 @@ def product_mixture(n, terms, noise, seed):
 
 
 def reaches_the_fit():
-    """|00><00|: its partial transpose has the eigenvalue 0, below PPT_MARGIN,
-    so no route before the fit decides it."""
+    """|00><00|: its partial transpose has the eigenvalue 0, below the
+    rounding slack, so no route before the fit decides it."""
     return DensityMatrix(2, 2, np.diag([1.0, 0.0, 0.0, 0.0]))
 
 
@@ -559,11 +582,30 @@ def test_permutation_symmetry_tolerance_edges(monkeypatch, factor, symmetric):
     assert res.route == ("symmetric-ppt" if symmetric else "none")
 
 
+def two_qubit_pt_min(lam):
+    """A two-qubit state whose partial transpose has smallest eigenvalue
+    exactly lam, for small lam: diag(a, c, c, a) plus b on the |00><11|
+    coherence, with c = max(lam, 0) and b = max(-lam, 0).  The partial
+    transpose moves b into the {01, 10} block [[c, b], [b, c]], a
+    Hadamard-conjugated diag(c + b, c - b)."""
+    c, b = max(lam, 0.0), max(-lam, 0.0)
+    m = np.diag([0.5 - c, c, c, 0.5 - c])
+    m[0, 3] = m[3, 0] = b
+    return DensityMatrix(2, 2, m)
+
+
+# the rounding slack of every two_qubit_pt_min(lam) at these sizes, up to a
+# relative 1e-15
+SLACK2 = eigenvalue_slack(two_qubit_pt_min(0.0).entries)
+
+
 @pytest.mark.parametrize("factor,npt", [(0.5, False), (2.0, True)])
-def test_npt_route_tolerance_edges(monkeypatch, factor, npt):
-    # npt_cut reads min_pt_eigenvalue from linalg at call time
-    monkeypatch.setattr(linalg, "min_pt_eigenvalue", lambda rho, subset: -factor * PSD_TOL)
-    res = measures.fs_certificate(DensityMatrix(2, 2, np.diag([1.0, 0.0, 0.0, 0.0])))
+def test_npt_route_tolerance_edges(factor, npt):
+    # within the slack below 0 the state is not called NPT, and the fit
+    # certifies it as the product mixture it is within rounding
+    rho = two_qubit_pt_min(-factor * SLACK2)
+    assert min_pt_eigenvalue(rho, [1]) == -factor * SLACK2
+    res = measures.fs_certificate(rho)
     assert res.route == ("npt-cut" if npt else "decomposition-fit")
 
 
@@ -573,34 +615,28 @@ def no_fit(monkeypatch):
     monkeypatch.setattr(measures, "_fit_product_decomposition", lambda rho: (1.0, []))
 
 
-def bell_with_white(lam):
-    """(1 - t) Phi+ + t I/4 whose partial transpose has smallest eigenvalue
-    lam = -(1 - t)/2 + t/4."""
-    t = 4 * (lam + 0.5) / 3
-    return DensityMatrix(2, 2, (1 - t) * ghz(2, 2).density().entries + t * np.eye(4) / 4)
-
-
 def test_two_qubit_ppt_route():
-    res = measures.fs_certificate(product_mixture(2, 4, 0.0, seed=2))
+    rho = product_mixture(2, 4, 0.0, seed=2)
+    res = measures.fs_certificate(rho)
     assert (res.verdict, res.route) == (measures.CERTIFIED_FS, "two-qubit-ppt")
-    assert res.detail["min_eigenvalue"] >= measures.PPT_MARGIN
+    assert res.detail["min_eigenvalue"] >= eigenvalue_slack(rho.entries)
 
 
 @pytest.mark.parametrize(
-    "lam,route",
+    "factor,route",
     [
-        (2.0 * measures.PPT_MARGIN, "two-qubit-ppt"),
-        (0.5 * measures.PPT_MARGIN, "none"),
+        (2.0, "two-qubit-ppt"),
+        (0.5, "none"),
         (0.0, "none"),
-        # PPT within PSD_TOL but negative: neither NPT-certified nor PPT-certified
-        (-0.5 * PSD_TOL, "none"),
-        (-2.0 * PSD_TOL, "npt-cut"),
+        # PPT within the slack but negative: neither NPT-certified nor PPT-certified
+        (-0.5, "none"),
+        (-2.0, "npt-cut"),
     ],
 )
-def test_two_qubit_ppt_margin_edges(monkeypatch, lam, route):
+def test_two_qubit_ppt_margin_edges(monkeypatch, factor, route):
     no_fit(monkeypatch)
-    rho = bell_with_white(lam)
-    assert min_pt_eigenvalue(rho, [1]) == pytest.approx(lam, abs=1e-15)
+    rho = two_qubit_pt_min(factor * SLACK2)
+    assert min_pt_eigenvalue(rho, [1]) == factor * SLACK2
     assert measures.fs_certificate(rho).route == route
 
 
@@ -615,20 +651,32 @@ RADIUS3 = 1 / 33
 @pytest.mark.parametrize("offset,near", [(-1e-9, True), (1e-9, False)])
 def test_near_identity_route_on_w_with_white_noise(offset, near):
     # p W + (1 - p) I/8 has mu = (1 - p)/8, so 1 - D mu = p
-    res = measures.fs_certificate(w_with_white(RADIUS3 + offset))
+    rho = w_with_white(RADIUS3 + offset)
+    res = measures.fs_certificate(rho)
     assert res.verdict == measures.CERTIFIED_FS
     assert (res.route == "near-identity") is near
     if near:
         assert res.detail["radius"] == RADIUS3
-        weight = RADIUS3 + offset + 8 * measures.NEAR_IDENTITY_MARGIN
+        weight = RADIUS3 + offset + 8 * eigenvalue_slack(rho.entries)
         assert res.detail["weight"] == pytest.approx(weight, abs=1e-14)
+
+
+def diagonal_with_min(mu):
+    """diag(mu, r, ..., r) on three qubits, r = (1 - mu)/7 > mu: its
+    smallest eigenvalue is exactly mu."""
+    return DensityMatrix(3, 2, np.diag([mu] + [(1 - mu) / 7] * 7))
 
 
 @pytest.mark.parametrize("factor,near", [(0.5, False), (2.0, True)])
 def test_near_identity_margin_edges(factor, near):
-    # mu is lowered by the margin, so the tested weight is p + D * margin
-    p = RADIUS3 - factor * 8 * measures.NEAR_IDENTITY_MARGIN
-    assert (measures.fs_certificate(w_with_white(p)).route == "near-identity") is near
+    # mu is lowered by the slack, so the tested weight is
+    # 1 - 8 mu + 8 slack: with mu = (1 - RADIUS3)/8 + factor slack it is
+    # RADIUS3 + 8 (1 - factor) slack, inside the ball only for factor > 1
+    mu0 = (1 - RADIUS3) / 8
+    slack = eigenvalue_slack(diagonal_with_min(mu0).entries)
+    rho = diagonal_with_min(mu0 + factor * slack)
+    assert eigenvalue_slack(rho.entries) == pytest.approx(slack, rel=1e-12)
+    assert (measures.fs_certificate(rho).route == "near-identity") is near
 
 
 def test_near_identity_route_on_four_qubits():
@@ -768,13 +816,14 @@ def test_lemma2_search_lands_within_tolerance_of_two(monkeypatch):
 SINGULAR_MIXERS = {
     # smallest partial-transpose eigenvalues about 1e-17 and 3.5e-17.  The
     # last value is the smallest float the search certifies at bisect_tol
-    # 1e-300, just below the exact 2: ROADMAP item 1's symmetric-ppt and
-    # polytope routes certify mixtures within PSD_TOL outside the FS set
-    "w-mixer": (w_state, measures.w_robustness_mixer, 1.9999999983500005),
+    # 1e-300, below the exact 2 by 6.4e-14 and 1.8e-14: symmetric-ppt
+    # certifies mixtures whose partial transposes lie within the rounding
+    # slack below 0
+    "w-mixer": (w_state, measures.w_robustness_mixer, 1.9999999999999358),
     "ghz-symmetric": (
         lambda: ghz(3, 2),
         lambda: params_to_density(GhzSymmetricParams(0.0, 0.25, 0.75)),
-        1.9999999993999995,
+        1.9999999999999818,
     ),
 }
 
