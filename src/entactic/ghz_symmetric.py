@@ -10,6 +10,7 @@ robustness in closed form, in exact rational arithmetic.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -45,8 +46,11 @@ class GhzSymmetricParams:
         vals = (self.lambda_plus, self.lambda_minus, self.lambda_rest)
         if min(vals) < -WEIGHT_TOL:
             raise ValueError(f"negative weight in {vals}")
-        if abs(float(sum(vals)) - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"weights sum to {float(sum(vals))}, expected 1")
+        # summed in Fractions, as a weight beyond the float range has no float sum
+        total = sum(map(_as_fraction, vals))
+        if abs(total - 1) > WEIGHT_TOL:
+            shown = float(total) if total <= sys.float_info.max else "more than the largest float"
+            raise ValueError(f"weights sum to {shown}, expected 1")
 
     def as_fractions(self) -> tuple[Fraction, Fraction, Fraction]:
         return (

@@ -15,7 +15,6 @@ from itertools import permutations
 
 import numpy as np
 
-from . import ghz_symmetric as gs
 from .catalog import WEIGHT_SUM_TOL, w_bar, w_state
 from .linalg import (
     Bipartition,
@@ -44,9 +43,8 @@ DEFAULT_SEED = 2024
 RESTARTS = 32
 MAX_SWEEPS = 500
 SWEEP_TOL = 1e-12
-# full-separability certifier: entrywise match to the GHZ-symmetric family
-# and to permutation symmetry; the product-decomposition fit's kept terms,
-# residual threshold, rounds, dictionary size and seed
+# full-separability certifier: the symmetric-ppt gate's entrywise match to
+# permutation symmetry; the fit's kept terms, threshold, rounds, size, seed
 STRUCTURE_TOL = 1e-10
 FIT_TERMS = 20
 FIT_TOL = 1e-6
@@ -327,9 +325,11 @@ def fs_certificate(rho: DensityMatrix) -> CertResult:
     """Decide full separability where a sufficient route applies.
 
     Routes, in order:
-    - `ghz-symmetric-polytope`: exact criterion on the 3-qubit GHZ-symmetric
-      family, read from its restricted robustness s in Fractions: FS when
-      s == 0, NOT_FS when s > 2 slack, and on to the next route otherwise;
+    - `ghz-corner`: exact, in Fractions of the entries, on n >= 2 qubits whose
+      only coherence is c = rho[0, D-1] and whose diagonal d_j is >= 0 (Dur &
+      Cirac, PRA 61, 042314 (2000)): NOT_FS when some d_j d_(D-1-j) < |c|^2,
+      FS when every d_j >= |c|, as rho less a diagonal >= 0 is then D|c| times
+      (I + e^(i arg c)|0..0><1..1| + h.c.)/D, an even mix of 3^(n-1) products;
     - `npt-cut`: a partial-transpose eigenvalue below -slack on some cut;
     - `two-qubit-ppt`: on two qubits PPT is equivalent to separability
       (Horodecki, Horodecki & Horodecki, PLA 223, 1 (1996)); certified only
@@ -342,22 +342,22 @@ def fs_certificate(rho: DensityMatrix) -> CertResult:
       beyond the slack);
     - `decomposition-fit`: constructive product-decomposition fit.
     The slack is `linalg.eigenvalue_slack(rho.entries)`, the rounding bound
-    on every eigenvalue these routes read.  (Members of the diagonal
+    on every eigenvalue the later routes read.  (Members of the diagonal
     {000, 111, W, Wbar} family are permutation symmetric, so the routes
     before the fit decide them.)  Returns UNKNOWN when no route fires; that
     is a value, not an error.
     """
-    if (rho.n, rho.d) == (3, 2):
-        params = gs.twirl(rho)
-        recon = gs.params_to_density(params)
-        if np.max(np.abs(recon.entries - rho.entries)) <= STRUCTURE_TOL:
-            s = gs.symmetric_robustness(params)[0]
-            if s == 0 or float(s) > 2 * eigenvalue_slack(rho.entries):
-                return CertResult(
-                    CERTIFIED_FS if s == 0 else CERTIFIED_NOT_FS,
-                    route="ghz-symmetric-polytope",
-                    detail={"params": params.as_floats()},
-                )
+    m, diag, c = rho.entries, rho.entries.diagonal().real, rho.entries[0, -1]
+    if rho.d == 2 and rho.n >= 2 and diag.min() >= 0:
+        member = np.diag(diag + 0j)
+        member[0, -1], member[-1, 0] = c, np.conj(c)
+        if np.array_equal(member, m):
+            d = [Fraction(x) for x in diag]
+            c2 = Fraction(c.real) ** 2 + Fraction(c.imag) ** 2
+            if any(d[j] * d[-1 - j] < c2 for j in range(1, rho.dim // 2)):
+                return CertResult(CERTIFIED_NOT_FS, route="ghz-corner")
+            if all(x * x >= c2 for x in d):
+                return CertResult(CERTIFIED_FS, route="ghz-corner")
 
     npt = npt_cut(rho)
     if npt is not None:

@@ -295,6 +295,12 @@ def test_symmetric_robustness_zero_denominator(capsys):
     assert "zero denominator" in err
 
 
+def test_symmetric_robustness_params_beyond_the_float_range(capsys):
+    # the weights are exact Fractions, and their sum is checked as one
+    err = one_line_error(capsys, ["symmetric-robustness", "--params", "1e400,0,0"])
+    assert err == "error: weights sum to more than the largest float, expected 1"
+
+
 def test_witness_eval_on_wrong_shape(tmp_path, capsys):
     bell = tmp_path / "bell.json"
     bell.write_text(state_to_json(ghz(2, 2)))

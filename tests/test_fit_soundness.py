@@ -10,14 +10,15 @@ recomputed from the returned terms as the Frobenius distance.
 import json
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from entactic import measures
-from entactic.catalog import ghz, w_state
+from entactic.catalog import ghz, ghz_minus, w_state
 from entactic.ghz_symmetric import GhzSymmetricParams, params_to_density
 from entactic.linalg import DensityMatrix, density_from_json, kron_vectors, npt_cut
 
@@ -38,16 +39,19 @@ def mix_with_white(m, noise):
     return (1 - noise) * m + noise * np.eye(dim) / dim
 
 
+def partial_transpose(m, n, parties):
+    """The n-qubit matrix m with the indices of `parties` (0-based) transposed."""
+    axes = list(range(2 * n))
+    for k in parties:
+        axes[k], axes[n + k] = n + k, k
+    return m.reshape((2,) * (2 * n)).transpose(axes).reshape(2**n, 2**n)
+
+
 def min_pt_eigenvalue(m, n):
     """Smallest eigenvalue of the partial transpose of an n-qubit matrix
-    over the cuts that split off one qubit (all cuts for n <= 3)."""
-    t = m.reshape((2,) * (2 * n))
-    lows = []
-    for k in range(n if n > 2 else 1):
-        axes = list(range(2 * n))
-        axes[k], axes[n + k] = n + k, k
-        lows.append(np.linalg.eigvalsh(t.transpose(axes).reshape(2**n, 2**n))[0])
-    return min(lows)
+    over every cut, each named by its side without the first qubit."""
+    sides = [[k for k in range(1, n) if mask >> k & 1] for mask in range(2, 2**n, 2)]
+    return min(np.linalg.eigvalsh(partial_transpose(m, n, side))[0] for side in sides)
 
 
 def certify(n, m):
@@ -154,18 +158,93 @@ def test_rank_deficient_product_mixtures_are_never_npt(n, pure, seed):
     assert npt_cut(through_json(n, m)) is None
 
 
-@pytest.mark.parametrize("offset", [-1e-9, -1e-12, 1e-12, 1e-9])
+@pytest.mark.parametrize("offset", [-1e-9, -1e-12, 1e-15, 3e-15, 1e-12, 1e-9])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_ghz_symmetric_points_are_certified_fs_only_inside_the_polytope(sign, offset):
     # l = 3/5 and l+ - l- = sign (l/3 + offset) in exact Fractions: fully
     # separable iff offset <= 0 (the polytope |l+ - l-| <= l/3 is exact for
-    # the family), so the state is in the polytope or at least 1e-12 out
+    # the family), so the state is in the polytope or at least 1e-15 out
     lr = Fraction(3, 5)
     gap = sign * (lr / 3 + Fraction(str(offset)))
     rho = params_to_density(GhzSymmetricParams((1 - lr + gap) / 2, (1 - lr - gap) / 2, lr))
+    # outside, the float entries give the partial transpose on the first
+    # qubit the 2 x 2 principal minor on {011, 100} below 0, in Fractions
+    pt = partial_transpose(rho.entries, 3, [0])
+    diagonal, c = Fraction(pt[3, 3].real) * Fraction(pt[4, 4].real), pt[3, 4]
+    assert (diagonal < Fraction(c.real) ** 2 + Fraction(c.imag) ** 2) is (offset > 0)
     res = measures.fs_certificate(rho)
-    assert res.route == "ghz-symmetric-polytope"
+    assert res.route == "ghz-corner"
     assert res.verdict == (measures.CERTIFIED_FS if offset < 0 else measures.CERTIFIED_NOT_FS)
+
+
+def ghz_symmetric_part(x):
+    """The GHZ-symmetric part of a 3-qubit Hermitian x with the same trace:
+    its GHZ and GHZ- overlaps, and the rest spread evenly over the middle
+    basis states, with no weight clamped at 0."""
+    g, gm = ghz(3, 2).amplitudes, ghz_minus().amplitudes
+    lp, lm = (np.vdot(v, x @ v).real for v in (g, gm))
+    middle = np.eye(8) - np.outer(g, g) - np.outer(gm, gm)
+    return lp * np.outer(g, g) + lm * np.outer(gm, gm) + (np.trace(x).real - lp - lm) * middle / 6
+
+
+@pytest.mark.parametrize("party", [0, 1, 2])
+def test_a_state_off_the_ghz_family_by_rounding_is_not_certified_fs(party):
+    # the polytope's boundary point l = 3/5, l+ - l- = 1/5 has a null vector
+    # x of the partial transpose on `party`; moving it by 2e-10 times the
+    # part of PT(|x><x|) outside the family makes <x|PT(rho)|x> < 0, while
+    # the family part, and so the state's twirl, stays on the boundary
+    rho0 = params_to_density(GhzSymmetricParams(Fraction(3, 10), Fraction(1, 10), Fraction(3, 5)))
+    x = np.linalg.eigh(partial_transpose(rho0.entries, 3, [party]))[1][:, 0]
+    off = partial_transpose(np.outer(x, x.conj()), 3, [party])
+    m = rho0.entries - 2e-10 * (off - ghz_symmetric_part(off))
+    assert np.linalg.eigvalsh(partial_transpose(m, 3, [party]))[0] < -1e-11
+    assert certify(3, m).verdict != measures.CERTIFIED_FS
+
+
+def corner_state(diagonal, corner):
+    """diag(diagonal) with the corner pair corner, conj(corner)."""
+    m = np.diag(np.asarray(diagonal, dtype=complex))
+    m[0, -1], m[-1, 0] = corner, np.conj(corner)
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 4, 5]), st.floats(0.0, 0.999), st.floats(0.0, 2 * math.pi), SEEDS)
+def test_dur_cirac_states_are_decided_by_their_partial_transposes(n, shrink, phase, seed):
+    # GHZ-diagonal states with lambda_j+ = lambda_j- for j != 0 (Dur &
+    # Cirac, PRA 61, 042314 (2000)), up to a local phase: diagonal
+    # (l0+ + l0-)/2 on the GHZ pair and l_j on the j-th middle pair, corner
+    # e^(i phase) (l0+ - l0-)/2, here shrunk so that both verdicts occur.
+    # Fully separable iff the partial transpose is PSD on every cut
+    half = 2 ** (n - 1)
+    weights = np.random.default_rng(seed).dirichlet(np.ones(half + 1))
+    middle = weights[2:] / 2
+    diagonal = np.concatenate([[(weights[0] + weights[1]) / 2], middle, middle[::-1],
+                               [(weights[0] + weights[1]) / 2]])
+    m = corner_state(diagonal, shrink * (weights[0] - weights[1]) / 2 * np.exp(1j * phase))
+    low = min_pt_eigenvalue(m, n)
+    # a draw within rounding of the boundary says nothing either way
+    assume(abs(low) > 1e-12)
+    res = certify(n, m)
+    assert res.route == "ghz-corner"
+    assert (res.verdict == measures.CERTIFIED_FS) == (low > 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("arg", [0.0, 1.0, -2.5])
+def test_the_ghz_corner_mixer_is_the_mean_of_its_products(n, arg):
+    # sigma = (I + (e^(i arg)|0..0><1..1| + h.c.))/D is the mean of the
+    # 3^(n-1) products of (|0> + e^(i t_k)|1>)/sqrt(2), t_k in {0, 2pi/3,
+    # 4pi/3} for k < n and t_n = -arg - sum t_k: the cube roots of unity
+    # average every other coherence away
+    dim = 2**n
+    sigma = np.zeros((dim, dim), dtype=complex)
+    for ts in product(2 * np.pi * np.arange(3) / 3, repeat=n - 1):
+        phases = [*ts, -arg - sum(ts)]
+        v = kron_vectors([np.array([1, np.exp(1j * t)]) / math.sqrt(2) for t in phases])
+        sigma += np.outer(v, v.conj()) / 3 ** (n - 1)
+    expected = corner_state(np.full(dim, 1 / dim), np.exp(1j * arg) / dim)
+    assert np.max(np.abs(sigma - expected)) <= 1e-15
 
 
 SINGULAR_RAYS = {

@@ -1,5 +1,7 @@
+import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -366,10 +368,10 @@ def test_mixer_and_boundary_are_ppt_across_all_cuts():
 def test_fs_certificate_symmetric_family_routes():
     inside = params_to_density(GhzSymmetricParams(0.1, 0.1, 0.8))
     res = measures.fs_certificate(inside)
-    assert res.verdict == "certified_fs"
-    assert res.route == "ghz-symmetric-polytope"
+    assert (res.verdict, res.route) == ("certified_fs", "ghz-corner")
     outside = params_to_density(GhzSymmetricParams(0.9, 0.0, 0.1))
-    assert measures.fs_certificate(outside).verdict == "certified_not_fs"
+    res = measures.fs_certificate(outside)
+    assert (res.verdict, res.route) == ("certified_not_fs", "ghz-corner")
 
 
 def test_fs_certificate_npt_cut():
@@ -431,9 +433,11 @@ def product_mixture(n, terms, noise, seed):
 
 
 def reaches_the_fit():
-    """|00><00|: its partial transpose has the eigenvalue 0, below the
-    rounding slack, so no route before the fit decides it."""
-    return DensityMatrix(2, 2, np.diag([1.0, 0.0, 0.0, 0.0]))
+    """|0+><0+|, |00><00| with a Hadamard on the last qubit, in exact
+    entries: its coherence |00><01| lies off the GHZ corner, and its partial
+    transpose has the eigenvalue 0, below the rounding slack, so no route
+    before the fit decides it."""
+    return DensityMatrix(2, 2, np.kron(np.diag([1.0, 0.0]), np.full((2, 2), 0.5)))
 
 
 def test_decomposition_fit_is_pinned():
@@ -561,16 +565,30 @@ def test_coordinates_leave_the_objective_unchanged(n, terms, noise, seed):
         assert objective == pytest.approx(stacked_objective(rho, states, x), rel=1e-12)
 
 
-@pytest.mark.parametrize("factor,member", [(0.5, True), (2.0, False)])
-def test_ghz_symmetric_membership_tolerance_edges(factor, member):
-    # a symmetric coherence |000><001| + ... lies outside the family, so the
-    # twirl leaves the parameters and the reconstruction is off by it
-    m = params_to_density(GhzSymmetricParams(0.1, 0.1, 0.8)).entries.copy()
-    for k in (1, 2, 4):
-        m[0, k] = m[k, 0] = factor * measures.STRUCTURE_TOL
-    res = measures.fs_certificate(DensityMatrix(3, 2, m))
-    assert res.verdict == measures.CERTIFIED_FS
-    assert res.route == ("ghz-symmetric-polytope" if member else "symmetric-ppt")
+@pytest.mark.parametrize("n", [2, 3])
+def test_any_entry_off_the_corner_leaves_the_corner_family(monkeypatch, n):
+    # membership has no tolerance: the smallest subnormal off the diagonal
+    # and the corner pair, an imaginary diagonal part, or a corner pair one
+    # ulp from conjugate sends an exact member on to the later routes
+    monkeypatch.setattr(measures, "_fit_product_decomposition", lambda rho: (1.0, []))
+    dim, tiny = 2**n, 5e-324
+    member = np.eye(dim, dtype=complex) / dim
+    member[0, -1] = member[-1, 0] = 1 / (2 * dim)
+    assert measures.fs_certificate(DensityMatrix(n, 2, member)).route == "ghz-corner"
+    moved = []
+    for i, j in zip(*np.triu_indices(dim, 1)):
+        if (i, j) != (0, dim - 1):
+            m = member.copy()
+            m[i, j] = m[j, i] = tiny
+            moved.append(m)
+    m = member.copy()
+    m[1, 1] += 1j * tiny
+    moved.append(m)
+    m = member.copy()
+    m[-1, 0] = np.nextafter(m[-1, 0].real, 1.0)
+    moved.append(m)
+    for m in moved:
+        assert measures.fs_certificate(DensityMatrix(n, 2, m)).route != "ghz-corner"
 
 
 @pytest.mark.parametrize("factor,symmetric", [(0.5, True), (2.0, False)])
@@ -583,14 +601,21 @@ def test_permutation_symmetry_tolerance_edges(monkeypatch, factor, symmetric):
 
 
 def two_qubit_pt_min(lam):
-    """A two-qubit state whose partial transpose has smallest eigenvalue
-    exactly lam, for small lam: diag(a, c, c, a) plus b on the |00><11|
-    coherence, with c = max(lam, 0) and b = max(-lam, 0).  The partial
-    transpose moves b into the {01, 10} block [[c, b], [b, c]], a
-    Hadamard-conjugated diag(c + b, c - b)."""
-    c, b = max(lam, 0.0), max(-lam, 0.0)
-    m = np.diag([0.5 - c, c, c, 0.5 - c])
-    m[0, 3] = m[3, 0] = b
+    """A two-qubit state off the GHZ corner whose partial transpose has
+    smallest eigenvalue exactly lam, for small lam, and |rho|_F^2 = 1/2 at
+    lam = 0.  For lam < 0: diag(0, 1/2, 1/2, 0) plus -lam on the |01><10|
+    coherence, the bit flip on the last qubit of a GHZ-corner state; the
+    partial transpose moves -lam into the {00, 11} block
+    [[0, -lam], [-lam, 0]], with eigenvalues -+lam.  For lam >= 0:
+    diag(lam, 1/2, 1/4 - lam, 1/4) plus 1/4 on the |01><11| coherence,
+    which the partial transpose keeps in the {01, 11} block, with
+    eigenvalues (3 -+ sqrt 8)/8 > lam, so lam stays alone on |00>."""
+    if lam < 0:
+        m = np.diag([0.0, 0.5, 0.5, 0.0])
+        m[1, 2] = m[2, 1] = -lam
+    else:
+        m = np.diag([lam, 0.5, 0.25 - lam, 0.25])
+        m[1, 3] = m[3, 1] = 0.25
     return DensityMatrix(2, 2, m)
 
 
@@ -601,12 +626,11 @@ SLACK2 = eigenvalue_slack(two_qubit_pt_min(0.0).entries)
 
 @pytest.mark.parametrize("factor,npt", [(0.5, False), (2.0, True)])
 def test_npt_route_tolerance_edges(factor, npt):
-    # within the slack below 0 the state is not called NPT, and the fit
-    # certifies it as the product mixture it is within rounding
+    # within the slack below 0 the state is not called NPT; which later
+    # route, if any, decides it is not this test's concern
     rho = two_qubit_pt_min(-factor * SLACK2)
     assert min_pt_eigenvalue(rho, [1]) == -factor * SLACK2
-    res = measures.fs_certificate(rho)
-    assert res.route == ("npt-cut" if npt else "decomposition-fit")
+    assert (measures.fs_certificate(rho).route == "npt-cut") is npt
 
 
 def no_fit(monkeypatch):
@@ -662,13 +686,18 @@ def test_near_identity_route_on_w_with_white_noise(offset, near):
 
 
 def diagonal_with_min(mu):
-    """diag(mu, r, ..., r) on three qubits, r = (1 - mu)/7 > mu: its
-    smallest eigenvalue is exactly mu."""
-    return DensityMatrix(3, 2, np.diag([mu] + [(1 - mu) / 7] * 7))
+    """diag(mu, r, ..., r) on three qubits, r = (1 - mu)/7 > mu, with the
+    coherence 2^-9 on |001><110| to move it off the GHZ corner: the block
+    [[r, 2^-9], [2^-9, r]] has eigenvalues r -+ 2^-9 > mu, so the smallest
+    eigenvalue is mu, alone on the first diagonal entry."""
+    m = np.diag([mu] + [(1 - mu) / 7] * 7)
+    m[1, 6] = m[6, 1] = 2.0**-9
+    return DensityMatrix(3, 2, m)
 
 
 @pytest.mark.parametrize("factor,near", [(0.5, False), (2.0, True)])
-def test_near_identity_margin_edges(factor, near):
+def test_near_identity_margin_edges(monkeypatch, factor, near):
+    no_fit(monkeypatch)
     # mu is lowered by the slack, so the tested weight is
     # 1 - 8 mu + 8 slack: with mu = (1 - RADIUS3)/8 + factor slack it is
     # RADIUS3 + 8 (1 - factor) slack, inside the ball only for factor > 1
@@ -696,12 +725,35 @@ def test_near_identity_route_is_for_qubits_only(monkeypatch):
     assert (res.verdict, res.route) == (measures.UNKNOWN, "none")
 
 
+# one named input per route of fs_certificate, in route order
+ROUTE_INPUTS = {
+    "ghz-corner": lambda: ghz(3, 2).density(),
+    "npt-cut": lambda: w_state().density(),
+    "two-qubit-ppt": lambda: product_mixture(2, 4, 0.0, seed=2),
+    "near-identity": lambda: w_with_white(RADIUS3 / 2),
+    "symmetric-ppt": measures.w_robustness_boundary,
+    "decomposition-fit": lambda: product_mixture(3, 6, 0.3, seed=0),
+    "none": lambda: product_mixture(3, 6, 0.1, seed=3),
+}
+
+
+def test_every_route_has_a_named_input():
+    # the route names fs_certificate can return, read from its source
+    source = inspect.getsource(measures.fs_certificate)
+    assert set(ROUTE_INPUTS) == set(re.findall(r'route="([a-z-]+)"', source))
+
+
+@pytest.mark.parametrize("route", list(ROUTE_INPUTS))
+def test_each_route_is_reached_by_its_named_input(route):
+    assert measures.fs_certificate(ROUTE_INPUTS[route]()).route == route
+
+
 def test_cli_import_leaves_scipy_unloaded_until_the_fit():
     code = (
         "import sys, numpy as np; import entactic.cli; "
         "from entactic import measures; from entactic.linalg import DensityMatrix; "
         "print('scipy.optimize' in sys.modules); "
-        "measures.fs_certificate(DensityMatrix(2, 2, np.diag([1.0, 0, 0, 0]))); "
+        "measures.fs_certificate(DensityMatrix(2, 2, np.kron(np.diag([1.0, 0]), np.full((2, 2), 0.5)))); "
         "print('scipy.optimize' in sys.modules)"
     )
     src = str(Path(measures.__file__).parents[1])
@@ -816,14 +868,15 @@ def test_lemma2_search_lands_within_tolerance_of_two(monkeypatch):
 SINGULAR_MIXERS = {
     # smallest partial-transpose eigenvalues about 1e-17 and 3.5e-17.  The
     # last value is the smallest float the search certifies at bisect_tol
-    # 1e-300, below the exact 2 by 6.4e-14 and 1.8e-14: symmetric-ppt
+    # 1e-300.  On the W ray it is 6.4e-14 below the exact 2: symmetric-ppt
     # certifies mixtures whose partial transposes lie within the rounding
-    # slack below 0
+    # slack below 0.  The GHZ ray stays on the exact ghz-corner route, and
+    # its float mixture one ulp below 2 rounds onto the fully separable side
     "w-mixer": (w_state, measures.w_robustness_mixer, 1.9999999999999358),
     "ghz-symmetric": (
         lambda: ghz(3, 2),
         lambda: params_to_density(GhzSymmetricParams(0.0, 0.25, 0.75)),
-        1.9999999999999818,
+        1.9999999999999998,
     ),
 }
 
