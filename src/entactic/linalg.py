@@ -228,15 +228,196 @@ def schmidt_spectrum(psi: PureState, cut: Bipartition) -> np.ndarray:
 
 
 def cut_purity(psi: PureState, cut: Bipartition) -> float:
-    """tr rho_A^2 of the cut's marginal, computed once per state: the squared
-    Frobenius norm of the Gram matrix of the cut matrix's smaller side, over
-    its squared trace so that it matches the normalized spectrum."""
+    """tr rho_A^2 of the cut's marginal, over the squared trace of the
+    marginal it is read from so that it matches the normalized spectrum.
+
+    It is read from the marginal of the cover `cover_plan` assigns the cut
+    (a set of parties holding party 1 and the cut's smaller side S): with
+    rho_C expanded in an orthogonal product operator basis {P} whose local
+    factors include the identity and with tr P^dag P = d^|C|,
+    tr rho_S^2 = d^-|S| sum over supp P within S of |tr(rho_C P)|^2.  So one
+    Gram product and one transform of that marginal give the purity of every
+    cut assigned to the cover, and all of them are kept on the state."""
     p = psi._purities.get(cut)
     if p is None:
-        a = cut_matrix(psi, cut)
-        g = a @ a.conj().T if a.shape[0] <= a.shape[1] else a.conj().T @ a
-        p = psi._purities[cut] = float(np.vdot(g, g).real / np.trace(g).real ** 2)
+        cover = cover_plan(psi.n, psi.d).cover_of[cut]
+        psi._purities.update(zip(cover.cuts, _cover_purities(psi, cover).tolist()))
+        p = psi._purities[cut]
     return p
+
+
+# Cut purities from cover marginals.  A cover of c parties costs about
+# GRAM_S per complex multiply-add of its Gram product (d^(n+c) of them),
+# SECTOR_S per entry of its d^c x d^c marginal for the transform and
+# COVER_S besides; `cover_plan` picks c by these, on a 2-vCPU x86_64 host.
+GRAM_S = 1.5e-10
+SECTOR_S = 1.2e-8
+COVER_S = 3e-5
+
+
+@dataclass(frozen=True, eq=False)
+class Cover:
+    """A set of parties holding party 1 (ascending) and the cuts whose purity
+    is read from its marginal: each one's smaller side as a bit mask over
+    the cover's parties (the first one most significant) and the factor
+    d^-|side|."""
+
+    parties: tuple
+    cuts: tuple
+    masks: np.ndarray = field(repr=False)
+    scale: np.ndarray = field(repr=False)
+
+
+@dataclass(frozen=True, eq=False)
+class CoverPlan:
+    """The covers of `cover_plan` and the cover each cut is assigned to."""
+
+    covers: tuple
+    cover_of: dict = field(repr=False)
+
+
+def _sets_holding_one(n: int, k: int) -> np.ndarray:
+    """Bit masks (party p at bit p - 1) of the k-sets of parties 1..n that
+    hold party 1, in the order `combinations` lists them; 32 bits suffice,
+    since d^n amplitudes for n > 32 could not be held."""
+    rest = list(combinations(range(1, n), k - 1))
+    rest = np.array(rest, dtype=np.uint32).reshape(len(rest), k - 1)
+    return 1 | (1 << rest).sum(1, dtype=np.uint32)
+
+
+def _schonheim(v: int, k: int, t: int) -> int:
+    """Schonheim's lower bound on the number of k-subsets of a v-set needed
+    to cover each of its t-subsets."""
+    b = 1
+    for j in range(1, t + 1):
+        b = -(-(v - t + j) * b // (k - t + j))
+    return b
+
+
+def _greedy_run(inc: np.ndarray, rare: bool) -> list[int]:
+    """Rows of the incidence matrix inc (candidates x sets) covering every
+    set, picked one at a time by most sets newly covered.  Ties go to the
+    first row or, with rare, to the row whose new sets the fewest tied rows
+    (of the first 64) also cover."""
+    gains = inc.sum(1)
+    open_ = np.ones(inc.shape[1], dtype=bool)
+    chosen = []
+    while open_.any():
+        ties = np.flatnonzero(gains == gains.max())
+        best = ties[0]
+        if rare and len(ties) > 1:
+            sub = inc[ties[:64]][:, open_]
+            best = ties[np.argmax(sub @ (1.0 / np.maximum(sub.sum(0), 1)))]
+        chosen.append(int(best))
+        new = open_ & inc[best]
+        open_ &= ~new
+        gains = gains - inc[:, new].sum(1)
+    return chosen
+
+
+def _greedy_cover(sets: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """The candidate masks of the fewer of the two greedy runs that cover
+    every set mask."""
+    inc = (sets & ~cands[:, None]) == 0
+    return cands[min((_greedy_run(inc, rare) for rare in (False, True)), key=len)]
+
+
+@cache
+def cover_plan(n: int, d: int) -> CoverPlan:
+    """Covers for the cut purities of an n-party system, built once per
+    (n, d), and the cover each cut is assigned to.
+
+    A cut's smaller side (the side holding party 1 on an equal split) lies
+    within an r-set holding party 1, r = ceil(n/2), so c-sets holding party
+    1 (r <= c < n) that cover every r-set holding it cover every cut.  The
+    covers are those of the c whose cover count times its cost per cover is
+    least; a c is searched only when Schonheim's bound on its count would
+    not already cost more than the best found."""
+    if n < 2:
+        raise ValueError(f"a state needs at least 2 parties to have a cut, got n={n}")
+    r = (n + 1) // 2
+    sets = _sets_holding_one(n, r)
+    best = math.inf
+    for c in range(r, n):
+        cost = GRAM_S * d ** (n + c) + SECTOR_S * d ** (2 * c) + COVER_S
+        if _schonheim(n - 1, c - 1, r - 1) * cost < best:
+            found = sets if c == r else _greedy_cover(sets, _sets_holding_one(n, c))
+            if len(found) * cost < best:
+                best, covers, size = len(found) * cost, found, c
+    cuts = all_bipartitions(n)
+    held = np.concatenate([_sets_holding_one(n, k) for k in range(1, n)])  # as in cuts
+    sides = np.where(2 * np.bitwise_count(held) <= n, held, held ^ ((1 << n) - 1))
+    owner = np.full(len(cuts), -1)
+    for k, cover in enumerate(covers):
+        owner[(owner < 0) & ((sides & ~cover) == 0)] = k
+    # local[k, p - 1]: party p's bit in cover k's masks, 0 outside the cover
+    members = (covers[:, None] >> np.arange(n)) & 1
+    local = members << (size - np.cumsum(members, axis=1))
+    on_side = (sides[:, None] >> np.arange(n)) & 1
+    masks = (on_side * local[owner]).sum(1)
+    scale = float(d) ** -on_side.sum(1)
+    plan = []
+    for k, cover in enumerate(covers.tolist()):
+        idx = np.flatnonzero(owner == k)
+        parties = tuple(p for p in range(1, n + 1) if cover >> (p - 1) & 1)
+        plan.append(Cover(parties, tuple(cuts[i] for i in idx), masks[idx], scale[idx]))
+    cover_of = {cut: plan[k] for cut, k in zip(cuts, owner.tolist())}
+    return CoverPlan(tuple(plan), cover_of)
+
+
+@cache
+def _sector_tables(c: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """For a d^c x d^c marginal g: the flat indices that gather
+    v[k, x] = g[k, k + x] (digitwise mod d); the two Kronecker factors of
+    Q^(x c) over the leading and trailing digits of k, where Q is real with
+    Q Q^T = d and a first row of ones; and each index's nonzero digits as a
+    mask, with the first digit most significant and doubled for the real
+    and imaginary parts."""
+    dim, weights = d**c, d ** np.arange(c - 1, -1, -1)
+    digits = np.arange(dim)[:, None] // weights % d
+    gather = np.arange(dim)[:, None] * dim
+    for j in range(c):
+        gather = gather + (digits[:, None, j] + digits[None, :, j]) % d * weights[j]
+    # Helmert's rows, scaled by sqrt(d): ones, then (1, ..., 1, -i, 0, ...)
+    q = np.ones((d, d))
+    for i in range(1, d):
+        q[i] = np.r_[np.ones(i), -i, np.zeros(d - i - 1)] * math.sqrt(d / (i * (i + 1)))
+    factors = []
+    for k in (c // 2, c - c // 2):
+        f = np.ones((1, 1))
+        for _ in range(k):
+            f = np.kron(f, q)
+        factors.append(f)
+    support = (digits != 0) @ (1 << np.arange(c - 1, -1, -1))
+    return gather, factors[0], factors[1], np.repeat(support, 2)
+
+
+def _marginal_gram(psi: PureState, keep: Sequence[int]) -> np.ndarray:
+    """A A^dag for the amplitudes as a d^|keep| x d^(n - |keep|) matrix A,
+    the parties of keep (sorted) first: the marginal on keep."""
+    rest = [p for p in range(1, psi.n + 1) if p not in keep]
+    a = psi.tensor().transpose([p - 1 for p in list(keep) + rest])
+    a = a.reshape(psi.d ** len(keep), -1)
+    return a @ a.conj().T
+
+
+def _cover_purities(psi: PureState, cover: Cover) -> np.ndarray:
+    """The purities of the cover's cuts from its marginal g: with
+    v[k, x] = g[k, k + x], y = Q^(x c) v holds tr(g P) for the products
+    P = X^x diag(q_z) of shifts and rows of Q, an orthogonal basis whose
+    local factors include the identity (x = z = 0)."""
+    c, d = len(cover.parties), psi.d
+    gather, f1, f2, support = _sector_tables(c, d)
+    y = _marginal_gram(psi, cover.parties).reshape(-1)[gather].view(float)
+    y = f1 @ y.reshape(len(f1), -1)
+    y = np.matmul(f2, y.reshape(len(f1), len(f2), -1)).reshape(d**c, -1)
+    # y's rows are z and its columns (x, real or imaginary part), so y[0, 0]
+    # is tr g; inside[s, 2i + part] says index i's nonzero digits lie within
+    # cut s's side
+    trace = y[0, 0]
+    y *= y
+    inside = ((support & ~cover.masks[:, None]) == 0).astype(float)
+    return np.vecdot(inside[:, ::2] @ y, inside) * cover.scale / trace**2
 
 
 def reduced_density(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
@@ -256,10 +437,7 @@ def reduced_density(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
 def reduced_density_pure(psi: PureState, keep: Sequence[int]) -> DensityMatrix:
     """Marginal of a pure state, without forming the full projector."""
     keep = _check_subset(psi.n, keep)
-    rest = [p for p in range(1, psi.n + 1) if p not in keep]
-    t = psi.tensor().transpose([p - 1 for p in list(keep) + rest])
-    a = t.reshape(psi.d ** len(keep), psi.d ** len(rest))
-    m = a @ a.conj().T
+    m = _marginal_gram(psi, keep)
     m = (m + m.conj().T) / 2
     return DensityMatrix.by_construction(len(keep), psi.d, m)
 

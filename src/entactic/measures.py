@@ -96,8 +96,10 @@ def _best_cut(psi: PureState, score, bound) -> tuple[float, Bipartition]:
     strictly above the minimum, and the result is the one full enumeration
     gives.  Cuts are bounded by descending smaller side until those the
     bound failed to rule out outnumber those it ruled out by two (all cuts
-    of GHZ tie); the rest are scored without bounding.  Every purity spent
-    on a scored cut is thus matched by a spectrum saved, but for two.
+    of GHZ tie); the rest are scored without bounding.  A purity is read
+    from its cover's marginal (`cut_purity`), which is built on the first
+    bound read from it and gives the purities of all the cover's cuts at
+    once; bounding that stops after two cuts thus builds at most two.
     """
     n = psi.n
     if n < 2:

@@ -165,6 +165,77 @@ def test_cut_matrix_shape():
     assert m.shape == (4, 4)
 
 
+# --- cut purities from cover marginals ---------------------------------------
+
+
+def gram_purity(psi, cut):
+    """The cut's purity from its own Gram matrix: the squared Frobenius norm
+    of the smaller side's marginal over its squared trace."""
+    a = cut_matrix(psi, cut)
+    g = a @ a.conj().T if a.shape[0] <= a.shape[1] else a.conj().T @ a
+    return float(np.vdot(g, g).real / np.trace(g).real ** 2)
+
+
+def haar_blocks(sizes, d, seed):
+    rng = np.random.default_rng(seed)
+    v = np.ones(1, dtype=complex)
+    for k in sizes:
+        v = np.kron(v, haar_vector_draws(rng, d**k))
+    return PureState(sum(sizes), d, v)
+
+
+def purity_inputs():
+    from entactic.catalog import cluster_state, ghz, w_state
+
+    cases = [(f"haar-{n}-2", lambda n=n: random_state(n, 2, n)) for n in range(2, 13)]
+    cases += [(f"haar-{n}-3", lambda n=n: random_state(n, 3, n)) for n in range(2, 8)]
+    cases += [(f"ghz-{n}-{d}", lambda n=n, d=d: ghz(n, d)) for n, d in [(2, 2), (9, 2), (12, 2), (5, 3)]]
+    cases += [("w", w_state), ("cluster-11", lambda: cluster_state(11))]
+    cases += [
+        (f"blocks-{'-'.join(map(str, sizes))}-{d}", lambda sizes=sizes, d=d: haar_blocks(sizes, d, 3))
+        for sizes, d in [((3, 3), 2), ((2, 5, 4), 2), ((1, 1, 1), 2), ((2, 3), 3)]
+    ]
+    return [pytest.param(make, id=name) for name, make in cases]
+
+
+@pytest.mark.parametrize("make", purity_inputs())
+def test_cut_purity_matches_the_per_cut_gram_formula(make):
+    psi = make()
+    for cut in all_bipartitions(psi.n):
+        assert abs(linalg.cut_purity(psi, cut) - gram_purity(psi, cut)) <= 1e-14
+
+
+# the cover counts a greedy search reached for c = ceil(n/2) + 1 on qubits
+COVER_COUNT_CAP = {9: 22, 10: 30, 11: 59, 12: 110}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", range(2, 15))
+def test_cover_plan_covers_every_cut_once(n, d):
+    plan = linalg.cover_plan(n, d)
+    assert linalg.cover_plan(n, d) is plan
+    seen = []
+    for cover in plan.covers:
+        assert cover.parties[0] == 1 and list(cover.parties) == sorted(set(cover.parties))
+        assert len(cover.parties) < n
+        for cut, mask, scale in zip(cover.cuts, cover.masks, cover.scale):
+            side = cut.parties if 2 * len(cut.parties) <= n else cut.complement
+            assert side <= set(cover.parties)
+            assert plan.cover_of[cut] is cover
+            bits = [cover.parties[len(cover.parties) - 1 - j] for j in range(len(cover.parties)) if mask >> j & 1]
+            assert set(bits) == side and scale == float(d) ** -len(side)
+            seen.append(cut)
+    assert sorted(seen, key=str) == sorted(all_bipartitions(n), key=str)
+    if d == 2 and n in COVER_COUNT_CAP:
+        assert len(plan.covers) <= COVER_COUNT_CAP[n]
+
+
+def test_cover_plan_needs_a_cut():
+    with pytest.raises(ValueError, match="at least 2 parties"):
+        linalg.cover_plan(1, 2)
+
+
+
 def test_kron_product_and_marginals():
     a = random_state(1, 2, 1)
     b = random_state(2, 2, 2)

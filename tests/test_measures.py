@@ -226,6 +226,8 @@ PRUNING_INPUTS = (
     + [("ghz", n, d) for n, d in [(4, 2), (7, 2), (9, 2), (4, 3), (5, 3)]]
     + [("cluster", n, 2) for n in (4, 7, 9)]
     + [("w", 3, 2), ("blocks", (3, 3), 2), ("blocks", (2, 3, 2), 2), ("blocks", (2, 3), 3)]
+    # the cover plan behind the purity bounds differs by the parity of n and by d
+    + [("haar", 11, 2), ("haar", 12, 2), ("cluster", 12, 2), ("haar", 7, 3)]
 )
 
 
@@ -311,17 +313,41 @@ def test_haar_10_qubits_needs_only_the_one_party_spectra(monkeypatch, seed):
     assert len(svds) == 10
 
 
+def count_marginal_grams(monkeypatch):
+    gram, calls = linalg._marginal_gram, []
+
+    def spy(psi, keep):
+        calls.append(tuple(keep))
+        return gram(psi, keep)
+
+    monkeypatch.setattr(linalg, "_marginal_gram", spy)
+    return calls
+
+
 def test_ghz_stops_bounding_after_two_cuts_it_cannot_rule_out(monkeypatch):
-    # every cut of GHZ has purity 1/2 and ties: two bounds are spent, then
-    # the remaining cuts are scored as full enumeration scores them
+    # every cut of GHZ has purity 1/2 and ties: two bounds are read, from at
+    # most two cover marginals, then the remaining cuts are scored as full
+    # enumeration scores them
+    grams = count_marginal_grams(monkeypatch)
     svds = count_spectrum_svds(monkeypatch)
-    psi = ghz(8, 2)
+    for n in (8, 12):
+        grams.clear()
+        svds.clear()
+        psi = ghz(n, 2)
+        measures.geometric_bs(psi)
+        assert len(grams) <= 2
+        assert len(svds) == len(all_bipartitions(n))
+        measures.robustness_bs_upper(psi)
+        assert len(grams) <= 2
+        assert len(svds) == len(all_bipartitions(n))
+
+
+def test_haar_12_qubits_reads_its_purities_from_at_most_110_marginals(monkeypatch):
+    grams = count_marginal_grams(monkeypatch)
+    psi = random_state(12, 2, 0)
     measures.geometric_bs(psi)
-    assert len(psi._purities) == 2
-    assert len(svds) == len(all_bipartitions(8))
     measures.robustness_bs_upper(psi)
-    assert len(psi._purities) == 2
-    assert len(svds) == len(all_bipartitions(8))
+    assert 0 < len(grams) <= 110
 
 
 # --- diagonal family and its certified points ------------------------------
