@@ -323,32 +323,12 @@ def _fit_product_decomposition(rho: DensityMatrix):
     return best_res, terms
 
 
-def fs_certificate(rho: DensityMatrix) -> CertResult:
-    """Decide full separability where a sufficient route applies.
-
-    Routes, in order:
-    - `ghz-corner`: exact, in Fractions of the entries, on n >= 2 qubits whose
-      only coherence is c = rho[0, D-1] and whose diagonal d_j is >= 0 (Dur &
-      Cirac, PRA 61, 042314 (2000)): NOT_FS when some d_j d_(D-1-j) < |c|^2,
-      FS when every d_j >= |c|, as rho less a diagonal >= 0 is then D|c| times
-      (I + e^(i arg c)|0..0><1..1| + h.c.)/D, an even mix of 3^(n-1) products;
-    - `npt-cut`: a partial-transpose eigenvalue below -slack on some cut;
-    - `two-qubit-ppt`: on two qubits PPT is equivalent to separability
-      (Horodecki, Horodecki & Horodecki, PLA 223, 1 (1996)); certified only
-      when the partial transpose's smallest eigenvalue is >= slack;
-    - `near-identity`: an n-qubit rho with smallest eigenvalue mu is
-      D mu I/D + (1 - D mu) rho1 with rho1 >= 0, which is fully separable
-      when 1 - D mu < 1/(1 + 2^(2n-1)) (Braunstein et al., PRL 83, 1054
-      (1999)); mu is lowered by the slack first;
-    - `symmetric-ppt`: permutation-symmetric 3 qubits + PPT (no cut NPT
-      beyond the slack);
-    - `decomposition-fit`: constructive product-decomposition fit.
-    The slack is `linalg.eigenvalue_slack(rho.entries)`, the rounding bound
-    on every eigenvalue the later routes read.  (Members of the diagonal
-    {000, 111, W, Wbar} family are permutation symmetric, so the routes
-    before the fit decide them.)  Returns UNKNOWN when no route fires; that
-    is a value, not an error.
-    """
+def _by_ghz_corner(rho: DensityMatrix, slack: float):
+    """Exact, in Fractions of the entries, on n >= 2 qubits whose only
+    coherence is c = rho[0, D-1] and whose diagonal d_j is >= 0 (Dur &
+    Cirac, PRA 61, 042314 (2000)): NOT_FS when some d_j d_(D-1-j) < |c|^2,
+    FS when every d_j >= |c|, as rho less a diagonal >= 0 is then D|c| times
+    (I + e^(i arg c)|0..0><1..1| + h.c.)/D, an even mix of 3^(n-1) products."""
     m, diag, c = rho.entries, rho.entries.diagonal().real, rho.entries[0, -1]
     if rho.d == 2 and rho.n >= 2 and diag.min() >= 0:
         member = np.diag(diag + 0j)
@@ -357,45 +337,90 @@ def fs_certificate(rho: DensityMatrix) -> CertResult:
             d = [Fraction(x) for x in diag]
             c2 = Fraction(c.real) ** 2 + Fraction(c.imag) ** 2
             if any(d[j] * d[-1 - j] < c2 for j in range(1, rho.dim // 2)):
-                return CertResult(CERTIFIED_NOT_FS, route="ghz-corner")
+                return CERTIFIED_NOT_FS, {}
             if all(x * x >= c2 for x in d):
-                return CertResult(CERTIFIED_FS, route="ghz-corner")
+                return CERTIFIED_FS, {}
 
+
+def _by_npt_cut(rho: DensityMatrix, slack: float):
+    """NOT_FS when a partial transpose has an eigenvalue below -slack on
+    some cut (`linalg.npt_cut`)."""
     npt = npt_cut(rho)
     if npt is not None:
         cut, lam = npt
-        return CertResult(
-            CERTIFIED_NOT_FS,
-            route="npt-cut",
-            detail={"cut": str(cut), "min_eigenvalue": lam},
-        )
+        return CERTIFIED_NOT_FS, {"cut": str(cut), "min_eigenvalue": lam}
 
-    slack = eigenvalue_slack(rho.entries)
+
+def _by_two_qubit_ppt(rho: DensityMatrix, slack: float):
+    """On two qubits PPT is equivalent to separability (Horodecki, Horodecki
+    & Horodecki, PLA 223, 1 (1996)); FS when the partial transpose's
+    smallest eigenvalue is >= slack."""
     if (rho.n, rho.d) == (2, 2):
         lam = min_pt_eigenvalue(rho, [1])
         if lam >= slack:
-            return CertResult(CERTIFIED_FS, route="two-qubit-ppt", detail={"min_eigenvalue": lam})
+            return CERTIFIED_FS, {"min_eigenvalue": lam}
 
+
+def _by_near_identity(rho: DensityMatrix, slack: float):
+    """An n-qubit rho with smallest eigenvalue mu is D mu I/D + (1 - D mu)
+    rho1 with rho1 >= 0, which is fully separable when 1 - D mu <
+    1/(1 + 2^(2n-1)) (Braunstein et al., PRL 83, 1054 (1999)); mu is
+    lowered by the slack first."""
     if rho.d == 2:
         weight = 1.0 - rho.dim * (float(np.linalg.eigvalsh(rho.entries)[0]) - slack)
         radius = 1.0 / (1.0 + 2.0 ** (2 * rho.n - 1))
         if weight < radius:
-            detail = {"weight": weight, "radius": radius}
-            return CertResult(CERTIFIED_FS, route="near-identity", detail=detail)
+            return CERTIFIED_FS, {"weight": weight, "radius": radius}
 
+
+def _by_symmetric_ppt(rho: DensityMatrix, slack: float):
+    """Permutation-symmetric 3 qubits (entrywise within STRUCTURE_TOL) with
+    every cut PPT within the slack, which the npt-cut row before it checked;
+    for symmetric 3-qubit states PPT is sufficient for full separability."""
     if (rho.n, rho.d) == (3, 2) and _is_permutation_symmetric(rho, STRUCTURE_TOL):
-        # all cuts already verified PPT above, within the slack; for
-        # symmetric 3-qubit states PPT is sufficient for full separability
-        return CertResult(CERTIFIED_FS, route="symmetric-ppt", detail={})
+        return CERTIFIED_FS, {}
 
+
+def _by_single_party(rho: DensityMatrix, slack: float):
+    """Every one-party state is fully separable by definition."""
+    if rho.n == 1:
+        return CERTIFIED_FS, {}
+
+
+def _by_decomposition_fit(rho: DensityMatrix, slack: float):
+    """Constructive product-decomposition fit: FS when its residual is below
+    FIT_TOL, else UNKNOWN.  Always decides, so it is the last row."""
     res, terms = _fit_product_decomposition(rho)
     if res < FIT_TOL:
-        return CertResult(
-            CERTIFIED_FS,
-            route="decomposition-fit",
-            detail={"residual": res, "terms": len(terms)},
-        )
-    return CertResult(UNKNOWN, route="none", detail={"fit_residual": res})
+        return CERTIFIED_FS, {"residual": res, "terms": len(terms)}
+    return UNKNOWN, {"fit_residual": res}
+
+
+# The certifier's routes in order; decide(rho, slack) returns (verdict,
+# detail) when its route decides, else None.
+FS_ROUTES = (
+    ("ghz-corner", _by_ghz_corner),
+    ("npt-cut", _by_npt_cut),
+    ("two-qubit-ppt", _by_two_qubit_ppt),
+    ("near-identity", _by_near_identity),
+    ("symmetric-ppt", _by_symmetric_ppt),
+    ("single-party", _by_single_party),
+    ("decomposition-fit", _by_decomposition_fit),
+)
+UNKNOWN_ROUTE = "none"  # the route of an UNKNOWN result
+
+
+def fs_certificate(rho: DensityMatrix) -> CertResult:
+    """Decide full separability by the first row of FS_ROUTES that decides,
+    each given the rounding slack `linalg.eigenvalue_slack(rho.entries)`.
+    The result carries that row's name, or UNKNOWN_ROUTE when the last row
+    returns UNKNOWN; that is a value, not an error."""
+    slack = eigenvalue_slack(rho.entries)
+    for name, decide in FS_ROUTES:
+        decided = decide(rho, slack)
+        if decided is not None:
+            verdict, detail = decided
+            return CertResult(verdict, name if verdict != UNKNOWN else UNKNOWN_ROUTE, detail)
 
 
 def robustness_fs_upper_via_mix(

@@ -100,6 +100,24 @@ def test_two_qubit_verdicts_agree_with_the_ppt_criterion(rank, noise, seed):
         assert (res.verdict == measures.CERTIFIED_FS) == separable
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("rank", [1, 2, 4])
+def test_one_party_states_are_certified_fs_without_the_fit(monkeypatch, d, rank):
+    # a one-party state has no second party to be entangled with
+    def fit(rho):
+        raise AssertionError("the fit ran on a one-party state")
+
+    monkeypatch.setattr(measures, "_fit_product_decomposition", fit)
+    rng = np.random.default_rng(10 * d + rank)
+    for _ in range(3):
+        vectors = [unit(rng, d) for _ in range(rank)]
+        m = sum(w * np.outer(v, v.conj()) for w, v in zip(rng.dirichlet(np.ones(rank)), vectors))
+        res = measures.fs_certificate(DensityMatrix(1, d, m))
+        assert res.verdict == measures.CERTIFIED_FS
+        if rank == 1:
+            assert res.route == "single-party"
+
+
 def shifts_upb_state() -> DensityMatrix:
     """(I - sum of the Shifts UPB projectors) / 4: PPT across every cut yet
     entangled, since no product vector lies in its range (Bennett et al.,

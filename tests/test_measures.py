@@ -1,7 +1,5 @@
-import inspect
 import math
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -751,27 +749,33 @@ def test_near_identity_route_is_for_qubits_only(monkeypatch):
     assert (res.verdict, res.route) == (measures.UNKNOWN, "none")
 
 
-# one named input per route of fs_certificate, in route order
+# one named input per route of fs_certificate, in route order, with the
+# verdict and the sorted detail keys it gives
+FS, NOT_FS = measures.CERTIFIED_FS, measures.CERTIFIED_NOT_FS
 ROUTE_INPUTS = {
-    "ghz-corner": lambda: ghz(3, 2).density(),
-    "npt-cut": lambda: w_state().density(),
-    "two-qubit-ppt": lambda: product_mixture(2, 4, 0.0, seed=2),
-    "near-identity": lambda: w_with_white(RADIUS3 / 2),
-    "symmetric-ppt": measures.w_robustness_boundary,
-    "decomposition-fit": lambda: product_mixture(3, 6, 0.3, seed=0),
-    "none": lambda: product_mixture(3, 6, 0.1, seed=3),
+    "ghz-corner": (lambda: ghz(3, 2).density(), NOT_FS, []),
+    "npt-cut": (lambda: w_state().density(), NOT_FS, ["cut", "min_eigenvalue"]),
+    "two-qubit-ppt": (lambda: product_mixture(2, 4, 0.0, seed=2), FS, ["min_eigenvalue"]),
+    "near-identity": (lambda: w_with_white(RADIUS3 / 2), FS, ["radius", "weight"]),
+    "symmetric-ppt": (measures.w_robustness_boundary, FS, []),
+    "single-party": (lambda: DensityMatrix(1, 3, np.diag([0.5, 0.3, 0.2])), FS, []),
+    "decomposition-fit": (lambda: product_mixture(3, 6, 0.3, seed=0), FS, ["residual", "terms"]),
+    "none": (lambda: product_mixture(3, 6, 0.1, seed=3), measures.UNKNOWN, ["fit_residual"]),
 }
 
 
 def test_every_route_has_a_named_input():
-    # the route names fs_certificate can return, read from its source
-    source = inspect.getsource(measures.fs_certificate)
-    assert set(ROUTE_INPUTS) == set(re.findall(r'route="([a-z-]+)"', source))
+    routes = [name for name, _ in measures.FS_ROUTES] + [measures.UNKNOWN_ROUTE]
+    assert list(ROUTE_INPUTS) == routes
 
 
 @pytest.mark.parametrize("route", list(ROUTE_INPUTS))
 def test_each_route_is_reached_by_its_named_input(route):
-    assert measures.fs_certificate(ROUTE_INPUTS[route]()).route == route
+    make, verdict, keys = ROUTE_INPUTS[route]
+    res = measures.fs_certificate(make())
+    assert res.route == route
+    assert res.verdict == verdict
+    assert sorted(res.detail) == keys
 
 
 def test_cli_import_leaves_scipy_unloaded_until_the_fit():
@@ -806,6 +810,12 @@ def test_robustness_fs_upper_zero_for_free_state():
     rho = params_to_density(GhzSymmetricParams(0.1, 0.1, 0.8))
     mixer = params_to_density(GhzSymmetricParams(0.0, 0.25, 0.75))
     assert measures.robustness_fs_upper_via_mix(rho, mixer) == pytest.approx(0.0, abs=1e-6)
+
+
+def test_robustness_fs_upper_zero_for_one_party():
+    psi = PureState(1, 3, np.array([0.6, 0.8j, 0.0])).density()
+    mixer = DensityMatrix(1, 3, np.eye(3) / 3)
+    assert measures.robustness_fs_upper_via_mix(psi, mixer) == 0.0
 
 
 def test_robustness_fs_upper_rejects_uncertified_mixer():

@@ -3,8 +3,6 @@ the library no longer has would only fail when the bench runs."""
 
 import dataclasses
 import importlib.util
-import inspect
-import re
 import sys
 from pathlib import Path
 
@@ -32,7 +30,7 @@ TRACED = TRACING_MODULE.LAYERS
 # The certifier routes the tracer does not count, and the names it counts
 # that no route returns any more.  Its list changes only with the benchmark,
 # so these sets record the drift; a route renamed on either side fails below.
-UNCOUNTED_ROUTES = {"ghz-corner", "two-qubit-ppt", "near-identity"}
+UNCOUNTED_ROUTES = {"ghz-corner", "two-qubit-ppt", "near-identity", "single-party"}
 STALE_ROUTES = {"ghz-symmetric-polytope", "diagonal-family"}
 
 
@@ -50,7 +48,6 @@ def test_the_notes_the_tracer_reads_exist():
 
 
 def test_the_tracer_counts_every_route_but_the_named_ones():
-    source = inspect.getsource(measures.fs_certificate)
-    routes = set(re.findall(r'route="([a-z-]+)"', source))
+    routes = {name for name, _ in measures.FS_ROUTES} | {measures.UNKNOWN_ROUTE}
     assert UNCOUNTED_ROUTES <= routes and not STALE_ROUTES & routes
     assert set(TRACING_MODULE.CERTIFIER_ROUTES) == (routes - UNCOUNTED_ROUTES) | STALE_ROUTES
