@@ -139,36 +139,65 @@ def geometric_bs(psi: PureState) -> MeasureResult:
 
 def maximize_over_products(
     terms: np.ndarray, weights, n: int, d: int, seed: int = DEFAULT_SEED
-) -> MeasureResult:
+) -> MeasureResult | list[MeasureResult]:
     """Maximize sum_z w_z |<a_z|x_1 ... x_n>|^2 over product states.
 
-    `terms` holds the vectors a_z as rows.  Alternating single-party updates
-    (higher-order power iteration): with every party but k fixed the
-    objective is x_k^dag M x_k, M = sum_z w_z b_z b_z^dag for the contractions
-    b_z of a_z with the other local vectors, so the top eigenvector of M is
-    the optimal update and its eigenvalue the new value.  All seeded restarts
-    advance together; a restart whose sweep gained less than SWEEP_TOL
-    is frozen and leaves the batch.  Returns the best restart's value, local
-    vectors, sweep count and convergence flag.
+    `terms` holds the vectors a_z as rows.  `weights` is one row of w_z, one
+    per term, or a stack of G such rows over the same terms; the result is
+    one MeasureResult, or a list of one per row.  Alternating single-party
+    updates (higher-order power iteration): with every party but k fixed the
+    objective is x_k^dag M x_k, M = sum_z w_z b_z b_z^dag for the
+    contractions b_z of a_z with the other local vectors, so the top
+    eigenvector of M is the optimal update and its eigenvalue the new value.
+
+    The RESTARTS start points are drawn once from the seed.  Every row's
+    restarts advance in one batch, each with its own weight row; a restart
+    whose sweep gained less than SWEEP_TOL is frozen and leaves the batch.
+    Each row's restarts get a matrix product of their own and no other step
+    mixes restarts, so row g's result is bit for bit that of a call with
+    row g alone.  Each result holds its row's best restart's value,
+    local vectors, sweep count and convergence flag.  Terms that are not
+    rows of length d^n, and weights that are not finite or not one per
+    term, are a ValueError.
     """
-    rng = np.random.default_rng(seed)
-    x = haar_vector_draws(rng, d, (RESTARTS, n))
     a = np.asarray(terms, dtype=complex)
     w = np.asarray(weights, dtype=float)
-    value = np.full(RESTARTS, -math.inf)
-    sweeps = np.zeros(RESTARTS, dtype=int)
-    converged = np.zeros(RESTARTS, dtype=bool)
-    active = np.arange(RESTARTS)
+    if a.ndim != 2 or a.shape[1] != d**n:
+        raise ValueError(f"terms must be rows of length d^n = {d**n}, got shape {a.shape}")
+    if w.ndim not in (1, 2) or w.shape[-1] != len(a) or not w.size:
+        raise ValueError(
+            f"weights must be rows of {len(a)} entries, one per term, got shape {w.shape}"
+        )
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
+    rows = np.atleast_2d(w)
+    g = len(rows)
+    # restart r of row i sits at i RESTARTS + r; every row starts from the same points
+    rng = np.random.default_rng(seed)
+    x = np.tile(haar_vector_draws(rng, d, (RESTARTS, n)), (g, 1, 1))
+    # cast once, where einsum would cast real weights on every call
+    rw = np.repeat(rows, RESTARTS, axis=0).astype(complex)
+    value = np.full(g * RESTARTS, -math.inf)
+    sweeps = np.zeros(g * RESTARTS, dtype=int)
+    converged = np.zeros(g * RESTARTS, dtype=bool)
+    active = np.arange(g * RESTARTS)
     for sweep in range(1, MAX_SWEEPS + 1):
-        xs = x[active]
+        xs, ws = x[active], rw[active]
+        xc = xs.conj()
         ones = np.ones((active.size, 1))
+        # BLAS rounds a column of a matrix product by where it falls among
+        # the columns, so each row's active restarts get a product of their own
+        ends = np.searchsorted(active, RESTARTS * np.arange(1, g + 1)).tolist()
+        spans = [(i, j) for i, j in zip([0] + ends, ends) if i < j]
         for k in range(n):
-            left = kron_vectors([ones] + [xs[:, j].conj() for j in range(k)])
-            right = kron_vectors([ones] + [xs[:, j].conj() for j in range(k + 1, n)])
-            t = a.reshape(-1, right.shape[1]) @ right.T
+            left = kron_vectors(xc[:, :k].transpose(1, 0, 2)) if k else ones
+            right = kron_vectors(xc[:, k + 1 :].transpose(1, 0, 2)) if k < n - 1 else ones
+            tails = a.reshape(-1, right.shape[1])  # axis 1 runs over parties k+1..n
+            t = np.concatenate([tails @ right[i:j].T for i, j in spans], axis=1)
             b = np.einsum("zlia,al->azi", t.reshape(len(a), left.shape[1], d, -1), left)
-            lam, vec = np.linalg.eigh(np.einsum("z,azi,azj->aij", w, b, b.conj()))
+            lam, vec = np.linalg.eigh(np.einsum("az,azi,azj->aij", ws, b, b.conj()))
             xs[:, k] = vec[:, :, -1]
+            xc[:, k] = xs[:, k].conj()
         gain = lam[:, -1] - value[active]
         x[active], value[active], sweeps[active] = xs, lam[:, -1], sweep
         done = gain < SWEEP_TOL
@@ -176,13 +205,17 @@ def maximize_over_products(
         active = active[~done]
         if not active.size:
             break
-    best = int(np.argmax(value))
-    return MeasureResult(
-        value=float(value[best]),
-        certificate=list(x[best]),
-        iterations=int(sweeps[best]),
-        converged=bool(converged[best]),
-    )
+    best = np.argmax(value.reshape(g, RESTARTS), axis=1) + RESTARTS * np.arange(g)
+    results = [
+        MeasureResult(
+            value=float(value[i]),
+            certificate=list(x[i]),
+            iterations=int(sweeps[i]),
+            converged=bool(converged[i]),
+        )
+        for i in best
+    ]
+    return results if w.ndim == 2 else results[0]
 
 
 def geometric_fs(psi: PureState, seed: int = DEFAULT_SEED) -> MeasureResult:

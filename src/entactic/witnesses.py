@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Optional
 
@@ -34,6 +35,14 @@ class Witness:
 
     def __post_init__(self):
         op = np.asarray(self.operator, dtype=complex)
+        dim = self.d**self.n
+        if op.shape != (dim, dim):
+            raise ShapeError(
+                f"witness '{self.name}' on n={self.n}, d={self.d} needs a {dim}x{dim} operator, "
+                f"got shape {op.shape}"
+            )
+        if not np.isfinite(op).all():
+            raise ValueError(f"witness '{self.name}' operator has non-finite entries")
         if np.max(np.abs(op - op.conj().T)) > HERMITIAN_TOL:
             raise ValueError("witness operator must be Hermitian")
         op.setflags(write=False)
@@ -52,12 +61,14 @@ def _proj(v):
     return np.outer(v, v.conj())
 
 
+@cache
 def ghz_robustness_witness() -> Witness:
     """(2/3) 1 - (8/3) GHZ + (4/3) GHZ-; detects GHZ with value -2.
 
     Verified on the fully separable set by exact evaluation at the four
     vertices of the GHZ-symmetric separability polytope (the twirl reduces
     the general case to that family), plus a numerical optimizer sweep.
+    Built on the first call; every call returns that one read-only witness.
     """
     op = (
         (2.0 / 3.0) * np.eye(8)
@@ -74,11 +85,13 @@ def ghz_robustness_witness() -> Witness:
     )
 
 
+@cache
 def w_robustness_witness() -> Witness:
     """|000><000| - 3 W + |001><001| + |010><010| + |100><100| + 3 Wbar.
 
     Detects W with value -2; on product states its traceless part is the
     symmetric trilinear form (1/2) cos(6a), hence values stay in [0, 1].
+    Built on the first call; every call returns that one read-only witness.
     """
     op = np.zeros((8, 8), dtype=complex)
     op[0, 0] = 1.0
@@ -136,11 +149,12 @@ def witness_range_over_fs(
 
     With w = sum_z l_z |a_z><a_z| from its eigendecomposition, the maximum is
     the product-state maximum with weights l_z and the minimum minus the one
-    with weights -l_z.
+    with weights -l_z.  Both come from one optimizer batch over the weight
+    rows [l, -l], which shares the seed's restarts; each equals its own
+    single-row call bit for bit.  Returns (min, max, minimizer, maximizer).
     """
     lam, vecs = np.linalg.eigh(np.asarray(w.operator))
-    hi = maximize_over_products(vecs.T, lam, w.n, w.d, seed)
-    lo = maximize_over_products(vecs.T, -lam, w.n, w.d, seed)
+    hi, lo = maximize_over_products(vecs.T, np.stack([lam, -lam]), w.n, w.d, seed)
 
     def assemble(res):
         v = kron_vectors(res.certificate)

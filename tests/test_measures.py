@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entactic import linalg, measures
+from entactic import linalg, measures, witnesses
 from entactic.catalog import cluster_state, four_qubit_phi, ghz, w_state
 from entactic.ghz_symmetric import GhzSymmetricParams, params_to_density
 from entactic.linalg import (
@@ -111,6 +111,74 @@ def test_sweep_tolerance_edges(monkeypatch, factor, frozen):
         assert (res.iterations, res.converged) == (measures.MAX_SWEEPS, False)
 
 
+def test_stacked_rows_freeze_apart(monkeypatch):
+    # test_sweep_tolerance_edges with both cases as rows of one call: the
+    # product target is weighted 1 in row 0 and 2 in row 1, and each sweep
+    # lifts a top eigenvalue near 1 by 0.5 SWEEP_TOL and one near 2 by
+    # 2 SWEEP_TOL, so row 0 freezes after sweep 2 and row 1 runs on
+    n, eigh, calls = 2, np.linalg.eigh, []
+
+    def lifted(m):
+        lam, vec = eigh(m)
+        calls.append(len(m))
+        factor = np.where(lam[:, -1] > 1.5, 2.0, 0.5)[:, None]
+        return lam + (len(calls) - 1) // n * factor * measures.SWEEP_TOL, vec
+
+    monkeypatch.setattr(np.linalg, "eigh", lifted)
+    target = kron_vectors([np.array([1.0, 0.0]), np.array([0.6, 0.8])])
+    frozen, running = measures.maximize_over_products(target[None], [[1.0], [2.0]], n, 2)
+    assert (frozen.iterations, frozen.converged) == (2, True)
+    assert (running.iterations, running.converged) == (measures.MAX_SWEEPS, False)
+    # row 0's restarts left the batch after its second sweep
+    restarts = measures.RESTARTS
+    assert calls == [2 * restarts] * (2 * n) + [restarts] * (n * (measures.MAX_SWEEPS - 2))
+
+
+def random_hermitian(dim, rng):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return a + a.conj().T
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3)])
+def test_stacked_weight_rows_equal_separate_calls_bit_for_bit(n, d):
+    rng = np.random.default_rng(10 * n + d)
+    lam, vecs = np.linalg.eigh(random_hermitian(d**n, rng))
+    rows = np.stack([lam, -lam, rng.normal(size=d**n)])
+    stacked = measures.maximize_over_products(vecs.T, rows, n, d, seed=n + d)
+    assert len(stacked) == len(rows)
+    for row, res in zip(rows, stacked):
+        alone = measures.maximize_over_products(vecs.T, row, n, d, seed=n + d)
+        assert (res.value, res.iterations, res.converged) == (
+            alone.value, alone.iterations, alone.converged
+        )
+        assert all(np.array_equal(u, v) for u, v in zip(res.certificate, alone.certificate))
+
+
+@pytest.mark.parametrize(
+    "weights,match",
+    [
+        ([1.0, 2.0], "rows of 1 entries"),
+        ([[1.0], [1.0, 2.0]], None),
+        ([[1.0, 2.0]], "rows of 1 entries"),
+        (1.0, "rows of 1 entries"),
+        ([], "rows of 1 entries"),
+        ([math.nan], "finite"),
+        ([[1.0], [math.inf]], "finite"),
+    ],
+)
+def test_maximize_over_products_refuses_bad_weights(weights, match):
+    target = w_state().amplitudes[None]
+    with pytest.raises(ValueError, match=match) as exc:
+        measures.maximize_over_products(target, weights, 3, 2)
+    assert "\n" not in str(exc.value)
+
+
+def test_maximize_over_products_refuses_terms_of_another_length():
+    with pytest.raises(ValueError, match="length d\\^n = 8") as exc:
+        measures.maximize_over_products(np.ones((1, 4)), [1.0], 3, 2)
+    assert "\n" not in str(exc.value)
+
+
 def test_geometric_fs_fixtures():
     assert measures.geometric_fs(ghz(3, 2), seed=7).value == pytest.approx(0.5, abs=1e-6)
     assert measures.geometric_fs(w_state(), seed=7).value == pytest.approx(5 / 9, abs=1e-6)
@@ -149,6 +217,57 @@ def test_geometric_fs_local_unitary_invariance(seed):
 def test_geometric_fs_deterministic_for_fixed_seed():
     psi = random_state(3, 2, 23)
     assert measures.geometric_fs(psi, 11).value == measures.geometric_fs(psi, 11).value
+
+
+# --- the optimizer's outputs, pinned bit for bit ---------------------------
+# Recorded as float.hex before the two witness extremes shared one batch: a
+# change to the restarts' draws or to the order of any floating-point step
+# moves them.  Certificates list each local vector's real and imaginary parts.
+
+WITNESS_RANGE_PINS = {
+    ("ghz", 0): ("-0x1.efe1c714e4325p-415", "0x1.ffffffffffff5p-1"),
+    ("ghz", 7): ("-0x1.231f25884c3c8p-473", "0x1.ffffffffffffcp-1"),
+    ("ghz", 2024): ("-0x1.fbc715b86b326p-758", "0x1.ffffffffffffap-1"),
+    ("w", 0): ("-0x1.c000000000000p-51", "0x1.0000000000008p+0"),
+    ("w", 7): ("-0x1.1000000000000p-50", "0x1.0000000000004p+0"),
+    ("w", 2024): ("-0x1.a000000000000p-51", "0x1.0000000000008p+0"),
+}
+GEOMETRIC_FS_PINS = {
+    ("ghz", 0): ("0x1.ffffffffffffap-2", 5, True,
+        "-0x1.bd30b3cb75b4ep-230 0x0.0p+0 -0x1.c05b2a0c88aa0p-1 0x1.ee73d1a26ab66p-2 0x1.1beb3767c86d1p-371 0x0.0p+0 -0x1.ffae6c4929fd2p-1 -0x1.20fa9fa2321cap-5 0x0.0p+0 0x0.0p+0 -0x1.c8cc53bb2be30p-1 -0x1.ce8331aa5052bp-2"),
+    ("ghz", 7): ("0x1.ffffffffffffap-2", 4, True,
+        "-0x1.a82d76e651fe2p-108 0x0.0p+0 -0x1.455714a998dccp-1 0x1.8b585b31be9f3p-1 0x1.525cd51bfff49p-174 0x0.0p+0 -0x1.97b22e456cb88p-2 0x1.d5ab8ab76eb48p-1 -0x1.1852ec3785ed2p-281 0x0.0p+0 -0x1.d241d7b604960p-2 0x1.c7d86e1fee24ap-1"),
+    ("ghz", 2024): ("0x1.ffffffffffffcp-2", 4, True,
+        "0x1.4b94bfee497e7p-118 0x0.0p+0 -0x1.bc95500f5db4cp-1 0x1.fbe58590423d0p-2 -0x1.9a65cb6728c11p-191 0x0.0p+0 -0x1.9befeee69f864p-1 0x1.300f08e75dcefp-1 0x1.09c80a43f645fp-308 0x0.0p+0 -0x1.9dc534759326cp-2 -0x1.d457165002e28p-1"),
+    ("w", 0): ("0x1.1c71c71c71cc7p-1", 13, True,
+        "-0x1.a20bd6e0c267bp-1 0x0.0p+0 0x1.944aaaf1b4bb0p-5 0x1.26857a135afcfp-1 -0x1.a20bda5a9d9b1p-1 0x0.0p+0 0x1.944aa4388b980p-5 0x1.2685752d83b7ap-1 -0x1.a20bd563d5819p-1 0x0.0p+0 0x1.944aadd27cf90p-5 0x1.26857c2c17ee4p-1"),
+    ("w", 7): ("0x1.1c71c71c71cedp-1", 14, True,
+        "-0x1.a20bd6d2a805fp-1 0x0.0p+0 -0x1.e7c6adb2b0400p-3 -0x1.0d475594a5809p-1 -0x1.a20bdb01e9122p-1 0x0.0p+0 -0x1.e7c6a3eed3d80p-3 -0x1.0d47503093df6p-1 -0x1.a20bd5173cf50p-1 0x0.0p+0 -0x1.e7c6b1bd74f54p-3 -0x1.0d4757cfe3877p-1"),
+    ("w", 2024): ("0x1.1c71c71c71ce3p-1", 15, True,
+        "-0x1.a20bd95344e79p-1 0x0.0p+0 -0x1.18c9c56a6e2d7p-1 0x1.71a22d84016e2p-3 -0x1.a20bd95a59c61p-1 0x0.0p+0 -0x1.18c9c560eae40p-1 0x1.71a22d777b816p-3 -0x1.a20bd4aab626fp-1 0x0.0p+0 -0x1.18c9cbac6f818p-1 0x1.71a235c0e85cep-3"),
+    ("qutrit", 0): ("0x1.2d3bd360ec19cp-1", 17, True,
+        "0x1.b1bbf162f7187p-1 0x0.0p+0 0x1.ff2a18a9a6fc0p-5 -0x1.8919feaf9cbb8p-5 -0x1.0bde840778c66p-1 -0x1.94ecf37efc432p-5 0x1.f6e02bf4a4539p-2 0x0.0p+0 0x1.0bf9482fc1e02p-2 0x1.688aab522e21cp-2 -0x1.749687046ebefp-2 0x1.514b5ccf13166p-1 0x1.122b4a6ce4d21p-2 0x0.0p+0 -0x1.a89eee0494998p-4 0x1.953af513c39eep-2 -0x1.48ad11df89e91p-2 -0x1.9f4cfd7e0d8e6p-1"),
+    ("qutrit", 7): ("0x1.2d3bd360ec1a8p-1", 19, True,
+        "0x1.b1bbfa7883a2cp-1 0x0.0p+0 0x1.ff2a39139e190p-5 -0x1.89196251c8f49p-5 -0x1.0bde7667ea09ap-1 -0x1.94ecaa7d2b0b6p-5 0x1.f6e03cfd19210p-2 0x0.0p+0 0x1.0bf945725c376p-2 0x1.688ab1f115d10p-2 -0x1.749697bc27bcap-2 0x1.514b509e4e539p-1 0x1.122b485357daep-2 0x0.0p+0 -0x1.a89ed65f03610p-4 0x1.953b009ac4e59p-2 -0x1.48ad0015d2c2bp-2 -0x1.9f4cfeec97405p-1"),
+    ("qutrit", 2024): ("0x1.2d3bd360ec1a4p-1", 23, True,
+        "0x1.b1bbfa7706bf4p-1 0x0.0p+0 0x1.ff2a3909f4510p-5 -0x1.8919626e8f7b1p-5 -0x1.0bde766a304a8p-1 -0x1.94ecaa843e57ep-5 0x1.f6e03cfa50271p-2 0x0.0p+0 0x1.0bf945727d730p-2 0x1.688ab1efc8cc9p-2 -0x1.749697b9a834ep-2 0x1.514b50a05b13dp-1 0x1.122b48537432bp-2 0x0.0p+0 -0x1.a89ed663699f8p-4 0x1.953b0098b8ef4p-2 -0x1.48ad00186d0f9p-2 -0x1.9f4cfeec7c90ap-1"),
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(WITNESS_RANGE_PINS))
+def test_witness_range_over_fs_is_pinned(name, seed):
+    make = {"ghz": witnesses.ghz_robustness_witness, "w": witnesses.w_robustness_witness}[name]
+    lo, hi, _, _ = witnesses.witness_range_over_fs(make(), seed)
+    assert (lo.hex(), hi.hex()) == WITNESS_RANGE_PINS[name, seed]
+
+
+@pytest.mark.parametrize("name,seed", sorted(GEOMETRIC_FS_PINS))
+def test_geometric_fs_is_pinned(name, seed):
+    psi = {"ghz": ghz(3, 2), "w": w_state(), "qutrit": random_state(3, 3, 33)}[name]
+    res = measures.geometric_fs(psi, seed)
+    cert = np.concatenate(res.certificate)
+    flat = " ".join(f"{x.real.hex()} {x.imag.hex()}" for x in cert)
+    assert (res.value.hex(), res.iterations, res.converged, flat) == GEOMETRIC_FS_PINS[name, seed]
 
 
 # --- robustness ------------------------------------------------------------

@@ -28,6 +28,29 @@ def test_witness_hermiticity_tolerance_edges(factor, ok):
             witnesses.Witness(m, name="bad", n=3, d=2)
 
 
+@pytest.mark.parametrize("op", [np.eye(4), np.zeros((8, 4)), np.zeros(8), np.eye(16)])
+def test_witness_operator_must_be_d_to_the_n_square(op):
+    with pytest.raises(ShapeError, match="needs a 8x8 operator") as exc:
+        witnesses.Witness(op, "x", n=3, d=2)
+    assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_witness_operator_must_be_finite(bad):
+    # nan > tol is False, so the Hermiticity check alone let a NaN through
+    m = np.eye(8, dtype=complex)
+    m[3, 3] = bad
+    with pytest.raises(ValueError, match="non-finite") as exc:
+        witnesses.Witness(m, "x", n=3, d=2)
+    assert "\n" not in str(exc.value)
+
+
+def test_shipped_witnesses_are_built_once():
+    for make in (witnesses.ghz_robustness_witness, witnesses.w_robustness_witness):
+        assert make() is make()
+        assert not make().operator.flags.writeable
+
+
 def test_ghz_witness_detects_ghz():
     w = witnesses.ghz_robustness_witness()
     assert w.expectation(ghz(3, 2).density()) == pytest.approx(-2.0, abs=1e-12)
