@@ -205,6 +205,20 @@ def _check_subset(n: int, keep: Iterable[int]) -> tuple[int, ...]:
     return keep
 
 
+def is_permutation_invariant(psi: PureState) -> bool:
+    """Whether the amplitude tensor is bit for bit unchanged by every
+    permutation of the parties: by the swap of parties 1 and 2 and by the
+    cyclic shift of all parties, which generate S_n.  The float parts are
+    compared as int64, so a -0.0 stored against a 0.0 is a difference."""
+    n = psi.n
+    if n < 2:
+        return True
+    t = psi.amplitudes.view(np.int64).reshape((psi.d,) * n + (2,))
+    swap = [1, 0, *range(2, n + 1)]
+    shift = [*range(1, n), 0, n]
+    return np.array_equal(t, t.transpose(swap)) and np.array_equal(t, t.transpose(shift))
+
+
 def cut_matrix(psi: PureState, cut: Bipartition) -> np.ndarray:
     """Amplitudes reshaped to a d^|M| x d^|complement| matrix for the cut."""
     m = sorted(cut.parties)

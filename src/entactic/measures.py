@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import permutations
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .linalg import (
     cut_purity,
     eigenvalue_slack,
     haar_vector_draws,
+    is_permutation_invariant,
     kron_vectors,
     min_pt_eigenvalue,
     npt_cut,
@@ -43,8 +43,9 @@ DEFAULT_SEED = 2024
 RESTARTS = 32
 MAX_SWEEPS = 500
 SWEEP_TOL = 1e-12
-# full-separability certifier: the symmetric-ppt gate's entrywise match to
-# permutation symmetry; the fit's kept terms, threshold, rounds, size, seed
+# full-separability certifier: the symmetric-ppt gate's bound on a state's
+# weight outside the symmetric subspace; the fit's kept terms, threshold,
+# rounds, size, seed
 STRUCTURE_TOL = 1e-10
 FIT_TERMS = 20
 FIT_TOL = 1e-6
@@ -100,10 +101,22 @@ def _best_cut(psi: PureState, score, bound) -> tuple[float, Bipartition]:
     from its cover's marginal (`cut_purity`), which is built on the first
     bound read from it and gives the purities of all the cover's cuts at
     once; bounding that stops after two cuts thus builds at most two.
+
+    A state whose amplitude tensor is bit for bit invariant under every
+    permutation of the parties (`linalg.is_permutation_invariant`) has one
+    cut matrix, the same array, for every cut whose side holding party 1
+    has m parties; so their spectra and scores are bitwise equal, and only
+    the cuts {1..m}, m = 1..n-1, are scored, with no purity bound read.
+    `all_bipartitions` lists cuts by ascending m, {1..m} first among its m,
+    so the first of them attaining the minimum is the cut full enumeration
+    returns.
     """
     n = psi.n
     if n < 2:
         raise ValueError(f"a state needs at least 2 parties to have a cut, got n={n}")
+    if is_permutation_invariant(psi):
+        firsts = (Bipartition(n, frozenset(range(1, m + 1))) for m in range(1, n))
+        return min(((score(psi, cut), cut) for cut in firsts), key=lambda t: t[0])
     cuts = all_bipartitions(n)
     sides = [min(len(cut.parties), n - len(cut.parties)) for cut in cuts]
     scores = [None] * len(cuts)
@@ -282,14 +295,15 @@ def w_robustness_boundary() -> DensityMatrix:
 # Full-separability certification
 
 
-def _is_permutation_symmetric(rho: DensityMatrix, tol: float) -> bool:
-    n, d = rho.n, rho.d
-    t = rho.entries.reshape((d,) * (2 * n))
-    for perm in permutations(range(n)):
-        p = list(perm) + [n + i for i in perm]
-        if np.max(np.abs(t.transpose(p) - t)) > tol:
-            return False
-    return True
+def _weight_outside_symmetric(rho: DensityMatrix) -> float:
+    """tr((1 - P_sym) rho) for n qubits, where P_sym projects onto the
+    symmetric subspace: on basis states of equal Hamming weight k it is
+    1/C(n, k), elsewhere 0.  It is >= 0 for rho >= 0, and 0 exactly when
+    P_sym rho P_sym = rho."""
+    weights = np.bitwise_count(np.arange(rho.dim))
+    sizes = np.array([math.comb(rho.n, int(k)) for k in weights])
+    outside = np.eye(rho.dim) - (weights[:, None] == weights) / sizes[:, None]
+    return float(np.vdot(outside, rho.entries).real)
 
 
 def _hermitian_coordinates(entry, dim: int) -> np.ndarray:
@@ -407,10 +421,14 @@ def _by_near_identity(rho: DensityMatrix, slack: float):
 
 
 def _by_symmetric_ppt(rho: DensityMatrix, slack: float):
-    """Permutation-symmetric 3 qubits (entrywise within STRUCTURE_TOL) with
-    every cut PPT within the slack, which the npt-cut row before it checked;
-    for symmetric 3-qubit states PPT is sufficient for full separability."""
-    if (rho.n, rho.d) == (3, 2) and _is_permutation_symmetric(rho, STRUCTURE_TOL):
+    """3 qubits supported on the symmetric subspace, tr((1 - P_sym) rho) <=
+    STRUCTURE_TOL, with every cut PPT within the slack, which the npt-cut
+    row before it checked; for 3-qubit states on the symmetric subspace PPT
+    is sufficient for full separability (Eckert, Schliemann, Bruss &
+    Lewenstein, Ann. Phys. 299, 88 (2002)).  Permutation invariance alone
+    does not meet that hypothesis: mixtures of P_sym and its complement
+    have it."""
+    if (rho.n, rho.d) == (3, 2) and _weight_outside_symmetric(rho) <= STRUCTURE_TOL:
         return CERTIFIED_FS, {}
 
 

@@ -291,3 +291,21 @@ def test_singular_rays_certify_nothing_beyond_rounding_below_two(monkeypatch, na
     assert certified
     for m in certified:
         assert min_pt_eigenvalue(m, 3) >= -1e-11
+
+
+def symmetric_projector(n):
+    """The projector onto the n-qubit symmetric subspace, built from its
+    Dicke basis: 1/C(n, k) between basis states of Hamming weight k."""
+    weights = np.bitwise_count(np.arange(2**n))
+    return (weights[:, None] == weights) / np.array([math.comb(n, int(k)) for k in weights])[:, None]
+
+
+@pytest.mark.parametrize("p", [0.2, 0.3])
+def test_permutation_invariant_states_off_the_symmetric_subspace_skip_symmetric_ppt(p):
+    # p P_sym/4 + (1 - p) P_sym_perp/4 commutes with every permutation of the
+    # qubits but has weight 1 - p outside the symmetric subspace, so the
+    # theorem behind symmetric-ppt does not apply to it
+    sym = symmetric_projector(3)
+    m = p * sym / 4 + (1 - p) * (np.eye(8) - sym) / 4
+    assert min_pt_eigenvalue(m, 3) >= -1e-12
+    assert certify(3, m).route != "symmetric-ppt"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entactic import linalg, measures, witnesses
-from entactic.catalog import cluster_state, four_qubit_phi, ghz, w_state
+from entactic.catalog import cluster_state, four_qubit_phi, ghz, ghz_minus, w_bar, w_state
 from entactic.ghz_symmetric import GhzSymmetricParams, params_to_density
 from entactic.linalg import (
     Bipartition,
@@ -441,16 +441,24 @@ def count_marginal_grams(monkeypatch):
     return calls
 
 
+def ghz_flipped_on_party_2(n):
+    """GHZ_n with X applied to party 2: the purities and ties of GHZ on
+    every cut, but not invariant under swapping parties 1 and 2."""
+    t = ghz(n, 2).tensor()[:, ::-1]
+    return PureState(n, 2, t.reshape(-1))
+
+
 def test_ghz_stops_bounding_after_two_cuts_it_cannot_rule_out(monkeypatch):
-    # every cut of GHZ has purity 1/2 and ties: two bounds are read, from at
-    # most two cover marginals, then the remaining cuts are scored as full
-    # enumeration scores them
+    # every cut of GHZ with X on party 2 has purity 1/2 and ties: two bounds
+    # are read, from at most two cover marginals, then the remaining cuts are
+    # scored as full enumeration scores them
     grams = count_marginal_grams(monkeypatch)
     svds = count_spectrum_svds(monkeypatch)
     for n in (8, 12):
         grams.clear()
         svds.clear()
-        psi = ghz(n, 2)
+        psi = ghz_flipped_on_party_2(n)
+        assert not linalg.is_permutation_invariant(psi)
         measures.geometric_bs(psi)
         assert len(grams) <= 2
         assert len(svds) == len(all_bipartitions(n))
@@ -465,6 +473,92 @@ def test_haar_12_qubits_reads_its_purities_from_at_most_110_marginals(monkeypatc
     measures.geometric_bs(psi)
     measures.robustness_bs_upper(psi)
     assert 0 < len(grams) <= 110
+
+
+def dicke(n, k):
+    """The n-qubit Dicke state with k excitations: the even superposition of
+    the basis states of Hamming weight k."""
+    v = (np.bitwise_count(np.arange(2**n)) == k).astype(complex)
+    return PureState(n, 2, v / np.linalg.norm(v))
+
+
+SYMMETRIC_STATES = {
+    **{f"ghz-{n}-{d}": (lambda n=n, d=d: ghz(n, d)) for n in range(2, 10) for d in (2, 3)},
+    "ghz-minus": ghz_minus,
+    "w": w_state,
+    "w-bar": w_bar,
+    "dicke-6-2": lambda: dicke(6, 2),
+    # its two-party marginal has top eigenvalue 2/3 and its one-party ones
+    # 1/2, so G_BS is attained only by cuts with two parties on each side
+    "dicke-4-2": lambda: dicke(4, 2),
+}
+CUT_MEASURES = [measures.geometric_bs, measures.robustness_bs_upper]
+
+
+def full_enumeration(monkeypatch, measure, psi):
+    """The measure on a fresh copy of psi with the symmetry check off."""
+    with monkeypatch.context() as m:
+        m.setattr(measures, "is_permutation_invariant", lambda psi: False)
+        return measure(fresh(psi))
+
+
+@pytest.mark.parametrize("measure", CUT_MEASURES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("name", list(SYMMETRIC_STATES))
+def test_symmetric_states_score_one_cut_per_size_as_full_enumeration_does(monkeypatch, name, measure):
+    psi = SYMMETRIC_STATES[name]()
+    assert linalg.is_permutation_invariant(psi)
+    res = measure(psi)
+    assert len(psi._cuts) == psi.n - 1
+    ref = full_enumeration(monkeypatch, measure, psi)
+    assert (res.value, res.certificate) == (ref.value, ref.certificate)
+
+
+def ghz_off_by_one_ulp():
+    # GHZ's nonzero amplitudes sit on basis states every permutation fixes,
+    # so the amplitude moved is the zero on |0...01>
+    amps = ghz(8, 2).amplitudes.copy()
+    amps[1] = np.nextafter(0.0, 1.0)
+    return PureState(8, 2, amps)
+
+
+def symmetric_with_negative_zero():
+    amps = ghz(5, 2).amplitudes.copy()
+    amps[1] = complex(-0.0, 0.0)
+    return PureState(5, 2, amps)
+
+
+def cyclic_not_symmetric():
+    # the cyclic shifts of |0011>: invariant under the shift of all parties,
+    # not under the swap of parties 1 and 2
+    amps = np.zeros(16, dtype=complex)
+    amps[[0b0011, 0b0110, 0b1100, 0b1001]] = 0.5
+    return PureState(4, 2, amps)
+
+
+@pytest.mark.parametrize("make", [ghz_off_by_one_ulp, symmetric_with_negative_zero,
+                                  lambda: ghz_flipped_on_party_2(6), cyclic_not_symmetric],
+                         ids=["ulp", "negative-zero", "x-on-party-2", "cyclic-only"])
+def test_states_not_bitwise_symmetric_take_the_full_path(monkeypatch, make):
+    grams = count_marginal_grams(monkeypatch)
+    psi = make()
+    assert not linalg.is_permutation_invariant(psi)
+    for measure in CUT_MEASURES:
+        grams.clear()
+        res = measure(fresh(psi))
+        assert grams
+        ref = full_enumeration(monkeypatch, measure, psi)
+        assert (res.value, res.certificate) == (ref.value, ref.certificate)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_ghz_runs_one_spectrum_per_cut_size_and_no_marginal(monkeypatch, n):
+    grams = count_marginal_grams(monkeypatch)
+    svds = count_spectrum_svds(monkeypatch)
+    psi = ghz(n, 2)
+    measures.geometric_bs(psi)
+    measures.robustness_bs_upper(psi)
+    assert len(svds) == n - 1
+    assert grams == []
 
 
 # --- diagonal family and its certified points ------------------------------
@@ -736,10 +830,14 @@ def test_any_entry_off_the_corner_leaves_the_corner_family(monkeypatch, n):
 
 @pytest.mark.parametrize("factor,symmetric", [(0.5, True), (2.0, False)])
 def test_permutation_symmetry_tolerance_edges(monkeypatch, factor, symmetric):
+    # the W mixer lies in the symmetric subspace; white noise of weight eps
+    # puts eps/2 outside it and keeps every partial transpose PPT
     monkeypatch.setattr(measures, "_fit_product_decomposition", lambda rho: (1.0, []))
-    m = (measures.w_robustness_mixer().entries + np.eye(8) / 8) / 2
-    m[0, 1] = m[1, 0] = factor * measures.STRUCTURE_TOL
-    res = measures.fs_certificate(DensityMatrix(3, 2, m))
+    eps = 2 * factor * measures.STRUCTURE_TOL
+    m = (1 - eps) * measures.w_robustness_mixer().entries + eps * np.eye(8) / 8
+    rho = DensityMatrix(3, 2, m)
+    assert measures._weight_outside_symmetric(rho) == pytest.approx(factor * measures.STRUCTURE_TOL)
+    res = measures.fs_certificate(rho)
     assert res.route == ("symmetric-ppt" if symmetric else "none")
 
 
