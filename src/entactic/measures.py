@@ -163,16 +163,19 @@ def maximize_over_products(
     contractions b_z of a_z with the other local vectors, so the top
     eigenvector of M is the optimal update and its eigenvalue the new value.
 
-    The RESTARTS start points are drawn once from the seed.  Every row's
-    restarts advance in one batch, each with its own weight row; a restart
-    whose sweep gained less than SWEEP_TOL is frozen and leaves the batch.
-    Each row's restarts get a matrix product of their own and no other step
-    mixes restarts, so row g's result is bit for bit that of a call with
-    row g alone.  Each result holds its row's best restart's value,
-    local vectors, sweep count and convergence flag.  Terms that are not
-    rows of length d^n, and weights that are not finite or not one per
-    term, are a ValueError.
+    The RESTARTS start points are drawn once from the seed; restart r
+    starts from the same point for any RESTARTS.  Every row's restarts
+    advance in one batch, each with its own weight row; a restart whose
+    sweep gained less than SWEEP_TOL is frozen and leaves the batch.  No
+    step mixes restarts, so a restart's trajectory is bit for bit that of
+    the restart run alone: row g's result equals a call with row g alone,
+    and adding restarts never changes an existing one.  Each result holds its row's best restart's
+    value, local vectors, sweep count and convergence flag.  Fewer than one
+    party, local dimension below 2, terms that are not rows of length d^n,
+    and weights that are not finite or not one per term are a ValueError.
     """
+    if n < 1 or d < 2:
+        raise ValueError(f"need n >= 1 parties of dimension d >= 2, got n = {n}, d = {d}")
     a = np.asarray(terms, dtype=complex)
     w = np.asarray(weights, dtype=float)
     if a.ndim != 2 or a.shape[1] != d**n:
@@ -198,15 +201,13 @@ def maximize_over_products(
         xs, ws = x[active], rw[active]
         xc = xs.conj()
         ones = np.ones((active.size, 1))
-        # BLAS rounds a column of a matrix product by where it falls among
-        # the columns, so each row's active restarts get a product of their own
-        ends = np.searchsorted(active, RESTARTS * np.arange(1, g + 1)).tolist()
-        spans = [(i, j) for i, j in zip([0] + ends, ends) if i < j]
         for k in range(n):
             left = kron_vectors(xc[:, :k].transpose(1, 0, 2)) if k else ones
             right = kron_vectors(xc[:, k + 1 :].transpose(1, 0, 2)) if k < n - 1 else ones
             tails = a.reshape(-1, right.shape[1])  # axis 1 runs over parties k+1..n
-            t = np.concatenate([tails @ right[i:j].T for i, j in spans], axis=1)
+            # einsum without optimize sums each restart's column on its own,
+            # where a BLAS product rounds it by its place among the columns
+            t = np.einsum("xr,ar->xa", tails, right)
             b = np.einsum("zlia,al->azi", t.reshape(len(a), left.shape[1], d, -1), left)
             lam, vec = np.linalg.eigh(np.einsum("az,azi,azj->aij", ws, b, b.conj()))
             xs[:, k] = vec[:, :, -1]

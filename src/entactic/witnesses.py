@@ -150,8 +150,10 @@ def witness_range_over_fs(
     With w = sum_z l_z |a_z><a_z| from its eigendecomposition, the maximum is
     the product-state maximum with weights l_z and the minimum minus the one
     with weights -l_z.  Both come from one optimizer batch over the weight
-    rows [l, -l], which shares the seed's restarts; each equals its own
-    single-row call bit for bit.  Returns (min, max, minimizer, maximizer).
+    rows [l, -l], which shares the seed's start points.  No step mixes
+    restarts, so each extreme is bit for bit its own single-row call, and
+    adding restarts never changes an existing one.  Returns (min, max,
+    minimizer, maximizer).
     """
     lam, vecs = np.linalg.eigh(np.asarray(w.operator))
     hi, lo = maximize_over_products(vecs.T, np.stack([lam, -lam]), w.n, w.d, seed)

@@ -154,6 +154,48 @@ def test_stacked_weight_rows_equal_separate_calls_bit_for_bit(n, d):
         assert all(np.array_equal(u, v) for u, v in zip(res.certificate, alone.certificate))
 
 
+def _restart_inputs(name):
+    """(terms, weight rows, n, d) for one input of the restart test."""
+    if name == "w-witness":
+        w = witnesses.w_robustness_witness()
+        lam, vecs = np.linalg.eigh(np.asarray(w.operator))
+        return vecs.T, np.stack([lam, -lam]), w.n, w.d
+    psi = {"w": w_state(), "qutrit": random_state(3, 3, 33), "haar5": random_state(5, 2, 5)}[name]
+    return psi.amplitudes[None], [[1.0]], psi.n, psi.d
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", ["w", "qutrit", "haar5", "w-witness"])
+def test_adding_a_restart_never_changes_another(monkeypatch, name, seed):
+    # restart r's start point is the same for any RESTARTS, so the best of
+    # k + 1 restarts is the best of k bit for bit unless restart k beats it
+    terms, rows, n, d = _restart_inputs(name)
+    series = []
+    for k in range(1, measures.RESTARTS + 1):
+        monkeypatch.setattr(measures, "RESTARTS", k)
+        series.append(measures.maximize_over_products(terms, rows, n, d, seed))
+    for before, after in zip(series, series[1:]):
+        for old, new in zip(before, after):
+            kept = (new.value, new.iterations, new.converged) == (
+                old.value, old.iterations, old.converged
+            ) and all(np.array_equal(u, v) for u, v in zip(new.certificate, old.certificate))
+            assert kept or new.value > old.value
+
+
+@pytest.mark.parametrize("n,d", [(0, 2), (1, 1)])
+def test_maximize_over_products_refuses_degenerate_shapes(n, d):
+    with pytest.raises(ValueError, match="n >= 1 parties of dimension d >= 2") as exc:
+        measures.maximize_over_products(np.ones((1, 1)), [1.0], n, d)
+    assert "\n" not in str(exc.value)
+
+
+def test_maximize_over_products_accepts_one_qubit():
+    # the smallest accepted shape: the maximum of |<a|x>|^2 is |a|^2
+    res = measures.maximize_over_products(np.array([[0.6, 0.8j]]), [1.0], 1, 2)
+    assert res.value == pytest.approx(1.0, abs=1e-12)
+    assert res.converged
+
+
 @pytest.mark.parametrize(
     "weights,match",
     [
@@ -220,17 +262,19 @@ def test_geometric_fs_deterministic_for_fixed_seed():
 
 
 # --- the optimizer's outputs, pinned bit for bit ---------------------------
-# Recorded as float.hex before the two witness extremes shared one batch: a
-# change to the restarts' draws or to the order of any floating-point step
-# moves them.  Certificates list each local vector's real and imaginary parts.
+# Recorded as float.hex with each restart's contraction summed on its own, so
+# they do not depend on which other restarts share the batch.  A change to the
+# restarts' draws or to the order of any floating-point step moves them, and
+# `eigh` still rounds as the LAPACK build does.  Certificates list each local
+# vector's real and imaginary parts.
 
 WITNESS_RANGE_PINS = {
     ("ghz", 0): ("-0x1.efe1c714e4325p-415", "0x1.ffffffffffff5p-1"),
     ("ghz", 7): ("-0x1.231f25884c3c8p-473", "0x1.ffffffffffffcp-1"),
     ("ghz", 2024): ("-0x1.fbc715b86b326p-758", "0x1.ffffffffffffap-1"),
-    ("w", 0): ("-0x1.c000000000000p-51", "0x1.0000000000008p+0"),
-    ("w", 7): ("-0x1.1000000000000p-50", "0x1.0000000000004p+0"),
-    ("w", 2024): ("-0x1.a000000000000p-51", "0x1.0000000000008p+0"),
+    ("w", 0): ("-0x1.9000000000000p-51", "0x1.0000000000004p+0"),
+    ("w", 7): ("-0x1.e000000000000p-51", "0x1.0000000000004p+0"),
+    ("w", 2024): ("-0x1.f000000000000p-51", "0x1.0000000000006p+0"),
 }
 GEOMETRIC_FS_PINS = {
     ("ghz", 0): ("0x1.ffffffffffffap-2", 5, True,
@@ -241,16 +285,16 @@ GEOMETRIC_FS_PINS = {
         "0x1.4b94bfee497e7p-118 0x0.0p+0 -0x1.bc95500f5db4cp-1 0x1.fbe58590423d0p-2 -0x1.9a65cb6728c11p-191 0x0.0p+0 -0x1.9befeee69f864p-1 0x1.300f08e75dcefp-1 0x1.09c80a43f645fp-308 0x0.0p+0 -0x1.9dc534759326cp-2 -0x1.d457165002e28p-1"),
     ("w", 0): ("0x1.1c71c71c71cc7p-1", 13, True,
         "-0x1.a20bd6e0c267bp-1 0x0.0p+0 0x1.944aaaf1b4bb0p-5 0x1.26857a135afcfp-1 -0x1.a20bda5a9d9b1p-1 0x0.0p+0 0x1.944aa4388b980p-5 0x1.2685752d83b7ap-1 -0x1.a20bd563d5819p-1 0x0.0p+0 0x1.944aadd27cf90p-5 0x1.26857c2c17ee4p-1"),
-    ("w", 7): ("0x1.1c71c71c71cedp-1", 14, True,
-        "-0x1.a20bd6d2a805fp-1 0x0.0p+0 -0x1.e7c6adb2b0400p-3 -0x1.0d475594a5809p-1 -0x1.a20bdb01e9122p-1 0x0.0p+0 -0x1.e7c6a3eed3d80p-3 -0x1.0d47503093df6p-1 -0x1.a20bd5173cf50p-1 0x0.0p+0 -0x1.e7c6b1bd74f54p-3 -0x1.0d4757cfe3877p-1"),
-    ("w", 2024): ("0x1.1c71c71c71ce3p-1", 15, True,
-        "-0x1.a20bd95344e79p-1 0x0.0p+0 -0x1.18c9c56a6e2d7p-1 0x1.71a22d84016e2p-3 -0x1.a20bd95a59c61p-1 0x0.0p+0 -0x1.18c9c560eae40p-1 0x1.71a22d777b816p-3 -0x1.a20bd4aab626fp-1 0x0.0p+0 -0x1.18c9cbac6f818p-1 0x1.71a235c0e85cep-3"),
+    ("w", 7): ("0x1.1c71c71c71ceep-1", 14, True,
+        "-0x1.a20bd6d2a805fp-1 0x0.0p+0 -0x1.e7c6adb2b03ecp-3 -0x1.0d475594a580ap-1 -0x1.a20bdb01e9122p-1 0x0.0p+0 -0x1.e7c6a3eed3d6cp-3 -0x1.0d47503093df7p-1 -0x1.a20bd5173cf50p-1 0x0.0p+0 -0x1.e7c6b1bd74f40p-3 -0x1.0d4757cfe3879p-1"),
+    ("w", 2024): ("0x1.1c71c71c71ce7p-1", 15, True,
+        "-0x1.a20bd95344e79p-1 0x0.0p+0 -0x1.18c9c56a6e2d1p-1 0x1.71a22d84016e3p-3 -0x1.a20bd95a59c5ep-1 0x0.0p+0 -0x1.18c9c560eae43p-1 0x1.71a22d777b81bp-3 -0x1.a20bd4aab626fp-1 0x0.0p+0 -0x1.18c9cbac6f818p-1 0x1.71a235c0e85d2p-3"),
     ("qutrit", 0): ("0x1.2d3bd360ec19cp-1", 17, True,
-        "0x1.b1bbf162f7187p-1 0x0.0p+0 0x1.ff2a18a9a6fc0p-5 -0x1.8919feaf9cbb8p-5 -0x1.0bde840778c66p-1 -0x1.94ecf37efc432p-5 0x1.f6e02bf4a4539p-2 0x0.0p+0 0x1.0bf9482fc1e02p-2 0x1.688aab522e21cp-2 -0x1.749687046ebefp-2 0x1.514b5ccf13166p-1 0x1.122b4a6ce4d21p-2 0x0.0p+0 -0x1.a89eee0494998p-4 0x1.953af513c39eep-2 -0x1.48ad11df89e91p-2 -0x1.9f4cfd7e0d8e6p-1"),
-    ("qutrit", 7): ("0x1.2d3bd360ec1a8p-1", 19, True,
-        "0x1.b1bbfa7883a2cp-1 0x0.0p+0 0x1.ff2a39139e190p-5 -0x1.89196251c8f49p-5 -0x1.0bde7667ea09ap-1 -0x1.94ecaa7d2b0b6p-5 0x1.f6e03cfd19210p-2 0x0.0p+0 0x1.0bf945725c376p-2 0x1.688ab1f115d10p-2 -0x1.749697bc27bcap-2 0x1.514b509e4e539p-1 0x1.122b485357daep-2 0x0.0p+0 -0x1.a89ed65f03610p-4 0x1.953b009ac4e59p-2 -0x1.48ad0015d2c2bp-2 -0x1.9f4cfeec97405p-1"),
-    ("qutrit", 2024): ("0x1.2d3bd360ec1a4p-1", 23, True,
-        "0x1.b1bbfa7706bf4p-1 0x0.0p+0 0x1.ff2a3909f4510p-5 -0x1.8919626e8f7b1p-5 -0x1.0bde766a304a8p-1 -0x1.94ecaa843e57ep-5 0x1.f6e03cfa50271p-2 0x0.0p+0 0x1.0bf945727d730p-2 0x1.688ab1efc8cc9p-2 -0x1.749697b9a834ep-2 0x1.514b50a05b13dp-1 0x1.122b48537432bp-2 0x0.0p+0 -0x1.a89ed663699f8p-4 0x1.953b0098b8ef4p-2 -0x1.48ad00186d0f9p-2 -0x1.9f4cfeec7c90ap-1"),
+        "0x1.b1bbf162f7187p-1 0x0.0p+0 0x1.ff2a18a9a6fd0p-5 -0x1.8919feaf9cbc6p-5 -0x1.0bde840778c69p-1 -0x1.94ecf37efc438p-5 0x1.f6e02bf4a4538p-2 0x0.0p+0 0x1.0bf9482fc1e00p-2 0x1.688aab522e21ep-2 -0x1.749687046ebf0p-2 0x1.514b5ccf13166p-1 0x1.122b4a6ce4d24p-2 0x0.0p+0 -0x1.a89eee0494978p-4 0x1.953af513c39ebp-2 -0x1.48ad11df89e92p-2 -0x1.9f4cfd7e0d8e5p-1"),
+    ("qutrit", 7): ("0x1.2d3bd360ec1a6p-1", 19, True,
+        "0x1.b1bbfa7883a2ep-1 0x0.0p+0 0x1.ff2a39139e190p-5 -0x1.89196251c8f52p-5 -0x1.0bde7667ea09ap-1 -0x1.94ecaa7d2b0c6p-5 0x1.f6e03cfd19210p-2 0x0.0p+0 0x1.0bf945725c378p-2 0x1.688ab1f115d0ep-2 -0x1.749697bc27bcbp-2 0x1.514b509e4e539p-1 0x1.122b485357dacp-2 0x0.0p+0 -0x1.a89ed65f03630p-4 0x1.953b009ac4e5ap-2 -0x1.48ad0015d2c29p-2 -0x1.9f4cfeec97406p-1"),
+    ("qutrit", 2024): ("0x1.2d3bd360ec1a7p-1", 23, True,
+        "0x1.b1bbfa7706bf3p-1 0x0.0p+0 0x1.ff2a3909f4520p-5 -0x1.8919626e8f7b1p-5 -0x1.0bde766a304a6p-1 -0x1.94ecaa843e581p-5 0x1.f6e03cfa50275p-2 0x0.0p+0 0x1.0bf945727d72cp-2 0x1.688ab1efc8cc8p-2 -0x1.749697b9a834bp-2 0x1.514b50a05b13ap-1 0x1.122b48537432ap-2 0x0.0p+0 -0x1.a89ed663699f0p-4 0x1.953b0098b8ef4p-2 -0x1.48ad00186d0f6p-2 -0x1.9f4cfeec7c90ap-1"),
 }
 
 
