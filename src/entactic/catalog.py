@@ -6,9 +6,7 @@ import math
 
 import numpy as np
 
-from .linalg import PureState, kron_vectors
-
-WEIGHT_SUM_TOL = 1e-12  # how far a weight vector's sum may stray from 1
+from .linalg import NORM_TOL, PureState, kron_vectors
 
 
 def _basis_index(digits, d):
@@ -71,7 +69,7 @@ def psi_ghz_plus(alpha: float, beta: float, gamma: float) -> PureState:
 
 def psi_w(x1: float, x2: float, x3: float) -> PureState:
     """sqrt(x1)|001> + sqrt(x2)|010> + sqrt(x3)|100>."""
-    if min(x1, x2, x3) < 0 or abs(x1 + x2 + x3 - 1.0) > WEIGHT_SUM_TOL:
+    if min(x1, x2, x3) < 0 or abs(x1 + x2 + x3 - 1.0) > NORM_TOL:
         raise ValueError("weights must be nonnegative and sum to 1")
     amps = np.zeros(8, dtype=complex)
     amps[1] = math.sqrt(x1)

@@ -32,8 +32,9 @@ from .measures import DEFAULT_SEED, geometric_bs, geometric_fs, robustness_bs_up
 FSP = "FSP"
 BSP = "BSP"
 
-_P_SLACK = 1e-12
-_CLAMP_TOL = 1e-9
+# a p_max this close below 1 is rounded up to 1, deterministic; the largest gap
+# over GHZ(n, d) -> GHZ(n, d), cluster(n), AME(4, 3), d^n <= 4^11, n <= 12, is 7.8e-16
+_CLAMP_TOL = 1e-12
 AUDIT_TOL = 1e-9  # slack on both preservation inequalities before a violation
 OVERLAP_FLOOR = 1e-15  # a free input overlapping psi1 at most this bounds no mixing weight
 FREE_SOURCE_TOL = 1e-9  # a source whose geometric measure is at most this is free
@@ -235,7 +236,7 @@ def build_filter_map(cert: ConversionCertificate, p: float) -> PreparationMap:
     certified fully separable mixer."""
     if cert.theory != BSP:
         raise ValueError(FSP_BUILD_REFUSAL)
-    if p > cert.p_max + _P_SLACK:
+    if p > cert.p_max:
         raise ValueError(f"p = {p} exceeds certified maximum {cert.p_max}")
     return PreparationMap(cert=cert, p=p, mixer=_bs_mixer_details(cert.psi2))
 

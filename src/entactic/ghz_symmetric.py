@@ -18,10 +18,9 @@ from itertools import combinations
 import numpy as np
 
 from .catalog import ghz, ghz_minus
-from .linalg import DensityMatrix
+from .linalg import NORM_TOL, PSD_TOL, DensityMatrix
 
 Rat = Fraction
-WEIGHT_TOL = 1e-12  # slack on each weight's sign and on the weights' unit sum
 
 # The family's basis, built once: GHZ and its phase flip GHZ-.
 _GHZ = ghz(3, 2).amplitudes
@@ -36,7 +35,8 @@ def _as_fraction(x) -> Fraction:
 
 @dataclass(frozen=True)
 class GhzSymmetricParams:
-    """Weight triple (l+, l-, l) of a GHZ-symmetric state."""
+    """Weight triple (l+, l-, l) of a GHZ-symmetric state, checked within
+    the bounds a `DensityMatrix` is: PSD_TOL on a sign, NORM_TOL on the sum."""
 
     lambda_plus: float
     lambda_minus: float
@@ -44,11 +44,11 @@ class GhzSymmetricParams:
 
     def __post_init__(self):
         vals = (self.lambda_plus, self.lambda_minus, self.lambda_rest)
-        if min(vals) < -WEIGHT_TOL:
+        if min(vals) < -PSD_TOL:
             raise ValueError(f"negative weight in {vals}")
         # summed in Fractions, as a weight beyond the float range has no float sum
         total = sum(map(_as_fraction, vals))
-        if abs(total - 1) > WEIGHT_TOL:
+        if abs(total - 1) > NORM_TOL:
             shown = float(total) if total <= sys.float_info.max else "more than the largest float"
             raise ValueError(f"weights sum to {shown}, expected 1")
 
@@ -130,7 +130,7 @@ def symmetric_robustness(
 
     Closed form, with D = l+ - l- of the target: s = 2(|D| - l/3) outside
     the polytope, so s == 0 exactly when |D| <= l/3, also for weights that
-    sum to 1 only within WEIGHT_TOL.  Write mu = s sigma; the cost sum(mu)
+    sum to 1 only within NORM_TOL.  Write mu = s sigma; the cost sum(mu)
     is at least |mu+ - mu-| + mu_l, the two separability conditions force
     mu_l >= (3|D| - l)/2, and the bound grows with mu_l, so it is attained
     only there, with mu+ = 0 if D > 0 (mu- = 0 if D < 0): sigma is the

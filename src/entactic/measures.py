@@ -14,8 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .catalog import WEIGHT_SUM_TOL, w_bar, w_state
+from .catalog import w_bar, w_state
 from .linalg import (
+    NORM_TOL,
+    PSD_TOL,
     Bipartition,
     DensityMatrix,
     PureState,
@@ -43,10 +45,7 @@ DEFAULT_SEED = 2024
 RESTARTS = 32
 MAX_SWEEPS = 500
 SWEEP_TOL = 1e-12
-# full-separability certifier: the symmetric-ppt gate's bound on a state's
-# weight outside the symmetric subspace; the fit's kept terms, threshold,
-# rounds, size, seed
-STRUCTURE_TOL = 1e-10
+# full-separability certifier: the fit's kept terms, threshold, rounds, size, seed
 FIT_TERMS = 20
 FIT_TOL = 1e-6
 FIT_WEIGHT_FLOOR = 1e-12  # a fitted weight must exceed this to be kept or reported
@@ -61,7 +60,6 @@ THRESHOLD_MARGIN = 1e-9
 # cut pruning: a cut is skipped only when its purity bound clears the best
 # score so far by more than this, so ties and near-ties are always scored
 PRUNE_TOL = 1e-9
-NEGATIVE_WEIGHT_TOL = 1e-14  # how far below 0 a diagonal-family weight may be
 
 
 @dataclass(frozen=True)
@@ -265,7 +263,7 @@ def robustness_bs_upper(psi: PureState) -> MeasureResult:
 def diag_family_state(w000, w111, ww, wwb) -> DensityMatrix:
     """Mixture of |000>, |111>, W and Wbar projectors with given weights."""
     weights = [float(w) for w in (w000, w111, ww, wwb)]
-    if min(weights) < -NEGATIVE_WEIGHT_TOL or abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
+    if min(weights) < -PSD_TOL or abs(sum(weights) - 1.0) > NORM_TOL:
         raise ValueError(f"bad weight vector {weights}")
     m = np.zeros((8, 8), dtype=complex)
     m[0, 0] = weights[0]
@@ -423,13 +421,12 @@ def _by_near_identity(rho: DensityMatrix, slack: float):
 
 def _by_symmetric_ppt(rho: DensityMatrix, slack: float):
     """3 qubits supported on the symmetric subspace, tr((1 - P_sym) rho) <=
-    STRUCTURE_TOL, with every cut PPT within the slack, which the npt-cut
-    row before it checked; for 3-qubit states on the symmetric subspace PPT
-    is sufficient for full separability (Eckert, Schliemann, Bruss &
-    Lewenstein, Ann. Phys. 299, 88 (2002)).  Permutation invariance alone
-    does not meet that hypothesis: mixtures of P_sym and its complement
-    have it."""
-    if (rho.n, rho.d) == (3, 2) and _weight_outside_symmetric(rho) <= STRUCTURE_TOL:
+    slack, with no cut NPT beyond the slack (`linalg.npt_cut`); for 3-qubit
+    states on the symmetric subspace PPT is sufficient for full
+    separability (Eckert, Schliemann, Bruss & Lewenstein, Ann. Phys. 299, 88
+    (2002)).  Permutation invariance alone does not meet that hypothesis:
+    mixtures of P_sym and its complement have it."""
+    if (rho.n, rho.d) == (3, 2) and _weight_outside_symmetric(rho) <= slack and npt_cut(rho) is None:
         return CERTIFIED_FS, {}
 
 
@@ -465,8 +462,10 @@ UNKNOWN_ROUTE = "none"  # the route of an UNKNOWN result
 def fs_certificate(rho: DensityMatrix) -> CertResult:
     """Decide full separability by the first row of FS_ROUTES that decides,
     each given the rounding slack `linalg.eigenvalue_slack(rho.entries)`.
-    The result carries that row's name, or UNKNOWN_ROUTE when the last row
-    returns UNKNOWN; that is a value, not an error."""
+    Each row checks its theorem's whole hypothesis, so the row order sets
+    only the speed and the route name, never soundness.  The result carries
+    that row's name, or UNKNOWN_ROUTE when the last row returns UNKNOWN;
+    that is a value, not an error."""
     slack = eigenvalue_slack(rho.entries)
     for name, decide in FS_ROUTES:
         decided = decide(rho, slack)

@@ -18,11 +18,10 @@ import numpy as np
 
 from .catalog import ghz, ghz_minus, w_bar, w_state
 from .ghz_symmetric import GhzSymmetricParams, polytope_vertices
-from .linalg import DensityMatrix, PureState, ShapeError, kron_vectors
+from .linalg import NORM_TOL, DensityMatrix, PureState, ShapeError, kron_vectors
 from .measures import DEFAULT_SEED, maximize_over_products
 
 ADMISSION_TOL = 1e-8
-HERMITIAN_TOL = 1e-12  # largest entry of W - W^dag an operator may have
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,7 @@ class Witness:
             )
         if not np.isfinite(op).all():
             raise ValueError(f"witness '{self.name}' operator has non-finite entries")
-        if np.max(np.abs(op - op.conj().T)) > HERMITIAN_TOL:
+        if np.max(np.abs(op - op.conj().T)) > NORM_TOL:
             raise ValueError("witness operator must be Hermitian")
         op.setflags(write=False)
         object.__setattr__(self, "operator", op)

@@ -15,11 +15,10 @@ from entactic.catalog import (
     ghz_minus,
     psi_ghz_plus,
     psi_w,
-    WEIGHT_SUM_TOL,
     w_bar,
     w_state,
 )
-from entactic.linalg import reduced_density_pure
+from entactic.linalg import NORM_TOL, reduced_density_pure
 
 
 def test_ghz_amplitudes():
@@ -82,7 +81,7 @@ def test_psi_w_rejects_bad_weights():
 
 @pytest.mark.parametrize("factor, ok", [(0.5, True), (2.0, False)])
 def test_psi_w_weight_sum_tolerance_edges(factor, ok):
-    x3 = 0.25 + factor * WEIGHT_SUM_TOL
+    x3 = 0.25 + factor * NORM_TOL
     if ok:
         assert psi_w(0.5, 0.25, x3).amplitudes[4] == math.sqrt(x3)
     else:

@@ -1,4 +1,5 @@
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -6,7 +7,13 @@ import numpy as np
 import pytest
 
 from entactic.cli import run_command
-from entactic.linalg import PureState, density_to_json, state_from_json, state_to_json
+from entactic.linalg import (
+    DensityMatrix,
+    PureState,
+    density_to_json,
+    state_from_json,
+    state_to_json,
+)
 from entactic.catalog import ghz, w_state
 
 
@@ -272,6 +279,20 @@ def test_twirl_command(tmp_path, capsys, ghz_file):
     assert rc == 0 and from_rho == data
 
 
+def test_twirl_takes_a_state_negative_within_psd_tol(tmp_path, capsys):
+    # (1 + eps)|GHZ><GHZ| - eps|001><001| loads (its eigenvalue -eps is
+    # within PSD_TOL), so its twirl must load too
+    eps = 5e-11
+    g = ghz(3, 2).amplitudes
+    m = (1 + eps) * np.outer(g, g.conj())
+    m[1, 1] -= eps
+    path = tmp_path / "below.json"
+    path.write_text(density_to_json(DensityMatrix(3, 2, m)))
+    rc, data = run_json(capsys, ["twirl", "--in", str(path)])
+    assert rc == 0
+    assert data["lambda_rest"] == pytest.approx(-eps, abs=1e-15)
+
+
 def test_symmetric_robustness_exact_output(capsys):
     rc, data = run_json(capsys, ["symmetric-robustness", "--params", "1,0,0"])
     assert rc == 0
@@ -429,6 +450,24 @@ def test_convert_help_says_p_and_verify_require_build(capsys):
     text = " ".join(capsys.readouterr().out.split())
     assert "default p_max (requires --build)" in text
     assert "free inputs (requires --build)" in text
+
+
+def test_convert_build_accepts_the_printed_p_max_and_not_one_ulp_more(tmp_path, capsys):
+    rng = np.random.default_rng(11)
+    paths = []
+    for name in ("from", "to"):
+        v = rng.normal(size=8) + 1j * rng.normal(size=8)
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(state_to_json(PureState(3, 2, v / np.linalg.norm(v))))
+    argv = ["convert", "--from", str(paths[0]), "--to", str(paths[1]), "--theory", "bsp"]
+    rc, data = run_json(capsys, argv)
+    assert rc == 0 and data["p_max"] < 1
+    p_max = data["p_max"]
+    rc, built = run_json(capsys, argv + ["--build", "--p", repr(p_max)])
+    assert rc == 0 and built["built"]["p"] == p_max
+    above = math.nextafter(p_max, math.inf)
+    err = one_line_error(capsys, argv + ["--build", "--p", repr(above)])
+    assert "exceeds certified maximum" in err
 
 
 def test_convert_free_source_exit_one(tmp_path, capsys):

@@ -120,6 +120,15 @@ def test_clamp_tolerance_edges(factor, clamped):
         assert cert.p_max == pytest.approx(1.0 - factor * conversion._CLAMP_TOL, abs=1e-15)
 
 
+def test_clamp_keeps_a_p_max_1e_10_below_one():
+    # a p_max of 1 - 1e-10 is reported as is; only rounding may lift it to 1
+    g = conversion.max_probability(w_state(), ghz(3, 2), conversion.FSP, r_upper=1.0).g_source
+    r = g / ((1.0 - g) * (1.0 - 1e-10))
+    cert = conversion.max_probability(w_state(), ghz(3, 2), conversion.FSP, r_upper=r)
+    assert not cert.deterministic
+    assert cert.p_max == pytest.approx(1.0 - 1e-10, abs=1e-15)
+
+
 def test_max_probability_rejects_unknown_theory():
     with pytest.raises(ValueError):
         conversion.max_probability(w_state(), ghz(3, 2), "LOCC")
@@ -457,10 +466,11 @@ def test_build_filter_map_refuses_fsp():
     assert str(err.value) == conversion.FSP_BUILD_REFUSAL
 
 
-@pytest.mark.parametrize("factor,ok", [(0.5, True), (2.0, False)])
-def test_p_slack_edges(factor, ok):
+@pytest.mark.parametrize("above,ok", [(False, True), (True, False)])
+def test_build_filter_map_p_edges(above, ok):
+    # p_max itself is accepted, and the next float above it is not
     cert = conversion.max_probability(w_state(), ghz(3, 2), conversion.BSP)
-    p = cert.p_max + factor * conversion._P_SLACK
+    p = math.nextafter(cert.p_max, math.inf) if above else cert.p_max
     if ok:
         assert conversion.build_filter_map(cert, p).p == p
     else:

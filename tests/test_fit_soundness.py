@@ -10,7 +10,7 @@ recomputed from the returned terms as the Frobenius distance.
 import json
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -20,7 +20,13 @@ from hypothesis import strategies as st
 from entactic import measures
 from entactic.catalog import ghz, ghz_minus, w_state
 from entactic.ghz_symmetric import GhzSymmetricParams, params_to_density
-from entactic.linalg import DensityMatrix, density_from_json, kron_vectors, npt_cut
+from entactic.linalg import (
+    DensityMatrix,
+    density_from_json,
+    eigenvalue_slack,
+    kron_vectors,
+    npt_cut,
+)
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -309,3 +315,23 @@ def test_permutation_invariant_states_off_the_symmetric_subspace_skip_symmetric_
     m = p * sym / 4 + (1 - p) * (np.eye(8) - sym) / 4
     assert min_pt_eigenvalue(m, 3) >= -1e-12
     assert certify(3, m).route != "symmetric-ppt"
+
+
+def test_no_route_order_certifies_w_or_ghz_separable(monkeypatch):
+    # each row checks its own theorem's hypothesis, so no order of the rows
+    # before the fit may certify the NPT states W and GHZ_3
+    *rows, fit = measures.FS_ROUTES
+    assert fit[0] == "decomposition-fit"
+    states = [w_state().density(), ghz(3, 2).density()]
+    verdicts = set()
+    for order in permutations(rows):
+        monkeypatch.setattr(measures, "FS_ROUTES", (*order, fit))
+        verdicts.update(measures.fs_certificate(rho).verdict for rho in states)
+    assert verdicts == {measures.CERTIFIED_NOT_FS}
+
+
+def test_symmetric_ppt_checks_its_own_ppt_premise():
+    # W lies in the symmetric subspace but is NPT on every cut
+    w = w_state().density()
+    assert measures._weight_outside_symmetric(w) <= eigenvalue_slack(w.entries)
+    assert measures._by_symmetric_ppt(w, eigenvalue_slack(w.entries)) is None

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from entactic import ghz_symmetric as gs
 from entactic.catalog import ghz, ghz_minus, w_state
+from entactic.linalg import NORM_TOL, PSD_TOL
 
 
 def F(a, b=1):
@@ -22,12 +23,13 @@ def test_params_require_unit_sum():
 
 
 def test_weight_tolerance_at_both_edges():
-    tol = Fraction(gs.WEIGHT_TOL)
-    # a weight below zero by less than the tolerance is accepted
-    gs.GhzSymmetricParams(-tol / 2, F(1, 2), F(1, 2) + tol / 2)
+    # a weight below zero by less than PSD_TOL is accepted
+    below = Fraction(PSD_TOL)
+    gs.GhzSymmetricParams(-below / 2, F(1, 2), F(1, 2) + below / 2)
     with pytest.raises(ValueError, match="negative weight"):
-        gs.GhzSymmetricParams(-2 * tol, F(1, 2), F(1, 2) + 2 * tol)
-    # and so is a sum off by less than the tolerance, either way
+        gs.GhzSymmetricParams(-2 * below, F(1, 2), F(1, 2) + 2 * below)
+    # and so is a sum off by less than NORM_TOL, either way
+    tol = Fraction(NORM_TOL)
     gs.GhzSymmetricParams(F(1, 4), F(1, 4), F(1, 2) + tol / 2)
     gs.GhzSymmetricParams(F(1, 4), F(1, 4), F(1, 2) - tol / 2)
     for off in (2 * tol, -2 * tol):
@@ -82,9 +84,9 @@ def test_separability_criterion_exact():
 def test_separability_rows_give_the_homogeneous_criterion():
     # s == 0 is |l+ - l-| <= l/3 exactly, and s > 2 tol (the polytope
     # route's NOT_FS test) is |l+ - l-| > l/3 + tol exactly, also for
-    # weights that sum to 1 only within WEIGHT_TOL
+    # weights that sum to 1 only within NORM_TOL
     rng = np.random.default_rng(5)
-    off = Fraction(gs.WEIGHT_TOL) / 2
+    off = Fraction(NORM_TOL) / 2
     for _ in range(300):
         lp, lm = (F(int(x), 997) for x in rng.integers(0, 499, size=2))
         for lr in (1 - lp - lm, 1 - lp - lm + off, 1 - lp - lm - off):

@@ -13,6 +13,8 @@ from entactic import linalg, measures, witnesses
 from entactic.catalog import cluster_state, four_qubit_phi, ghz, ghz_minus, w_bar, w_state
 from entactic.ghz_symmetric import GhzSymmetricParams, params_to_density
 from entactic.linalg import (
+    NORM_TOL,
+    PSD_TOL,
     Bipartition,
     DensityMatrix,
     PureState,
@@ -618,8 +620,8 @@ def test_diag_family_state_structure():
 
 @pytest.mark.parametrize("factor, ok", [(0.5, True), (2.0, False)])
 def test_diag_family_state_weight_tolerance_edges(factor, ok):
-    sum_off = (0.25, 0.25, 0.25, 0.25 + factor * measures.WEIGHT_SUM_TOL)
-    below = factor * measures.NEGATIVE_WEIGHT_TOL
+    sum_off = (0.25, 0.25, 0.25, 0.25 + factor * NORM_TOL)
+    below = factor * PSD_TOL
     negative = (-below, 0.5, 0.25, 0.25 + below)
     for weights in (sum_off, negative):
         if ok:
@@ -875,12 +877,15 @@ def test_any_entry_off_the_corner_leaves_the_corner_family(monkeypatch, n):
 @pytest.mark.parametrize("factor,symmetric", [(0.5, True), (2.0, False)])
 def test_permutation_symmetry_tolerance_edges(monkeypatch, factor, symmetric):
     # the W mixer lies in the symmetric subspace; white noise of weight eps
-    # puts eps/2 outside it and keeps every partial transpose PPT
+    # puts eps/2 outside it and keeps every partial transpose PPT; the gate's
+    # bound is the state's rounding slack, which the noise barely moves
     monkeypatch.setattr(measures, "_fit_product_decomposition", lambda rho: (1.0, []))
-    eps = 2 * factor * measures.STRUCTURE_TOL
-    m = (1 - eps) * measures.w_robustness_mixer().entries + eps * np.eye(8) / 8
-    rho = DensityMatrix(3, 2, m)
-    assert measures._weight_outside_symmetric(rho) == pytest.approx(factor * measures.STRUCTURE_TOL)
+    mixer = measures.w_robustness_mixer().entries
+    slack = eigenvalue_slack(mixer)
+    eps = 2 * factor * slack
+    rho = DensityMatrix(3, 2, (1 - eps) * mixer + eps * np.eye(8) / 8)
+    # the mixer's own weight outside rounds to ~3e-17
+    assert measures._weight_outside_symmetric(rho) == pytest.approx(factor * slack, abs=1e-16)
     res = measures.fs_certificate(rho)
     assert res.route == ("symmetric-ppt" if symmetric else "none")
 

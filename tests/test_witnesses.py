@@ -7,7 +7,7 @@ import pytest
 from entactic import measures, witnesses
 from entactic.catalog import ghz, ghz_minus, w_bar, w_state
 from entactic.ghz_symmetric import GhzSymmetricParams, polytope_vertices
-from entactic.linalg import PureState, ShapeError
+from entactic.linalg import NORM_TOL, PureState, ShapeError
 
 
 def test_witness_operator_must_be_hermitian():
@@ -20,7 +20,7 @@ def test_witness_operator_must_be_hermitian():
 @pytest.mark.parametrize("factor, ok", [(0.5, True), (2.0, False)])
 def test_witness_hermiticity_tolerance_edges(factor, ok):
     m = np.zeros((8, 8), dtype=complex)
-    m[0, 1] = factor * witnesses.HERMITIAN_TOL
+    m[0, 1] = factor * NORM_TOL
     if ok:
         assert witnesses.Witness(m, name="near", n=3, d=2).operator[0, 1] == m[0, 1]
     else:
