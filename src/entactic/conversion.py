@@ -267,12 +267,16 @@ def _batch_free_overlaps(psi1: PureState, theory: str, k: int, rng) -> np.ndarra
     and each overlap is divided by the product of their squared norms.  BSP:
     the per-cut sample counts, one `rng.multinomial(k, uniform)` over
     `all_bipartitions`; then for each cut in that order that got m > 0 of
-    them, the smaller side's m vectors as standard normals of shape
-    (2, m, dS), real parts before imaginary ones, then m uniforms
-    (`rng.random`) for the larger side's overlaps.  A BSP seed thus names,
-    per sample, the cut, the smaller-side vector and the larger side's
-    overlap with it, not a larger-side vector; the overlaps come grouped by
-    cut, in cut order.
+    them, with dS the dimension of its smaller side (the rows on a balanced
+    cut): if m < dS, standard normals of shape (2, m, dS), the real parts of
+    m smaller-side vectors before their imaginary parts; if m >= dS,
+    standard exponentials of shape (m, dS), for each sample one weight per
+    eigenvalue of the smaller side's Gram matrix, in ascending order; then,
+    on either branch, m uniforms (`rng.random`) for the larger side's
+    overlaps.  A BSP seed thus names, per sample, the cut, the smaller-side
+    vector (or its squared moduli in the Gram eigenbasis) and the larger
+    side's overlap with it, not a larger-side vector; the overlaps come
+    grouped by cut, in cut order.
     """
     n, d = psi1.n, psi1.d
     if theory == FSP:
@@ -293,27 +297,38 @@ def _batch_free_overlaps(psi1: PureState, theory: str, k: int, rng) -> np.ndarra
 def _cut_free_overlaps(a_mat: np.ndarray, m: int, rng) -> np.ndarray:
     """|conj(l)^T A conj(r)|^2 / (|l|^2 |r|^2) for the cut matrix A and m
     Haar-random products l (x) r across the cut, drawing only the smaller
-    side's l, as unnormalized complex Gaussian vectors; the rows of A, the
+    side's l, as an unnormalized complex Gaussian vector; the rows of A, the
     side holding party 1, are that side when the cut is balanced.
 
     With v = A^T conj(l) fixed, |<v|r>|^2 / |v|^2 ~ Beta(1, D - 1) for Haar
     r in C^D whatever the direction of v (take v = e_1: |g_1|^2 / |g|^2 for
     i.i.d. complex Gaussians is Exp / (Exp + Gamma(D - 1))), so the overlap
     is l^dag G l / |l|^2 times a Beta(1, D - 1) draw, with G = A A^dag the
-    Gram matrix of the smaller side from one GEMM, never from an SVD.
+    Gram matrix of the smaller side.  For G = U diag(mu) U^dag, U^dag l has
+    the law of l, whose squared moduli are i.i.d. exponentials E_i up to one
+    common scale, so l^dag G l / |l|^2 = sum_i mu_i E_i / sum_i E_i.  Forming
+    v = A^T conj(l) for each of m samples costs m dS D; G and its spectrum
+    cost dS^2 D + O(dS^3).  So m < dS samples draw l and form v, and m >= dS
+    read mu from `eigvalsh` of G, never from an SVD, and draw the E_i.
     """
     if a_mat.shape[0] > a_mat.shape[1]:
         a_mat = a_mat.T
-    gram = a_mat @ a_mat.conj().T
-    # with l = x + iy, l^dag G l = [x|y] H [x|y]^T for the real symmetric form H
-    form = np.vstack([np.hstack([gram.real, -gram.imag]), np.hstack([gram.imag, gram.real])])
-    xy = np.concatenate(rng.standard_normal((2, m, a_mat.shape[0])), axis=1)
-    quad = np.einsum("kj,kj->k", xy @ form, xy)
-    norms = np.einsum("kj,kj->k", xy, xy)
+    small, large = a_mat.shape
+    if m < small:
+        g = rng.standard_normal((2, m, small))
+        # |v|^2 as the sum of squares of the real and imaginary parts
+        v = ((g[0] - 1j * g[1]) @ a_mat).view(np.float64)
+        ratio = np.einsum("kj,kj->k", v, v) / np.einsum("tkj,tkj->k", g, g)
+    else:
+        # column 0 weighs E_i by mu_i, column 1 by 1: both sums from one GEMM
+        weights = np.ones((small, 2))
+        # G is PSD; a rank-deficient G can round an eigenvalue slightly below 0
+        weights[:, 0] = np.maximum(np.linalg.eigvalsh(a_mat @ a_mat.conj().T), 0.0)
+        num, den = (rng.standard_exponential((m, small)) @ weights).T
+        ratio = num / den
     # inverse CDF of Beta(1, D - 1): 1 - (1 - U)^(1 / (D - 1))
-    beta = -np.expm1(np.log1p(-rng.random(m)) / (a_mat.shape[1] - 1))
-    # G is PSD; a rank-deficient G can round the form slightly below 0
-    return np.maximum(quad, 0.0) / norms * beta
+    beta = -np.expm1(np.log1p(-rng.random(m)) / (large - 1))
+    return ratio * beta
 
 
 def _extremal_free_overlap(prep_map: PreparationMap, seed: int) -> float:
@@ -345,11 +360,13 @@ def verify_preservation_sampled(
     the filter overlap), so p above the certified maximum is always caught.
     Samples 1 to samples - 1 come from `np.random.default_rng(seed)` in the
     draw order `_batch_free_overlaps` states: for BSP, the multinomial cut
-    counts, then per cut the smaller side's normals (2, m, dS) and m
-    uniforms.  A seed names, per sample, the cut, the smaller-side vector
-    and the larger side's overlap, whose law is exactly Beta(1, D - 1) for
-    a Haar vector in C^D.  No BSP sample can beat the probe: each overlap is
-    at most the largest Gram eigenvalue of its cut, at most 1 - g.
+    counts, then per cut with m samples and a smaller side of dimension dS
+    either that side's normals (2, m, dS), if m < dS, or exponentials
+    (m, dS) weighting its Gram eigenvalues, then m uniforms.  A seed names,
+    per sample, the cut, the smaller-side vector and the larger side's
+    overlap, whose law is exactly Beta(1, D - 1) for a Haar vector in C^D.
+    No BSP sample can beat the probe: each overlap is at most the largest
+    Gram eigenvalue of its cut, at most 1 - g.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

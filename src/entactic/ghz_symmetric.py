@@ -36,7 +36,8 @@ def _as_fraction(x) -> Fraction:
 @dataclass(frozen=True)
 class GhzSymmetricParams:
     """Weight triple (l+, l-, l) of a GHZ-symmetric state, checked within
-    the bounds a `DensityMatrix` is: PSD_TOL on a sign, NORM_TOL on the sum."""
+    the bounds a `DensityMatrix` is: PSD_TOL on the sign of each eigenvalue,
+    l+, l- and l/6, and NORM_TOL on the sum."""
 
     lambda_plus: float
     lambda_minus: float
@@ -44,7 +45,7 @@ class GhzSymmetricParams:
 
     def __post_init__(self):
         vals = (self.lambda_plus, self.lambda_minus, self.lambda_rest)
-        if min(vals) < -PSD_TOL:
+        if min(self.lambda_plus, self.lambda_minus, self.lambda_rest / 6) < -PSD_TOL:
             raise ValueError(f"negative weight in {vals}")
         # summed in Fractions, as a weight beyond the float range has no float sum
         total = sum(map(_as_fraction, vals))

@@ -293,6 +293,20 @@ def test_twirl_takes_a_state_negative_within_psd_tol(tmp_path, capsys):
     assert data["lambda_rest"] == pytest.approx(-eps, abs=1e-15)
 
 
+def test_twirl_takes_middle_weights_negative_within_psd_tol(tmp_path, capsys):
+    # (1 + 6 eps)|GHZ><GHZ| - eps (the six middle projectors) loads, each
+    # eigenvalue -eps within PSD_TOL, though its middle weight l = -6 eps is not
+    eps = 5e-11
+    g = ghz(3, 2).amplitudes
+    m = (1 + 6 * eps) * np.outer(g, g.conj())
+    m[range(1, 7), range(1, 7)] -= eps
+    path = tmp_path / "middle.json"
+    path.write_text(density_to_json(DensityMatrix(3, 2, m)))
+    rc, data = run_json(capsys, ["twirl", "--in", str(path)])
+    assert rc == 0
+    assert data["lambda_rest"] == pytest.approx(-6 * eps, abs=1e-14)
+
+
 def test_symmetric_robustness_exact_output(capsys):
     rc, data = run_json(capsys, ["symmetric-robustness", "--params", "1,0,0"])
     assert rc == 0

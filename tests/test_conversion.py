@@ -593,9 +593,12 @@ def two_sided_bsp_overlaps(a_mat, m, rng):
 
 def reference_bsp_overlaps(psi1, k, rng):
     """The BSP draw order written out: the multinomial cut counts, then for
-    each cut with m > 0 samples the smaller side's normals (2, m, dS), the
-    rows on a balanced cut, and m uniforms.  The overlap is |A^T conj(l)|^2 /
-    |l|^2, formed explicitly, times the inverse-CDF Beta(1, D - 1) draw."""
+    each cut with m > 0 samples and a smaller side of dimension dS, the rows
+    on a balanced cut: if m < dS, that side's normals (2, m, dS) and the
+    ratio |A^T conj(l)|^2 / |l|^2 formed explicitly; if m >= dS, exponentials
+    (m, dS) weighting the squared singular values of A in ascending order;
+    then m uniforms.  The overlap is the ratio times the inverse-CDF
+    Beta(1, D - 1) draw."""
     cuts = all_bipartitions(psi1.n)
     counts = rng.multinomial(k, [1 / len(cuts)] * len(cuts))
     out = [np.empty(0)]
@@ -605,11 +608,17 @@ def reference_bsp_overlaps(psi1, k, rng):
         a_mat = linalg.cut_matrix(psi1, cut)
         if a_mat.shape[0] > a_mat.shape[1]:
             a_mat = a_mat.T
-        g = rng.standard_normal((2, m, a_mat.shape[0]))
-        small = g[0] + 1j * g[1]
-        v = small.conj() @ a_mat
+        if m < a_mat.shape[0]:
+            g = rng.standard_normal((2, m, a_mat.shape[0]))
+            small = g[0] + 1j * g[1]
+            v = small.conj() @ a_mat
+            ratio = np.sum(np.abs(v) ** 2, axis=1) / np.sum(np.abs(small) ** 2, axis=1)
+        else:
+            mu = np.linalg.svd(a_mat, compute_uv=False)[::-1] ** 2
+            e = rng.standard_exponential((m, a_mat.shape[0]))
+            ratio = np.sum(e * mu, axis=1) / np.sum(e, axis=1)
         beta = -np.expm1(np.log1p(-rng.random(m)) / (a_mat.shape[1] - 1))
-        out.append(np.sum(np.abs(v) ** 2, axis=1) / np.sum(np.abs(small) ** 2, axis=1) * beta)
+        out.append(ratio * beta)
     return np.concatenate(out)
 
 
@@ -632,8 +641,10 @@ class RecordingRng:
 @pytest.mark.parametrize(
     "n, d, k",
     # k = 1 and k = 0; fewer samples than cuts (3 at n = 3, 7 at n = 4);
-    # n = 4 has balanced 4 x 4 cuts, where the rows are the explicit side
-    [(3, 2, 5000), (3, 3, 5000), (4, 2, 5000), (3, 2, 2), (3, 3, 1), (4, 2, 5), (3, 2, 0)],
+    # n = 4 has balanced 4 x 4 cuts, where the rows are the explicit side;
+    # at k = 40 on 5 qubits some cuts draw normals and others exponentials
+    [(3, 2, 5000), (3, 3, 5000), (4, 2, 5000), (3, 2, 2), (3, 3, 1), (4, 2, 5), (3, 2, 0),
+     (5, 2, 40)],
 )
 def test_bsp_sampler_pins_its_draw_order(n, d, k):
     psi = random_state(n, d, 40 + n + d)
@@ -652,6 +663,8 @@ def test_bsp_sampler_pins_its_draw_order(n, d, k):
         # every cut got samples, the balanced ones too: both their sides are
         # 4, so only the values tell that the rows were drawn
         assert counts.min() > 0
+    if k == 40:
+        assert {"standard_normal", "standard_exponential"} <= {name for name, _ in rng_new.calls}
 
 
 @pytest.mark.parametrize(
@@ -675,59 +688,103 @@ def test_bsp_sampler_keeps_the_two_sided_law(psi):
         assert abs(np.mean(new) - 1 / a_mat.size) < 5 * stderr, cut
 
 
-def test_bsp_sampler_takes_no_decomposition(monkeypatch):
-    # the audit stays independent of the Schmidt spectra behind g
-    def refuse(*args, **kwargs):
-        raise AssertionError("the audit decomposed a matrix")
+@pytest.mark.parametrize(
+    "n, d, parties",
+    [(4, 2, {1, 2}), (6, 2, {1, 2, 3}), (4, 3, {1, 2}), (5, 2, {1, 2, 3})],
+)
+def test_bsp_sampler_below_the_gram_keeps_the_two_sided_law(n, d, parties):
+    # m = dS - 1 samples per call draw the smaller side's vectors, not Gram
+    # weights; 4000 of them from repeated calls follow the two-sided law,
+    # with its mean 1 / (dA dB); on 5 qubits the smaller side is the columns
+    from scipy.stats import ks_2samp
 
-    for name in ("svd", "eigh", "eigvalsh", "eig", "eigvals"):
-        monkeypatch.setattr(np.linalg, name, refuse)
+    a_mat = linalg.cut_matrix(random_state(n, d, 78 + n + d), Bipartition(n, frozenset(parties)))
+    m, total = min(a_mat.shape) - 1, 4000
+    rng_new, rng_old = np.random.default_rng(n * d), np.random.default_rng(98)
+    calls = -(-total // m)
+    new = np.concatenate([conversion._cut_free_overlaps(a_mat, m, rng_new) for _ in range(calls)])
+    new = new[:total]
+    old = two_sided_bsp_overlaps(a_mat, total, rng_old)
+    assert ks_2samp(new, old).pvalue > 1e-3
+    stderr = np.std(new, ddof=1) / math.sqrt(total)
+    assert abs(np.mean(new) - 1 / a_mat.size) < 5 * stderr
+
+
+@pytest.mark.parametrize("n, d, parties", [(4, 2, {1, 2}), (3, 3, {1}), (5, 2, {1, 2})])
+def test_bsp_sampler_branches_at_the_smaller_dimension(n, d, parties):
+    # fewer samples than dS draw the vectors; dS or more, one Gram weight
+    # per eigenvalue; the larger side's uniforms come last on both branches
+    a_mat = linalg.cut_matrix(random_state(n, d, 79), Bipartition(n, frozenset(parties)))
+    ds = min(a_mat.shape)
+    below, at = RecordingRng(0), RecordingRng(1)
+    conversion._cut_free_overlaps(a_mat, ds - 1, below)
+    conversion._cut_free_overlaps(a_mat, ds, at)
+    assert below.calls == [("standard_normal", (2, ds - 1, ds)), ("random", ds - 1)]
+    assert at.calls == [("standard_exponential", (ds, ds)), ("random", ds)]
+
+
+def test_bsp_sampler_takes_no_decomposition(monkeypatch):
+    # the audit stays independent of the Schmidt spectra behind g: it takes
+    # no SVD and reads no memoized spectrum, only its own Gram eigenvalues
+    def refuse(*args, **kwargs):
+        raise AssertionError("the audit took a Schmidt decomposition")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(linalg, "schmidt_spectrum", refuse)
+    monkeypatch.setattr(conversion, "schmidt_spectrum", refuse)
     psi = random_state(5, 2, 75)
-    qs = conversion._batch_free_overlaps(psi, conversion.BSP, 2000, np.random.default_rng(0))
-    assert qs.shape == (2000,)
+    # 2000 samples take the Gram branch on all 15 cuts, 20 the normals on some
+    for k in (2000, 20):
+        qs = conversion._batch_free_overlaps(psi, conversion.BSP, k, np.random.default_rng(0))
+        assert qs.shape == (k,)
 
 
 @pytest.mark.parametrize("psi", [ghz(4, 2), ghz(3, 3), product_state(4, 2, 76)])
 def test_bsp_overlaps_are_nonnegative_on_rank_deficient_marginals(psi):
-    qs = conversion._batch_free_overlaps(psi, conversion.BSP, 20_000, np.random.default_rng(1))
+    # exact zeros in GHZ(4, 2)'s Grams; eigvalsh rounds some of the product
+    # state's below 0; 20000 samples take the Gram branch on every cut, and
+    # 5 leave some cut fewer samples than its dS, so it draws the vectors
     gbs = measures.geometric_bs(psi).value
-    assert np.all(qs >= 0) and np.all(qs <= 1 - gbs + 1e-12)
+    for k in (20_000, 5):
+        qs = conversion._batch_free_overlaps(psi, conversion.BSP, k, np.random.default_rng(1))
+        assert np.all(qs >= 0) and np.all(qs <= 1 - gbs + 1e-12)
 
 
 def test_bsp_overlaps_clip_the_rounded_form_at_zero():
-    # a product state's 2 x 8 cut matrix is u w^T: a smaller-side vector
-    # orthogonal to u overlaps it exactly 0, and the Gram form rounds that
-    # to about -1e-16 on most such vectors
-    a_mat = linalg.cut_matrix(product_state(4, 2, 76), Bipartition(4, frozenset({1})))
-    u = a_mat[:, 0] / np.linalg.norm(a_mat[:, 0])
+    # a product state's 2 x 8 cut matrix is u w^T, so its Gram has rank 1,
+    # and eigvalsh rounds the zero eigenvalue to about -1e-16; weight every
+    # sample on that eigenvalue alone and the clipped overlap is exactly 0
+    a_mat = linalg.cut_matrix(product_state(4, 2, 77), Bipartition(4, frozenset({1})))
+    assert np.linalg.eigvalsh(a_mat @ a_mat.conj().T)[0] < 0
     rng = np.random.default_rng(3)
 
-    class OrthogonalDraws:
+    class ZeroEigenvalueDraws:
         random = rng.random
 
-        def standard_normal(self, shape):
-            g = rng.standard_normal(shape)
-            small = g[0] + 1j * g[1]
-            small -= np.outer(small @ u.conj(), u)
-            return np.stack([small.real, small.imag])
+        def standard_exponential(self, shape):
+            e = np.zeros(shape)
+            e[:, 0] = rng.standard_exponential(shape[0])
+            return e
 
-    qs = conversion._cut_free_overlaps(a_mat, 1000, OrthogonalDraws())
-    assert np.all(qs >= 0) and np.max(qs) < 1e-15
+    qs = conversion._cut_free_overlaps(a_mat, 1000, ZeroEigenvalueDraws())
+    assert np.all(qs == 0)
 
 
 @pytest.mark.parametrize(
     "psi1, psi2",
     [(w_state(), ghz(3, 2))]
     + [(random_state(n, d, 2 * j), random_state(n, d, 2 * j + 1))
-       for j, (n, d) in enumerate([(3, 2), (4, 2), (3, 3)], start=25)],
+       for j, (n, d) in enumerate([(3, 2), (4, 2), (3, 3), (7, 2)], start=25)],
 )
 def test_the_probe_sets_the_worst_margins(psi1, psi2):
     # sampled free inputs never beat the extremal probe, so a BSP audit at
-    # p_max reports the margins of its sample 0 whatever the sample count
+    # p_max reports the margins of its sample 0 whatever the sample count;
+    # 300 samples over the 63 cuts of 7 qubits leave most 3 | 4 cuts fewer
+    # than their dS = 8, so those cuts draw vectors, not Gram weights
     cert = conversion.max_probability(psi1, psi2, conversion.BSP)
     m = conversion.build_filter_map(cert, cert.p_max)
-    for seed in (0, 7):
-        many = conversion.verify_preservation_sampled(m, 10_000, seed)
+    for seed, samples in ((0, 10_000), (7, 10_000), (0, 300), (7, 300)):
+        many = conversion.verify_preservation_sampled(m, samples, seed)
         one = conversion.verify_preservation_sampled(m, 1, seed)
         assert many.violations == one.violations == 0
         assert many.worst_overlap_margin == one.worst_overlap_margin

@@ -35,6 +35,11 @@ def test_weight_tolerance_at_both_edges():
     for off in (2 * tol, -2 * tol):
         with pytest.raises(ValueError, match="weights sum to"):
             gs.GhzSymmetricParams(F(1, 4), F(1, 4), F(1, 2) + off)
+    # the middle weight l is six eigenvalues l/6, so its edge is -6 PSD_TOL:
+    # l = -3 PSD_TOL is accepted and l = -9 PSD_TOL refused
+    gs.GhzSymmetricParams(F(1, 2) + 3 * below, F(1, 2), -3 * below)
+    with pytest.raises(ValueError, match="negative weight"):
+        gs.GhzSymmetricParams(F(1, 2) + 9 * below, F(1, 2), -9 * below)
 
 
 def test_params_to_density_diagonal_structure():
