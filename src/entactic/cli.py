@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -228,7 +229,10 @@ def _cmd_convert(args):
                 "samples": rep.samples,
                 "violations": rep.violations,
                 "worst_overlap_margin": rep.worst_overlap_margin,
-                "worst_ratio_margin": rep.worst_ratio_margin,
+                # JSON has no inf: no finite ratio margin prints as null
+                "worst_ratio_margin": rep.worst_ratio_margin
+                if math.isfinite(rep.worst_ratio_margin)
+                else None,
             }
     _emit(out, verbose_note=f"p_max = {cert.p_max:.6g}", verbose=args.verbose)
     return 0

@@ -258,8 +258,11 @@ def ghz_to_any_bsp(psi: PureState) -> PreparationMap:
 # Free-state sampling and preservation verification
 
 
-def _batch_free_overlaps(psi1: PureState, theory: str, k: int, rng) -> np.ndarray:
-    """Squared overlaps tr(psi1 sigma) for k random free pure states.
+def _batch_free_overlaps(
+    psi1: PureState, theory: str, k: int, rng, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Squared overlaps tr(psi1 sigma) for k random free pure states, written
+    into `out` (a fresh array when None) and returned.
 
     Draw order, which fixes the states a seed samples.  FSP: for each party
     in order, standard normals of shape (2, k, d): the real parts of its k
@@ -276,29 +279,33 @@ def _batch_free_overlaps(psi1: PureState, theory: str, k: int, rng) -> np.ndarra
     overlaps.  A BSP seed thus names, per sample, the cut, the smaller-side
     vector (or its squared moduli in the Gram eigenbasis) and the larger
     side's overlap with it, not a larger-side vector; the overlaps come
-    grouped by cut, in cut order.
+    grouped by cut, in cut order, each cut's block written in place.
     """
     n, d = psi1.n, psi1.d
+    out = np.empty(k) if out is None else out
     if theory == FSP:
         x, norms = np.broadcast_to(psi1.tensor(), (k,) + (d,) * n), 1.0
         for _ in range(n):
             g = rng.standard_normal((2, k, d))
             x = np.einsum("ki...,ki->k...", x, g[0] - 1j * g[1])
             norms = norms * np.einsum("tkj,tkj->k", g, g)
-        return np.abs(x) ** 2 / norms
+        return np.divide(np.abs(x) ** 2, norms, out=out)
     cuts = all_bipartitions(n)
     counts = rng.multinomial(k, np.full(len(cuts), 1.0 / len(cuts)))
-    blocks = [
-        _cut_free_overlaps(cut_matrix(psi1, cut), m, rng) for cut, m in zip(cuts, counts) if m
-    ]
-    return np.concatenate(blocks) if blocks else np.empty(0)
+    for cut, m, end in zip(cuts, counts, np.cumsum(counts)):
+        if m:
+            _cut_free_overlaps(cut_matrix(psi1, cut), m, rng, out[end - m : end])
+    return out
 
 
-def _cut_free_overlaps(a_mat: np.ndarray, m: int, rng) -> np.ndarray:
+def _cut_free_overlaps(
+    a_mat: np.ndarray, m: int, rng, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """|conj(l)^T A conj(r)|^2 / (|l|^2 |r|^2) for the cut matrix A and m
     Haar-random products l (x) r across the cut, drawing only the smaller
     side's l, as an unnormalized complex Gaussian vector; the rows of A, the
-    side holding party 1, are that side when the cut is balanced.
+    side holding party 1, are that side when the cut is balanced.  Written
+    into `out` (a fresh array when None) and returned.
 
     With v = A^T conj(l) fixed, |<v|r>|^2 / |v|^2 ~ Beta(1, D - 1) for Haar
     r in C^D whatever the direction of v (take v = e_1: |g_1|^2 / |g|^2 for
@@ -311,6 +318,7 @@ def _cut_free_overlaps(a_mat: np.ndarray, m: int, rng) -> np.ndarray:
     cost dS^2 D + O(dS^3).  So m < dS samples draw l and form v, and m >= dS
     read mu from `eigvalsh` of G, never from an SVD, and draw the E_i.
     """
+    out = np.empty(m) if out is None else out
     if a_mat.shape[0] > a_mat.shape[1]:
         a_mat = a_mat.T
     small, large = a_mat.shape
@@ -318,17 +326,23 @@ def _cut_free_overlaps(a_mat: np.ndarray, m: int, rng) -> np.ndarray:
         g = rng.standard_normal((2, m, small))
         # |v|^2 as the sum of squares of the real and imaginary parts
         v = ((g[0] - 1j * g[1]) @ a_mat).view(np.float64)
-        ratio = np.einsum("kj,kj->k", v, v) / np.einsum("tkj,tkj->k", g, g)
+        np.divide(np.einsum("kj,kj->k", v, v), np.einsum("tkj,tkj->k", g, g), out=out)
     else:
         # column 0 weighs E_i by mu_i, column 1 by 1: both sums from one GEMM
         weights = np.ones((small, 2))
         # G is PSD; a rank-deficient G can round an eigenvalue slightly below 0
         weights[:, 0] = np.maximum(np.linalg.eigvalsh(a_mat @ a_mat.conj().T), 0.0)
         num, den = (rng.standard_exponential((m, small)) @ weights).T
-        ratio = num / den
-    # inverse CDF of Beta(1, D - 1): 1 - (1 - U)^(1 / (D - 1))
-    beta = -np.expm1(np.log1p(-rng.random(m)) / (large - 1))
-    return ratio * beta
+        np.divide(num, den, out=out)
+    # inverse CDF of Beta(1, D - 1): 1 - (1 - U)^(1 / (D - 1)), formed in place
+    beta = rng.random(m)
+    np.negative(beta, out=beta)
+    np.log1p(beta, out=beta)
+    beta /= large - 1
+    np.expm1(beta, out=beta)
+    np.negative(beta, out=beta)
+    out *= beta
+    return out
 
 
 def _extremal_free_overlap(prep_map: PreparationMap, seed: int) -> float:
@@ -344,6 +358,17 @@ def _extremal_free_overlap(prep_map: PreparationMap, seed: int) -> float:
     else:
         vec = kron_vectors(geometric_fs(psi1, seed).certificate)
     return float(abs(np.vdot(psi1.amplitudes, vec)) ** 2)
+
+
+def _audit_margins(q: np.ndarray, cert: ConversionCertificate, p: float):
+    """The two preservation margins of each overlap in q: (1 - g) + AUDIT_TOL - q,
+    and (1 / p)(1 / q - 1) - (r - AUDIT_TOL), the latter inf where
+    q <= OVERLAP_FLOOR; a negative margin is a violation."""
+    g, r = cert.g_source, cert.r_target
+    pos = q > OVERLAP_FLOOR
+    s_out = np.full(q.shape, math.inf)
+    s_out[pos] = (1.0 / p) * (1.0 / q[pos] - 1.0)
+    return (1.0 - g) + AUDIT_TOL - q, s_out - (r - AUDIT_TOL)
 
 
 def verify_preservation_sampled(
@@ -367,6 +392,17 @@ def verify_preservation_sampled(
     overlap, whose law is exactly Beta(1, D - 1) for a Haar vector in C^D.
     No BSP sample can beat the probe: each overlap is at most the largest
     Gram eigenvalue of its cut, at most 1 - g.
+
+    The report is read from the largest overlap.  Correctly rounded
+    subtraction and division are monotone, and so is multiplication by the
+    positive constant 1 / p, so both margins (`_audit_margins`) are
+    non-increasing in q, the ratio margin's inf below OVERLAP_FLOOR
+    included.  Hence the worst overlap margin and the worst finite ratio
+    margin are the margins at max(q), bit for bit, and no sample violates
+    when max(q) does not.  Only when it does, or a margin at max(q) is nan
+    (a nan overlap, or 1 / p = inf times 1 / q - 1 = 0), are the margins of
+    the whole vector taken, to count the violations.  The worst ratio margin
+    is inf when no sample has a finite one.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -375,19 +411,17 @@ def verify_preservation_sampled(
     q = np.empty(samples)
     q[0] = _extremal_free_overlap(prep_map, seed)
     if samples > 1:
-        q[1:] = _batch_free_overlaps(cert.psi1, cert.theory, samples - 1, rng)
-    g, r, p = cert.g_source, cert.r_target, prep_map.p
-    overlap_margin = (1.0 - g) + AUDIT_TOL - q
-    pos = q > OVERLAP_FLOOR
-    s_out = np.full(samples, math.inf)
-    s_out[pos] = (1.0 / p) * (1.0 / q[pos] - 1.0)
-    ratio_margin = s_out - (r - AUDIT_TOL)
-    bad = (overlap_margin < 0) | (ratio_margin < 0)
-    finite_ratio = ratio_margin[np.isfinite(ratio_margin)]
+        _batch_free_overlaps(cert.psi1, cert.theory, samples - 1, rng, q[1:])
+    overlap, ratio = _audit_margins(q.max(keepdims=True), cert, prep_map.p)
+    violations = 0
+    if not (overlap[0] >= 0 and ratio[0] >= 0):
+        overlap_all, ratio = _audit_margins(q, cert, prep_map.p)
+        violations = int(np.count_nonzero((overlap_all < 0) | (ratio < 0)))
+    finite_ratio = ratio[np.isfinite(ratio)]
     return PreservationReport(
         samples=samples,
-        violations=int(np.count_nonzero(bad)),
-        worst_overlap_margin=float(np.min(overlap_margin)),
+        violations=violations,
+        worst_overlap_margin=float(overlap[0]),
         worst_ratio_margin=float(np.min(finite_ratio)) if finite_ratio.size else math.inf,
     )
 

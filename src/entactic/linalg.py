@@ -34,14 +34,15 @@ class ShapeError(ValueError):
 @dataclass(frozen=True)
 class PureState:
     """Normalized amplitude vector over n parties of local dimension d, held
-    as a read-only copy; its cut purities and Schmidt spectra are kept on it
-    once computed."""
+    as a read-only copy; its cut purities, its Schmidt spectra and the
+    results of the measures that walk its cuts are kept on it once computed."""
 
     n: int
     d: int
     amplitudes: np.ndarray
     _cuts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _purities: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _measures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.d < 2:

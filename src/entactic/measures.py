@@ -8,6 +8,7 @@ through certified mixtures.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -138,6 +139,21 @@ def top_schmidt_bound(p: float, r: int) -> float:
     return (1.0 + math.sqrt(max(0.0, (r - 1) * (r * p - 1)))) / r
 
 
+def _kept_on_state(measure):
+    """Keep measure(psi)'s result on the state, so that each state walks its
+    cuts once per measure however often the measure is asked for."""
+
+    @functools.wraps(measure)
+    def kept(psi: PureState) -> MeasureResult:
+        res = psi._measures.get(measure.__name__)
+        if res is None:
+            res = psi._measures[measure.__name__] = measure(psi)
+        return res
+
+    return kept
+
+
+@_kept_on_state
 def geometric_bs(psi: PureState) -> MeasureResult:
     """1 - (largest Schmidt value over all cuts); closed form, deterministic."""
     neg_l1, cut = _best_cut(
@@ -246,6 +262,7 @@ def robustness_bipartite_pure(psi: PureState, cut: Bipartition) -> float:
     return float(np.sum(np.sqrt(np.clip(vals, 0.0, None))) ** 2 - 1.0)
 
 
+@_kept_on_state
 def robustness_bs_upper(psi: PureState) -> MeasureResult:
     """Upper bound on the biseparable robustness: the minimum over cuts of
     the bipartite pure-state robustness.  A cut of purity P has robustness

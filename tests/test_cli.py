@@ -361,6 +361,36 @@ def test_convert_command(capsys, w_file, ghz_file):
     assert data["preservation"]["violations"] == 0
 
 
+def strict_json(text):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("case", ["audited", "tiny-p", "all-below-floor"])
+def test_convert_prints_only_json(monkeypatch, capsys, w_file, ghz_file, case):
+    # 1 / p overflows at p = 5e-324, and no overlap at or below OVERLAP_FLOOR
+    # bounds a mixing weight: neither leaves a finite ratio margin, printed as null
+    from entactic import conversion
+
+    argv = ["convert", "--from", w_file, "--to", ghz_file, "--theory", "bsp", "--build",
+            "--verify", "10", "--seed", "1"]
+    if case == "tiny-p":
+        argv += ["--p", "5e-324"]
+    if case == "all-below-floor":
+        floor = conversion.OVERLAP_FLOOR
+        monkeypatch.setattr(conversion, "_extremal_free_overlap", lambda prep_map, seed: floor)
+        argv[argv.index("--verify") + 1] = "1"
+    assert run_command(argv) == 0
+    pres = strict_json(capsys.readouterr().out)["preservation"]
+    assert pres["violations"] == 0
+    if case == "audited":
+        assert isinstance(pres["worst_ratio_margin"], float) and pres["worst_ratio_margin"] >= 0
+    else:
+        assert pres["worst_ratio_margin"] is None
+
+
 def test_the_parser_is_built_once_and_parses_each_run_afresh(capsys, w_file, ghz_file):
     from entactic import cli
 

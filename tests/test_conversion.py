@@ -858,6 +858,7 @@ def test_each_cut_is_decomposed_once_per_state(monkeypatch):
     psi1, psi2 = random_state(4, 2, 31), random_state(4, 2, 32)
     svd, calls = np.linalg.svd, []
     cut_matrix, built = linalg.cut_matrix, []
+    best_cut, walks = measures._best_cut, []
 
     def spy(a, *args, **kwargs):
         calls.append((a.shape, a.tobytes(), kwargs.get("compute_uv", True)))
@@ -867,7 +868,14 @@ def test_each_cut_is_decomposed_once_per_state(monkeypatch):
         built.append((id(psi), cut))
         return cut_matrix(psi, cut)
 
+    def spy_best_cut(psi, score, bound):
+        # the score names the measure: a lambda of geometric_bs, or
+        # robustness_bipartite_pure for robustness_bs_upper
+        walks.append((id(psi), score.__qualname__))
+        return best_cut(psi, score, bound)
+
     monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(measures, "_best_cut", spy_best_cut)
     # the cut matrices that spectra and purities are taken from
     monkeypatch.setattr(linalg, "cut_matrix", spy_cut_matrix)
     cert = conversion.max_probability(psi1, psi2, conversion.BSP)
@@ -885,6 +893,11 @@ def test_each_cut_is_decomposed_once_per_state(monkeypatch):
     assert (len(calls), len(built)) == done
     # Schmidt vectors only on the two best cuts: the mixer's and the probe's
     assert len([call for call in calls if call[2]]) == 2
+    # one walk over the cuts per (state, measure): the certificate's, whose
+    # results the mixer, the probe and the repeated measures read
+    assert sorted(walks) == sorted(
+        [(id(psi1), "geometric_bs.<locals>.<lambda>"), (id(psi2), "robustness_bipartite_pure")]
+    )
 
 
 @pytest.mark.parametrize("factor, audited", [(0.5, False), (2.0, True)])
@@ -896,6 +909,99 @@ def test_overlap_floor_edges(monkeypatch, factor, audited):
     rep = conversion.verify_preservation_sampled(m, 1, seed=0)
     assert rep.violations == 0
     assert math.isfinite(rep.worst_ratio_margin) is audited
+
+
+def reference_report(q, cert, p):
+    # the reduction as it stood before the report was read from max(q):
+    # both margins of every sample, then one count and two minima
+    g, r = cert.g_source, cert.r_target
+    overlap_margin = (1.0 - g) + conversion.AUDIT_TOL - q
+    pos = q > conversion.OVERLAP_FLOOR
+    s_out = np.full(q.size, math.inf)
+    s_out[pos] = (1.0 / p) * (1.0 / q[pos] - 1.0)
+    ratio_margin = s_out - (r - conversion.AUDIT_TOL)
+    bad = (overlap_margin < 0) | (ratio_margin < 0)
+    finite_ratio = ratio_margin[np.isfinite(ratio_margin)]
+    return conversion.PreservationReport(
+        samples=q.size,
+        violations=int(np.count_nonzero(bad)),
+        worst_overlap_margin=float(np.min(overlap_margin)),
+        worst_ratio_margin=float(np.min(finite_ratio)) if finite_ratio.size else math.inf,
+    )
+
+
+def audited_overlaps(m, samples, seed):
+    # the probe, then the samples in the audit's draw order
+    q = np.empty(samples)
+    q[0] = conversion._extremal_free_overlap(m, seed)
+    if samples > 1:
+        rng = np.random.default_rng(seed)
+        q[1:] = conversion._batch_free_overlaps(m.cert.psi1, m.cert.theory, samples - 1, rng)
+    return q
+
+
+def audited_map(theory, over):
+    # p = p_max, or 1.5 p_max, above the certificate
+    if theory == conversion.BSP:
+        cert = conversion.max_probability(random_state(4, 2, 61), random_state(4, 2, 62), theory)
+        mixer = conversion._bs_mixer_details(cert.psi2)
+    else:
+        psi1 = random_state(3, 2, 21)
+        cert = conversion.max_probability(psi1, w_state(), theory, r_upper=2.0)
+        mixer = measures.w_robustness_mixer()
+    assert cert.p_max < 2 / 3
+    return conversion.PreparationMap(cert, p=1.5 * cert.p_max if over else cert.p_max, mixer=mixer)
+
+
+@pytest.mark.parametrize("samples", [1, 2, 2000, 10**5])
+@pytest.mark.parametrize("over", [False, True], ids=["p_max", "1.5p_max"])
+@pytest.mark.parametrize("theory", [conversion.BSP, conversion.FSP])
+def test_the_report_from_max_q_is_the_full_reduction(theory, over, samples):
+    m = audited_map(theory, over)
+    rep = conversion.verify_preservation_sampled(m, samples, seed=11)
+    assert rep == reference_report(audited_overlaps(m, samples, 11), m.cert, m.p)
+    # above p_max the probe itself violates
+    assert (rep.violations >= 1) is over
+
+
+def probe_at(edge, cert):
+    at = (1.0 - cert.g_source) + conversion.AUDIT_TOL
+    return {
+        "overlap-edge": at,
+        "one-ulp-below": np.nextafter(at, 0.0),
+        "one-ulp-above": np.nextafter(at, 2.0),
+        "overlap-floor": conversion.OVERLAP_FLOOR,
+    }[edge]
+
+
+@pytest.mark.parametrize("edge", ["overlap-edge", "one-ulp-below", "one-ulp-above", "overlap-floor"])
+@pytest.mark.parametrize("samples", [1, 2, 2000])
+@pytest.mark.parametrize("theory", [conversion.BSP, conversion.FSP])
+def test_the_report_from_max_q_at_the_probe_edges(monkeypatch, theory, samples, edge):
+    # r = 0 leaves the overlap inequality the only one a probe below 1 can fail
+    m = audited_map(theory, False)
+    m = dataclasses.replace(m, cert=dataclasses.replace(m.cert, r_target=0.0))
+    probe = probe_at(edge, m.cert)
+    monkeypatch.setattr(conversion, "_extremal_free_overlap", lambda prep_map, seed: probe)
+    rep = conversion.verify_preservation_sampled(m, samples, seed=4)
+    assert rep == reference_report(audited_overlaps(m, samples, 4), m.cert, m.p)
+    assert (rep.violations >= 1) is (edge == "one-ulp-above")
+
+
+def test_an_audit_holds_one_sample_vector():
+    cert = conversion.max_probability(random_state(7, 2, 63), random_state(7, 2, 64), conversion.BSP)
+    m = conversion.build_filter_map(cert, cert.p_max)
+    conversion.verify_preservation_sampled(m, 10, seed=0)
+    tracemalloc.start()
+    try:
+        rep = conversion.verify_preservation_sampled(m, 10**5, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.violations == 0
+    # the 10^5 overlaps take 8e5 bytes; a reduction over every sample's
+    # margins peaked at 5.4 times that
+    assert peak < 2 * 8 * 10**5
 
 
 # --- tilted-GHZ closed form -------------------------------------------------
