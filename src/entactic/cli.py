@@ -130,8 +130,7 @@ def _cmd_measure(args):
 
 def _cmd_twirl(args):
     rho = _load_any(args.infile)
-    params = gs.twirl(rho)
-    lp, lm, lr = params.as_floats()
+    lp, lm, lr = gs.twirl(rho)
     _emit(
         {"lambda_plus": lp, "lambda_minus": lm, "lambda_rest": lr},
         verbose_note=f"twirl -> ({lp:.6g}, {lm:.6g}, {lr:.6g})",

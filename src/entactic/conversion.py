@@ -32,9 +32,10 @@ from .measures import DEFAULT_SEED, geometric_bs, geometric_fs, robustness_bs_up
 FSP = "FSP"
 BSP = "BSP"
 
-# a p_max this close below 1 is rounded up to 1, deterministic; the largest gap
-# over GHZ(n, d) -> GHZ(n, d), cluster(n), AME(4, 3), d^n <= 4^11, n <= 12, is 7.8e-16
-_CLAMP_TOL = 1e-12
+# a closed-form ratio within this of its exact threshold meets it: a p_max this close
+# below 1 is 1, and a tilted-GHZ bound this close above W_BUDGET is within it; the largest
+# p_max gap over GHZ(n, d) -> GHZ(n, d), cluster(n), AME(4, 3), d^n <= 4^11, n <= 12, is 7.8e-16
+BUDGET_TOL = 1e-12
 AUDIT_TOL = 1e-9  # slack on both preservation inequalities before a violation
 OVERLAP_FLOOR = 1e-15  # a free input overlapping psi1 at most this bounds no mixing weight
 FREE_SOURCE_TOL = 1e-9  # a source whose geometric measure is at most this is free
@@ -139,7 +140,7 @@ def max_probability(
         provenance["r_route"] = "supplied-upper-bound"
     # a free target needs no resource accounting; any p works
     p_max = g / ((1.0 - g) * r) if r > 0 else 1.0
-    if p_max >= 1.0 - _CLAMP_TOL:
+    if p_max >= 1.0 - BUDGET_TOL:
         p_max = 1.0
     return ConversionCertificate(psi1, psi2, g, r, p_max, theory, provenance)
 
@@ -270,16 +271,16 @@ def _batch_free_overlaps(
     and each overlap is divided by the product of their squared norms.  BSP:
     the per-cut sample counts, one `rng.multinomial(k, uniform)` over
     `all_bipartitions`; then for each cut in that order that got m > 0 of
-    them, with dS the dimension of its smaller side (the rows on a balanced
-    cut): if m < dS, standard normals of shape (2, m, dS), the real parts of
-    m smaller-side vectors before their imaginary parts; if m >= dS,
-    standard exponentials of shape (m, dS), for each sample one weight per
-    eigenvalue of the smaller side's Gram matrix, in ascending order; then,
-    on either branch, m uniforms (`rng.random`) for the larger side's
-    overlaps.  A BSP seed thus names, per sample, the cut, the smaller-side
-    vector (or its squared moduli in the Gram eigenbasis) and the larger
-    side's overlap with it, not a larger-side vector; the overlaps come
-    grouped by cut, in cut order, each cut's block written in place.
+    them, with dS the dimension of its `Bipartition.side`: if m < dS,
+    standard normals of shape (2, m, dS), the real parts of m vectors on
+    that side before their imaginary parts; if m >= dS, standard
+    exponentials of shape (m, dS), for each sample one weight per
+    eigenvalue of that side's Gram matrix, in ascending order; then, on
+    either branch, m uniforms (`rng.random`) for the other side's overlaps.
+    A BSP seed thus names, per sample, the cut, the vector on its side (or
+    its squared moduli in the Gram eigenbasis) and the other side's overlap
+    with it, not a vector on the other side; the overlaps come grouped by
+    cut, in cut order, each cut's block written in place.
     """
     n, d = psi1.n, psi1.d
     out = np.empty(k) if out is None else out
@@ -294,24 +295,24 @@ def _batch_free_overlaps(
     counts = rng.multinomial(k, np.full(len(cuts), 1.0 / len(cuts)))
     for cut, m, end in zip(cuts, counts, np.cumsum(counts)):
         if m:
-            _cut_free_overlaps(cut_matrix(psi1, cut), m, rng, out[end - m : end])
+            a_mat = cut_matrix(psi1, cut)
+            _cut_free_overlaps(a_mat if cut.side == cut.parties else a_mat.T, m, rng, out[end - m : end])
     return out
 
 
 def _cut_free_overlaps(
     a_mat: np.ndarray, m: int, rng, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """|conj(l)^T A conj(r)|^2 / (|l|^2 |r|^2) for the cut matrix A and m
-    Haar-random products l (x) r across the cut, drawing only the smaller
-    side's l, as an unnormalized complex Gaussian vector; the rows of A, the
-    side holding party 1, are that side when the cut is balanced.  Written
-    into `out` (a fresh array when None) and returned.
+    """|conj(l)^T A conj(r)|^2 / (|l|^2 |r|^2) for a cut matrix A and m
+    Haar-random products l (x) r across the cut, drawing only the rows' l,
+    as an unnormalized complex Gaussian vector.  Written into `out` (a fresh
+    array when None) and returned.
 
     With v = A^T conj(l) fixed, |<v|r>|^2 / |v|^2 ~ Beta(1, D - 1) for Haar
     r in C^D whatever the direction of v (take v = e_1: |g_1|^2 / |g|^2 for
     i.i.d. complex Gaussians is Exp / (Exp + Gamma(D - 1))), so the overlap
     is l^dag G l / |l|^2 times a Beta(1, D - 1) draw, with G = A A^dag the
-    Gram matrix of the smaller side.  For G = U diag(mu) U^dag, U^dag l has
+    Gram matrix of the rows.  For G = U diag(mu) U^dag, U^dag l has
     the law of l, whose squared moduli are i.i.d. exponentials E_i up to one
     common scale, so l^dag G l / |l|^2 = sum_i mu_i E_i / sum_i E_i.  Forming
     v = A^T conj(l) for each of m samples costs m dS D; G and its spectrum
@@ -319,8 +320,6 @@ def _cut_free_overlaps(
     read mu from `eigvalsh` of G, never from an SVD, and draw the E_i.
     """
     out = np.empty(m) if out is None else out
-    if a_mat.shape[0] > a_mat.shape[1]:
-        a_mat = a_mat.T
     small, large = a_mat.shape
     if m < small:
         g = rng.standard_normal((2, m, small))
@@ -385,11 +384,11 @@ def verify_preservation_sampled(
     the filter overlap), so p above the certified maximum is always caught.
     Samples 1 to samples - 1 come from `np.random.default_rng(seed)` in the
     draw order `_batch_free_overlaps` states: for BSP, the multinomial cut
-    counts, then per cut with m samples and a smaller side of dimension dS
-    either that side's normals (2, m, dS), if m < dS, or exponentials
-    (m, dS) weighting its Gram eigenvalues, then m uniforms.  A seed names,
-    per sample, the cut, the smaller-side vector and the larger side's
-    overlap, whose law is exactly Beta(1, D - 1) for a Haar vector in C^D.
+    counts, then per cut with m samples and a `side` of dimension dS either
+    that side's normals (2, m, dS), if m < dS, or exponentials (m, dS)
+    weighting its Gram eigenvalues, then m uniforms.  A seed names, per
+    sample, the cut, the vector on its side and the other side's overlap,
+    whose law is exactly Beta(1, D - 1) for a Haar vector in C^D.
     No BSP sample can beat the probe: each overlap is at most the largest
     Gram eigenvalue of its cut, at most 1 - g.
 
@@ -430,19 +429,22 @@ def verify_preservation_sampled(
 # Closed-form robustness bound for the tilted-GHZ family
 
 
-# The bound stays within the W state's conversion budget 5/4 iff c >= 3/7;
-# a bound above the budget by at most BUDGET_TOL still counts as within it.
+# The bound stays within the W state's conversion budget iff c is at least
+# the threshold, where it equals the budget.
 W_BUDGET = 1.25
-BUDGET_TOL = 1e-12
-GHZ_PLUS_DETERMINISTIC_THRESHOLD = 3.0 / 7.0
+GHZ_PLUS_DETERMINISTIC_THRESHOLD = (4.0 - 2.0 * W_BUDGET) / (1.0 + 2.0 * W_BUDGET)
 
 
 def ghz_plus_bound_report(alpha: float, beta: float, gamma: float) -> dict:
     """Evaluate the bound (4 - c) / (2 (1 + c)) with c = cos(a) cos(b) cos(g),
     an upper bound on the separability robustness of the tilted-GHZ state
     obtained by pushing the exact GHZ boundary mixture through local
-    filters, and flag parameter choices whose bound exceeds the budget 5/4
-    even though they are sometimes quoted as feasible."""
+    filters, and flag parameter choices whose bound exceeds W_BUDGET even
+    though they are sometimes quoted as feasible.  Each angle must lie in
+    [0, pi/2], where the cos-product c is in [0, 1]."""
+    for x in (alpha, beta, gamma):
+        if not 0.0 <= x <= math.pi / 2:
+            raise ValueError(f"angles must lie in [0, pi/2], got {x}")
     c = math.cos(alpha) * math.cos(beta) * math.cos(gamma)
     bound = (4.0 - c) / (2.0 * (1.0 + c))
     within = bound <= W_BUDGET + BUDGET_TOL
@@ -454,6 +456,6 @@ def ghz_plus_bound_report(alpha: float, beta: float, gamma: float) -> dict:
         "threshold": GHZ_PLUS_DETERMINISTIC_THRESHOLD,
         "flag": None
         if within
-        else "bound exceeds the 5/4 budget; deterministic conversion not certified "
-        "for these angles (requires cos-product >= 3/7)",
+        else "bound exceeds the budget; deterministic conversion not certified "
+        "for these angles (requires cos-product >= threshold)",
     }

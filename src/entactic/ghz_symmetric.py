@@ -77,8 +77,9 @@ def params_to_density(p: GhzSymmetricParams) -> DensityMatrix:
     return DensityMatrix.by_construction(3, 2, m)
 
 
-def twirl(rho: DensityMatrix) -> GhzSymmetricParams:
-    """Project a 3-qubit state onto the GHZ-symmetric family.
+def twirl(rho: DensityMatrix) -> tuple[float, float, float]:
+    """Project a 3-qubit state onto the GHZ-symmetric family: its weights
+    (l+, l-, l) as floats.
 
     Reads off the two GHZ-basis overlaps; the middle weight is fixed by
     normalization.  States already in the family are fixed points.
@@ -89,7 +90,7 @@ def twirl(rho: DensityMatrix) -> GhzSymmetricParams:
     lp = float(np.real(g.conj() @ rho.entries @ g))
     lm = float(np.real(gm.conj() @ rho.entries @ gm))
     lp, lm = max(lp, 0.0), max(lm, 0.0)
-    return GhzSymmetricParams(lp, lm, 1.0 - lp - lm)
+    return lp, lm, 1.0 - lp - lm
 
 
 # The fully separable polytope in x = (l+, l-), with l = 1 - l+ - l- fixed by

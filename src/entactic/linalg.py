@@ -120,19 +120,22 @@ class Bipartition:
     """One unordered cut M | complement, stored canonically.
 
     The stored side is the one containing party 1, so each of the
-    2^(n-1) - 1 cuts appears exactly once.
+    2^(n-1) - 1 cuts appears exactly once; `side` is the one with fewer
+    parties, or the stored one on an equal split.
     """
 
     n: int
     parties: frozenset = field(default_factory=frozenset)
+    side: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = frozenset(self.parties)
-        if not m or not m < set(range(1, self.n + 1)):
+        m, every = frozenset(self.parties), frozenset(range(1, self.n + 1))
+        if not m or not m < every:
             raise ValueError(f"cut must be a nonempty proper subset of 1..{self.n}")
         if 1 not in m:
-            m = frozenset(range(1, self.n + 1)) - m
+            m = every - m
         object.__setattr__(self, "parties", m)
+        object.__setattr__(self, "side", m if 2 * len(m) <= self.n else every - m)
 
     @property
     def complement(self) -> frozenset:
@@ -220,12 +223,17 @@ def is_permutation_invariant(psi: PureState) -> bool:
     return np.array_equal(t, t.transpose(swap)) and np.array_equal(t, t.transpose(shift))
 
 
+def _rows_first(psi: PureState, rows: Sequence[int]) -> np.ndarray:
+    """The amplitudes as a d^|rows| x d^(n - |rows|) matrix, the parties of
+    rows (ascending) indexing its rows and the others its columns."""
+    rest = [p for p in range(1, psi.n + 1) if p not in rows]
+    t = psi.tensor().transpose([p - 1 for p in list(rows) + rest])
+    return t.reshape(psi.d ** len(rows), -1)
+
+
 def cut_matrix(psi: PureState, cut: Bipartition) -> np.ndarray:
     """Amplitudes reshaped to a d^|M| x d^|complement| matrix for the cut."""
-    m = sorted(cut.parties)
-    rest = sorted(cut.complement)
-    t = psi.tensor().transpose([p - 1 for p in m + rest])
-    return t.reshape(psi.d ** len(m), psi.d ** len(rest))
+    return _rows_first(psi, sorted(cut.parties))
 
 
 def schmidt_spectrum(psi: PureState, cut: Bipartition) -> np.ndarray:
@@ -247,7 +255,7 @@ def cut_purity(psi: PureState, cut: Bipartition) -> float:
     marginal it is read from so that it matches the normalized spectrum.
 
     It is read from the marginal of the cover `cover_plan` assigns the cut
-    (a set of parties holding party 1 and the cut's smaller side S): with
+    (a set of parties holding party 1 and the cut's `side` S): with
     rho_C expanded in an orthogonal product operator basis {P} whose local
     factors include the identity and with tr P^dag P = d^|C|,
     tr rho_S^2 = d^-|S| sum over supp P within S of |tr(rho_C P)|^2.  So one
@@ -273,7 +281,7 @@ COVER_S = 3e-5
 @dataclass(frozen=True, eq=False)
 class Cover:
     """A set of parties holding party 1 (ascending) and the cuts whose purity
-    is read from its marginal: each one's smaller side as a bit mask over
+    is read from its marginal: each one's `side` as a bit mask over
     the cover's parties (the first one most significant) and the factor
     d^-|side|."""
 
@@ -342,12 +350,11 @@ def cover_plan(n: int, d: int) -> CoverPlan:
     """Covers for the cut purities of an n-party system, built once per
     (n, d), and the cover each cut is assigned to.
 
-    A cut's smaller side (the side holding party 1 on an equal split) lies
-    within an r-set holding party 1, r = ceil(n/2), so c-sets holding party
-    1 (r <= c < n) that cover every r-set holding it cover every cut.  The
-    covers are those of the c whose cover count times its cost per cover is
-    least; a c is searched only when Schonheim's bound on its count would
-    not already cost more than the best found."""
+    A cut's `side` lies within an r-set holding party 1, r = ceil(n/2), so
+    c-sets holding party 1 (r <= c < n) that cover every r-set holding it
+    cover every cut.  The covers are those of the c whose cover count times
+    its cost per cover is least; a c is searched only when Schonheim's bound
+    on its count would not already cost more than the best found."""
     if n < 2:
         raise ValueError(f"a state needs at least 2 parties to have a cut, got n={n}")
     r = (n + 1) // 2
@@ -361,7 +368,7 @@ def cover_plan(n: int, d: int) -> CoverPlan:
                 best, covers, size = len(found) * cost, found, c
     cuts = all_bipartitions(n)
     held = np.concatenate([_sets_holding_one(n, k) for k in range(1, n)])  # as in cuts
-    sides = np.where(2 * np.bitwise_count(held) <= n, held, held ^ ((1 << n) - 1))
+    sides = np.where(2 * np.bitwise_count(held) <= n, held, held ^ ((1 << n) - 1))  # cut.side
     owner = np.full(len(cuts), -1)
     for k, cover in enumerate(covers):
         owner[(owner < 0) & ((sides & ~cover) == 0)] = k
@@ -408,11 +415,8 @@ def _sector_tables(c: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 
 
 def _marginal_gram(psi: PureState, keep: Sequence[int]) -> np.ndarray:
-    """A A^dag for the amplitudes as a d^|keep| x d^(n - |keep|) matrix A,
-    the parties of keep (sorted) first: the marginal on keep."""
-    rest = [p for p in range(1, psi.n + 1) if p not in keep]
-    a = psi.tensor().transpose([p - 1 for p in list(keep) + rest])
-    a = a.reshape(psi.d ** len(keep), -1)
+    """A A^dag for A = `_rows_first(psi, keep)`: the marginal on keep."""
+    a = _rows_first(psi, keep)
     return a @ a.conj().T
 
 
@@ -553,14 +557,13 @@ def apply_channel(prep_map, rho: DensityMatrix) -> DensityMatrix:
 # JSON wire format
 
 
+def _to_wire(n: int, d: int, key: str, values: np.ndarray) -> str:
+    """The JSON wire format: n, d, then the flat values as [re, im] pairs."""
+    return json.dumps({"n": n, "d": d, key: [[z.real, z.imag] for z in values]})
+
+
 def state_to_json(psi: PureState) -> str:
-    return json.dumps(
-        {
-            "n": psi.n,
-            "d": psi.d,
-            "amplitudes": [[z.real, z.imag] for z in psi.amplitudes],
-        }
-    )
+    return _to_wire(psi.n, psi.d, "amplitudes", psi.amplitudes)
 
 
 def _parse_wire(text: str, kind: str, key: str, power: int) -> tuple[int, int, np.ndarray]:
@@ -610,14 +613,7 @@ def state_from_json(text: str) -> PureState:
 
 
 def density_to_json(rho: DensityMatrix) -> str:
-    flat = rho.entries.reshape(-1)
-    return json.dumps(
-        {
-            "n": rho.n,
-            "d": rho.d,
-            "entries": [[z.real, z.imag] for z in flat],
-        }
-    )
+    return _to_wire(rho.n, rho.d, "entries", rho.entries.reshape(-1))
 
 
 def density_from_json(text: str) -> DensityMatrix:

@@ -90,11 +90,11 @@ def _best_cut(psi: PureState, score, bound) -> tuple[float, Bipartition]:
     """The smallest score(psi, cut) over all cuts and the first cut attaining it.
 
     bound(P, r) is a lower bound on a cut's score from its purity
-    P = tr rho_A^2 and the dimension r of its smaller side.  The one-party
+    P = tr rho_A^2 and the dimension r of its `side`.  The one-party
     cuts seed the best score; any other cut is scored only when its bound
     comes within PRUNE_TOL of the best so far.  A skipped cut thus scores
     strictly above the minimum, and the result is the one full enumeration
-    gives.  Cuts are bounded by descending smaller side until those the
+    gives.  Cuts are bounded by descending side size until those the
     bound failed to rule out outnumber those it ruled out by two (all cuts
     of GHZ tie); the rest are scored without bounding.  A purity is read
     from its cover's marginal (`cut_purity`), which is built on the first
@@ -117,7 +117,7 @@ def _best_cut(psi: PureState, score, bound) -> tuple[float, Bipartition]:
         firsts = (Bipartition(n, frozenset(range(1, m + 1))) for m in range(1, n))
         return min(((score(psi, cut), cut) for cut in firsts), key=lambda t: t[0])
     cuts = all_bipartitions(n)
-    sides = [min(len(cut.parties), n - len(cut.parties)) for cut in cuts]
+    sides = [len(cut.side) for cut in cuts]
     scores = [None] * len(cuts)
     best = math.inf
     pruned = kept = 0

@@ -128,16 +128,16 @@ def _claim_thm3_unique(seed):
 
 def _claim_twirl(seed):
     rng = np.random.default_rng(seed)
-    t_ghz = gs.twirl(ghz(3, 2).density()).as_floats()
+    t_ghz = gs.twirl(ghz(3, 2).density())
     worst = 0.0
     for _ in range(100):
         w = rng.dirichlet([1.0, 1.0, 1.0])
         p = gs.GhzSymmetricParams(*w)
-        q = gs.twirl(gs.params_to_density(p)).as_floats()
+        q = gs.twirl(gs.params_to_density(p))
         worst = max(worst, max(abs(a - b) for a, b in zip(w, q)))
     # overlap oracle: the W state has no weight on |000> or |111>, so both
     # GHZ-basis overlaps vanish and the twirl lands on the pure middle block
-    t_w = gs.twirl(w_state().density()).as_floats()
+    t_w = gs.twirl(w_state().density())
     g = ghz(3, 2).amplitudes
     oracle_lp = abs(np.vdot(g, w_state().amplitudes)) ** 2
     expected = [[1.0, 0.0, 0.0], 0.0, [float(oracle_lp), 0.0, 1.0]]

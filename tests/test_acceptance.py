@@ -95,13 +95,13 @@ def test_ac5_unique_separable_mixer():
 
 
 def test_ac6_twirl_projection():
-    lp, lm, lr = gs.twirl(ghz(3, 2).density()).as_floats()
+    lp, lm, lr = gs.twirl(ghz(3, 2).density())
     assert abs(lp - 1.0) <= 1e-12 and abs(lm) <= 1e-12 and abs(lr) <= 1e-12
 
     rng = np.random.default_rng(606)
     for _ in range(100):
         w = rng.dirichlet([1.0, 1.0, 1.0])
-        q = gs.twirl(gs.params_to_density(gs.GhzSymmetricParams(*w))).as_floats()
+        q = gs.twirl(gs.params_to_density(gs.GhzSymmetricParams(*w)))
         assert max(abs(a - b) for a, b in zip(w, q)) <= 1e-12
 
     # overlap oracle for W: both GHZ-basis overlaps are computed directly
@@ -111,7 +111,7 @@ def test_ac6_twirl_projection():
     gm[0], gm[7] = 1 / math.sqrt(2), -1 / math.sqrt(2)
     expected_lp = abs(np.vdot(g, w_state().amplitudes)) ** 2
     expected_lm = abs(np.vdot(gm, w_state().amplitudes)) ** 2
-    lp, lm, lr = gs.twirl(w_state().density()).as_floats()
+    lp, lm, lr = gs.twirl(w_state().density())
     assert abs(lp - expected_lp) <= 1e-12
     assert abs(lm - expected_lm) <= 1e-12
     assert abs(lr - (1.0 - expected_lp - expected_lm)) <= 1e-12

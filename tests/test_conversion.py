@@ -111,13 +111,13 @@ def test_max_probability_bsp_refuses_r_upper(monkeypatch, r_upper):
 
 @pytest.mark.parametrize("factor,clamped", [(0.5, True), (2.0, False)])
 def test_clamp_tolerance_edges(factor, clamped):
-    # r_upper puts the FSP bound p_max = g / ((1 - g) r) factor * _CLAMP_TOL below 1
+    # r_upper puts the FSP bound p_max = g / ((1 - g) r) factor * BUDGET_TOL below 1
     g = conversion.max_probability(w_state(), ghz(3, 2), conversion.FSP, r_upper=1.0).g_source
-    r = g / ((1.0 - g) * (1.0 - factor * conversion._CLAMP_TOL))
+    r = g / ((1.0 - g) * (1.0 - factor * conversion.BUDGET_TOL))
     cert = conversion.max_probability(w_state(), ghz(3, 2), conversion.FSP, r_upper=r)
     assert cert.deterministic is clamped
     if not clamped:
-        assert cert.p_max == pytest.approx(1.0 - factor * conversion._CLAMP_TOL, abs=1e-15)
+        assert cert.p_max == pytest.approx(1.0 - factor * conversion.BUDGET_TOL, abs=1e-15)
 
 
 def test_clamp_keeps_a_p_max_1e_10_below_one():
@@ -723,6 +723,30 @@ def test_bsp_sampler_branches_at_the_smaller_dimension(n, d, parties):
     assert at.calls == [("standard_exponential", (ds, ds)), ("random", ds)]
 
 
+@pytest.mark.parametrize("n, d", [(4, 2), (5, 2), (4, 3)])
+def test_bsp_audit_draws_on_each_cuts_side(n, d):
+    # each cut with m samples draws normals (2, m, d^|side|) or exponentials
+    # (m, d^|side|), then m uniforms; k = 5, 40 and 400 reach both branches
+    psi = random_state(n, d, 80 + n + d)
+    cuts = all_bipartitions(n)
+    branches = set()
+    for k in (5, 40, 400):
+        rng = RecordingRng(k)
+        conversion._batch_free_overlaps(psi, conversion.BSP, k, rng)
+        counts = np.random.default_rng(k).multinomial(k, [1 / len(cuts)] * len(cuts))
+        drawn = [(cut, m) for cut, m in zip(cuts, counts) if m]
+        assert rng.calls[0] == ("multinomial", k) and len(rng.calls) == 1 + 2 * len(drawn)
+        for (cut, m), (name, shape), uniforms in zip(drawn, rng.calls[1::2], rng.calls[2::2]):
+            ds = d ** len(cut.side)
+            if m < ds:
+                assert (name, shape) == ("standard_normal", (2, m, ds))
+            else:
+                assert (name, shape) == ("standard_exponential", (m, ds))
+            assert uniforms == ("random", m)
+            branches.add(name)
+    assert branches == {"standard_normal", "standard_exponential"}
+
+
 def test_bsp_sampler_takes_no_decomposition(monkeypatch):
     # the audit stays independent of the Schmidt spectra behind g: it takes
     # no SVD and reads no memoized spectrum, only its own Gram eigenvalues
@@ -1031,6 +1055,28 @@ def test_ghz_plus_budget_tolerance_edges(factor, within):
     assert rep["bound"] == pytest.approx(conversion.W_BUDGET + e, abs=1e-15)
     assert rep["within_budget"] is within
     assert (rep["flag"] is None) is within
+
+
+def test_ghz_plus_threshold_is_where_the_bound_meets_the_budget():
+    assert conversion.GHZ_PLUS_DETERMINISTIC_THRESHOLD == 3.0 / 7.0
+
+
+@pytest.mark.parametrize("angle", [0.0, math.pi / 2])
+def test_ghz_plus_bound_accepts_both_range_edges(angle):
+    rep = conversion.ghz_plus_bound_report(angle, angle, angle)
+    assert 0.0 <= rep["cos_product"] <= 1.0
+
+
+@pytest.mark.parametrize(
+    "angles",
+    [(-5e-324, 0.0, 0.0), (0.0, math.nextafter(math.pi / 2, 4), 0.0), (math.pi, 0.0, 0.0),
+     (2.0, 0.1, 0.1), (0.0, 0.0, math.nan), (math.inf, 0.0, 0.0)],
+)
+def test_ghz_plus_bound_refuses_angles_outside_the_family(angles):
+    # (pi, 0, 0) has cos-product -1, and 2.0 is an angle psi_ghz_plus refuses
+    with pytest.raises(ValueError, match=r"angles must lie in \[0, pi/2\]") as err:
+        conversion.ghz_plus_bound_report(*angles)
+    assert "\n" not in str(err.value)
 
 
 def test_ghz_plus_report_flags_infeasible_angles():

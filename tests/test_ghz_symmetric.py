@@ -57,17 +57,37 @@ def test_twirl_fixed_points_on_family():
     for _ in range(25):
         w = rng.dirichlet([1.0, 1.0, 1.0])
         p = gs.GhzSymmetricParams(*w)
-        q = gs.twirl(gs.params_to_density(p)).as_floats()
+        q = gs.twirl(gs.params_to_density(p))
         assert max(abs(a - b) for a, b in zip(w, q)) < 1e-12
 
 
+def reference_twirl(rho):
+    """The two GHZ-basis overlaps clamped at 0 and the middle weight by
+    normalization, read back through a checked GhzSymmetricParams."""
+    g, gm = ghz(3, 2).amplitudes, ghz_minus().amplitudes
+    lp = max(float(np.real(g.conj() @ rho.entries @ g)), 0.0)
+    lm = max(float(np.real(gm.conj() @ rho.entries @ gm)), 0.0)
+    return gs.GhzSymmetricParams(lp, lm, 1.0 - lp - lm).as_floats()
+
+
+def test_twirl_returns_the_checked_weights_as_floats():
+    # GHZ, GHZ-, W and AC6's 100 Dirichlet points
+    rng = np.random.default_rng(606)
+    family = [gs.params_to_density(gs.GhzSymmetricParams(*rng.dirichlet([1.0, 1.0, 1.0])))
+              for _ in range(100)]
+    for rho in [ghz(3, 2).density(), ghz_minus().density(), w_state().density(), *family]:
+        weights = gs.twirl(rho)
+        assert type(weights) is tuple and [type(x) for x in weights] == [float] * 3
+        assert weights == reference_twirl(rho)
+
+
 def test_twirl_of_named_states():
-    lp, lm, lr = gs.twirl(ghz(3, 2).density()).as_floats()
+    lp, lm, lr = gs.twirl(ghz(3, 2).density())
     assert (lp, lm) == (pytest.approx(1.0), pytest.approx(0.0))
-    lp, lm, lr = gs.twirl(ghz_minus().density()).as_floats()
+    lp, lm, lr = gs.twirl(ghz_minus().density())
     assert (lp, lm) == (pytest.approx(0.0), pytest.approx(1.0))
     # W has no weight on |000> or |111>, so both GHZ overlaps vanish
-    lp, lm, lr = gs.twirl(w_state().density()).as_floats()
+    lp, lm, lr = gs.twirl(w_state().density())
     assert lp == pytest.approx(0.0, abs=1e-14)
     assert lm == pytest.approx(0.0, abs=1e-14)
     assert lr == pytest.approx(1.0)

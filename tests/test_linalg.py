@@ -117,6 +117,29 @@ def test_bipartition_canonicalizes_to_contain_party_one():
     assert cut.parties == frozenset({1})
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_bipartition_side_is_the_smaller_side(n):
+    # the side with fewer parties, and the side holding party 1 on an equal split
+    for cut in all_bipartitions(n):
+        k = len(cut.parties)
+        assert cut.side in (cut.parties, cut.complement)
+        assert len(cut.side) == min(k, n - k)
+        if 2 * k == n:
+            assert cut.side == cut.parties
+
+
+@pytest.mark.parametrize(
+    "n, given, side",
+    [(4, {3, 4}, {1, 2}), (4, {2}, {2}), (5, {3, 4, 5}, {1, 2}), (5, {1, 2, 3}, {4, 5}),
+     (5, {2, 3, 4, 5}, {1})],
+)
+def test_bipartition_side_of_a_cut_built_by_hand(n, given, side):
+    cut = Bipartition(n, frozenset(given))
+    assert cut.side == side
+    # side is derived, so it takes no part in a cut's identity
+    assert cut == Bipartition(n, cut.complement) and hash(cut) == hash(Bipartition(n, cut.complement))
+
+
 def test_bipartition_rejects_trivial():
     with pytest.raises(ValueError):
         Bipartition(3, frozenset())
@@ -219,11 +242,10 @@ def test_cover_plan_covers_every_cut_once(n, d):
         assert cover.parties[0] == 1 and list(cover.parties) == sorted(set(cover.parties))
         assert len(cover.parties) < n
         for cut, mask, scale in zip(cover.cuts, cover.masks, cover.scale):
-            side = cut.parties if 2 * len(cut.parties) <= n else cut.complement
-            assert side <= set(cover.parties)
+            assert cut.side <= set(cover.parties)
             assert plan.cover_of[cut] is cover
             bits = [cover.parties[len(cover.parties) - 1 - j] for j in range(len(cover.parties)) if mask >> j & 1]
-            assert set(bits) == side and scale == float(d) ** -len(side)
+            assert set(bits) == cut.side and scale == float(d) ** -len(cut.side)
             seen.append(cut)
     assert sorted(seen, key=str) == sorted(all_bipartitions(n), key=str)
     if d == 2 and n in COVER_COUNT_CAP:
