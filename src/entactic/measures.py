@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -46,13 +47,11 @@ DEFAULT_SEED = 2024
 RESTARTS = 32
 MAX_SWEEPS = 500
 SWEEP_TOL = 1e-12
-# full-separability certifier: the fit's kept terms, threshold, rounds, size, seed
-FIT_TERMS = 20
-FIT_TOL = 1e-6
-FIT_WEIGHT_FLOOR = 1e-12  # a fitted weight must exceed this to be kept or reported
-FIT_ROUNDS = 8
+# full-separability certifier: the fit's dictionary size and seed
 FIT_DICTIONARY = 600
 FIT_SEED = 2024
+# the largest white-noise weight t the fit's ball proof takes out of rho
+FIT_SHIFT = 1e-6
 S_MAX = 16.0  # largest mixing weight the separable-mixture bisection tries
 # the mixing ray's PPT threshold is rounded down by this relative margin
 # before the search starts there, so rounding cannot place it above the
@@ -140,14 +139,16 @@ def top_schmidt_bound(p: float, r: int) -> float:
 
 
 def _kept_on_state(measure):
-    """Keep measure(psi)'s result on the state, so that each state walks its
-    cuts once per measure however often the measure is asked for."""
+    """Keep measure(psi, ...)'s result on the state, one per argument list
+    (a seeded measure's seed), so that each state walks its cuts or runs
+    the optimizer once per measure and seed however often it is asked."""
 
     @functools.wraps(measure)
-    def kept(psi: PureState) -> MeasureResult:
-        res = psi._measures.get(measure.__name__)
+    def kept(psi: PureState, *args, **kwargs) -> MeasureResult:
+        key = (measure.__name__, *args, *kwargs.values())
+        res = psi._measures.get(key)
         if res is None:
-            res = psi._measures[measure.__name__] = measure(psi)
+            res = psi._measures[key] = measure(psi, *args, **kwargs)
         return res
 
     return kept
@@ -246,11 +247,13 @@ def maximize_over_products(
     return results if w.ndim == 2 else results[0]
 
 
+@_kept_on_state
 def geometric_fs(psi: PureState, seed: int = DEFAULT_SEED) -> MeasureResult:
     """1 - squared maximal overlap with product states.
 
     The product-state maximum with the state as its only term; the
-    certificate is the best restart's list of local vectors.
+    certificate is the best restart's list of local vectors.  Kept on the
+    state per seed.
     """
     res = maximize_over_products(psi.amplitudes[None], [1.0], psi.n, psi.d, seed)
     return replace(res, value=max(0.0, 1.0 - res.value))
@@ -337,56 +340,70 @@ def _hermitian_coordinates(entry, dim: int) -> np.ndarray:
     return np.concatenate([entry(diag, diag).real, upper.real, upper.imag])
 
 
-def _fit_product_decomposition(rho: DensityMatrix):
-    """Heuristic constructive fit: nonnegative mixture of random product
-    projectors, refined by nonnegative least squares over a dictionary.
+@functools.lru_cache(maxsize=4)
+def _fit_dictionary(n: int, d: int, size: int, seed: int):
+    """The fit's dictionary of product states for n parties of dimension d:
+    the computational basis, then Haar product draws from `seed`, `size`
+    entries in all (the basis alone when it has more).  Returns their local
+    vectors, shape (N, n, d), and the coordinates of their projectors as
+    the columns of a d^(2n) x N matrix, both read-only and built once per
+    argument list."""
+    rng = np.random.default_rng(seed)
+    dim = d**n
+    # basis state k's local vectors are the unit vectors of its digits
+    basis = np.eye(d, dtype=complex)[np.indices((d,) * n).reshape(n, -1).T]
+    factors = np.concatenate([basis, haar_vector_draws(rng, d, (max(size - dim, 0), n))])
+    # column j holds the coordinates of |v_j><v_j|, gathered entry by entry
+    # from the vectors without the dim x dim x N outer product
+    v = kron_vectors(list(factors.transpose(1, 0, 2))).T
+    a = _hermitian_coordinates(lambda i, j: v[i] * v[j].conj(), dim)
+    factors.setflags(write=False)
+    a.setflags(write=False)
+    return factors, a
 
-    NNLS sees rho and each projector |v><v| in the dim^2 real coordinates
-    of Hermitian matrices: the diagonal entries, then sqrt(2) times the real
-    and the imaginary part of each strictly upper entry.  Their Euclidean
-    inner product is tr(XY), so the residual compared with FIT_TOL is
-    |rho - sigma|_F for the fitted mixture sigma.  Sufficient-only: a small
-    residual certifies separability constructively, a large one proves
-    nothing.
+
+def _fit_product_decomposition(rho: DensityMatrix):
+    """Heuristic constructive fit: the nonnegative mixture of the product
+    projectors of `_fit_dictionary` (FIT_DICTIONARY entries, FIT_SEED)
+    nearest to rho, by nonnegative least squares.
+
+    The dictionary does not depend on rho, so the fit reaches one cone of
+    mixtures, which holds I/D.  NNLS sees rho and each projector |v><v| in
+    the dim^2 real coordinates of Hermitian matrices: the diagonal entries,
+    then sqrt(2) times the real and the imaginary part of each strictly
+    upper entry.  Their Euclidean inner product is tr(XY), so the residual
+    NNLS reports is |rho - sigma|_F for the fitted mixture sigma.  Returns
+    that residual, NNLS's own figure and never a verdict
+    (`_by_decomposition_fit` recomputes it from the terms), and the terms of
+    positive weight, each (weight, n x d array of local vectors).
     """
     # imported here, as only this fit needs it: scipy.optimize costs ~0.4 s and 48 MB
     from scipy.optimize import nnls
 
-    rng = np.random.default_rng(FIT_SEED)
-    n, d, dim = rho.n, rho.d, rho.dim
-    target = _hermitian_coordinates(lambda i, j: rho.entries[i, j], dim)
-
-    def draw(count):
-        """`count` product vectors as rows (none if count <= 0), drawn party by party."""
-        parties = haar_vector_draws(rng, d, (max(count, 0), n))
-        return kron_vectors(list(parties.transpose(1, 0, 2)))
-
-    # seed the dictionary with computational-basis products plus random draws
-    states = np.eye(dim, dtype=complex)
-    best_x, best_states, best_res = None, None, math.inf
-    for _ in range(FIT_ROUNDS):
-        states = np.concatenate([states, draw(FIT_DICTIONARY - len(states))])
-        # column j holds the coordinates of |v_j><v_j|, gathered entry by
-        # entry from the vectors without the dim x dim x N outer product
-        v = states.T
-        a = _hermitian_coordinates(lambda i, j: v[i] * v[j].conj(), dim)
-        x, res = nnls(a, target)
-        if res < best_res:
-            best_x, best_states, best_res = x, states, res
-        if res < FIT_TOL:
-            break
-        # keep the heavy terms, resample the rest near them
-        order = np.argsort(x)[::-1][:FIT_TERMS]
-        keep = states[order[x[order] > FIT_WEIGHT_FLOOR]]
-        u = np.repeat(keep, 4, axis=0) + 0.15 * draw(4 * len(keep))
-        states = np.concatenate([keep, u / vector_norms(u)[:, None]])
-    terms = [
-        (float(p), v) for p, v in zip(best_x, best_states) if p > FIT_WEIGHT_FLOOR
-    ]
-    return best_res, terms
+    factors, a = _fit_dictionary(rho.n, rho.d, FIT_DICTIONARY, FIT_SEED)
+    x, res = nnls(a, _hermitian_coordinates(lambda i, j: rho.entries[i, j], rho.dim))
+    return res, [(float(p), f) for p, f in zip(x, factors) if p > 0]
 
 
-def _by_ghz_corner(rho: DensityMatrix, slack: float):
+def _fit_residual_bound(shifted: np.ndarray, terms, n: int, d: int) -> float:
+    """An upper bound on |rho' - sigma|_F, where `shifted` is the float
+    evaluation of rho' = (rho - t I/D)/(1 - t) and sigma = sum_i x_i
+    |w_i><w_i| is exact, w_i the exact Kronecker product of term i's float
+    local vectors.  It is the float residual's norm times 1 + (D^2 + 2) eps,
+    plus (K + 4n + 8) eps (|shifted|_F + M) for K terms of mass M = sum_i
+    x_i |v_i|^2, which covers the rounding of the shift, of `kron_vectors`,
+    of summing sigma and of the difference (derived in CHANGES.md)."""
+    eps = sys.float_info.epsilon
+    x = np.array([p for p, _ in terms])
+    v = kron_vectors(list(np.reshape([f for _, f in terms], (len(terms), n, d)).transpose(1, 0, 2)))
+    sigma = (v.T * x) @ v.conj()
+    mass = float(x @ vector_norms(v) ** 2)
+    rounding = (len(terms) + 4 * n + 8) * eps * (float(np.linalg.norm(shifted)) + mass)
+    dim = len(shifted)
+    return float(np.linalg.norm(shifted - sigma)) * (1 + (dim * dim + 2) * eps) + rounding
+
+
+def _by_ghz_corner(rho: DensityMatrix, slack: float, low: float):
     """Exact, in Fractions of the entries, on n >= 2 qubits whose only
     coherence is c = rho[0, D-1] and whose diagonal d_j is >= 0 (Dur &
     Cirac, PRA 61, 042314 (2000)): NOT_FS when some d_j d_(D-1-j) < |c|^2,
@@ -405,7 +422,7 @@ def _by_ghz_corner(rho: DensityMatrix, slack: float):
                 return CERTIFIED_FS, {}
 
 
-def _by_npt_cut(rho: DensityMatrix, slack: float):
+def _by_npt_cut(rho: DensityMatrix, slack: float, low: float):
     """NOT_FS when a partial transpose has an eigenvalue below -slack on
     some cut (`linalg.npt_cut`)."""
     npt = npt_cut(rho)
@@ -414,7 +431,7 @@ def _by_npt_cut(rho: DensityMatrix, slack: float):
         return CERTIFIED_NOT_FS, {"cut": str(cut), "min_eigenvalue": lam}
 
 
-def _by_two_qubit_ppt(rho: DensityMatrix, slack: float):
+def _by_two_qubit_ppt(rho: DensityMatrix, slack: float, low: float):
     """On two qubits PPT is equivalent to separability (Horodecki, Horodecki
     & Horodecki, PLA 223, 1 (1996)); FS when the partial transpose's
     smallest eigenvalue is >= slack."""
@@ -424,19 +441,25 @@ def _by_two_qubit_ppt(rho: DensityMatrix, slack: float):
             return CERTIFIED_FS, {"min_eigenvalue": lam}
 
 
-def _by_near_identity(rho: DensityMatrix, slack: float):
+def _ball_radius(n: int) -> Fraction:
+    """w = 1/(1 + 2^(2n-1)): an n-qubit (1 - e) I/D + e rho1 is fully
+    separable for every state rho1 when e < w (Braunstein et al., PRL 83,
+    1054 (1999))."""
+    return Fraction(1, 1 + 2 ** (2 * n - 1))
+
+
+def _by_near_identity(rho: DensityMatrix, slack: float, low: float):
     """An n-qubit rho with smallest eigenvalue mu is D mu I/D + (1 - D mu)
-    rho1 with rho1 >= 0, which is fully separable when 1 - D mu <
-    1/(1 + 2^(2n-1)) (Braunstein et al., PRL 83, 1054 (1999)); mu is
-    lowered by the slack first."""
+    rho1 with rho1 >= 0, which is fully separable when 1 - D mu is below
+    `_ball_radius`; mu is lowered by the slack first."""
     if rho.d == 2:
-        weight = 1.0 - rho.dim * (float(np.linalg.eigvalsh(rho.entries)[0]) - slack)
-        radius = 1.0 / (1.0 + 2.0 ** (2 * rho.n - 1))
+        weight = 1.0 - rho.dim * (low - slack)
+        radius = float(_ball_radius(rho.n))
         if weight < radius:
             return CERTIFIED_FS, {"weight": weight, "radius": radius}
 
 
-def _by_symmetric_ppt(rho: DensityMatrix, slack: float):
+def _by_symmetric_ppt(rho: DensityMatrix, slack: float, low: float):
     """3 qubits supported on the symmetric subspace, tr((1 - P_sym) rho) <=
     slack, with no cut NPT beyond the slack (`linalg.npt_cut`); for 3-qubit
     states on the symmetric subspace PPT is sufficient for full
@@ -447,23 +470,52 @@ def _by_symmetric_ppt(rho: DensityMatrix, slack: float):
         return CERTIFIED_FS, {}
 
 
-def _by_single_party(rho: DensityMatrix, slack: float):
+def _by_single_party(rho: DensityMatrix, slack: float, low: float):
     """Every one-party state is fully separable by definition."""
     if rho.n == 1:
         return CERTIFIED_FS, {}
 
 
-def _by_decomposition_fit(rho: DensityMatrix, slack: float):
-    """Constructive product-decomposition fit: FS when its residual is below
-    FIT_TOL, else UNKNOWN.  Always decides, so it is the last row."""
-    res, terms = _fit_product_decomposition(rho)
-    if res < FIT_TOL:
-        return CERTIFIED_FS, {"residual": res, "terms": len(terms)}
-    return UNKNOWN, {"fit_residual": res}
+def _by_decomposition_fit(rho: DensityMatrix, slack: float, low: float):
+    """A ball proof around a constructive product-decomposition fit, for n
+    qubits whose smallest eigenvalue low is above the slack.
+
+    White noise of weight t = min(D (low - slack)/2, FIT_SHIFT) is taken
+    out: rho' = (rho - t I/D)/(1 - t) is fitted by a product mixture sigma
+    (`_fit_product_decomposition`), and R = rho' - sigma.  Then rho =
+    (1 - t) sigma + t (I/D + (1 - t) R/t).  With delta >= |(1 - t) R/t|_F,
+    from `_fit_residual_bound`, I/D + (1 - t) R/t has smallest eigenvalue at
+    least 1/D - delta and trace at most 1 + D delta, so it is a multiple of
+    a state whose near-identity weight is at most 2 D delta/(1 + D delta);
+    below `_ball_radius` that state is fully separable, and so is rho.  The
+    comparison is exact, in Fractions of the reported t and bound.
+
+    A singular rho has no such ball (its kernel would have to miss I/D +
+    (1 - t) R/t), and with low <= slack the ball left is below the
+    rounding bound, so such a rho returns UNKNOWN without the fit, as do
+    qudits, for which this row has no ball.  Always decides, so it is the
+    last row."""
+    if rho.d != 2:
+        return UNKNOWN, {}
+    if low <= slack:
+        return UNKNOWN, {"min_eigenvalue": low}
+    n, dim = rho.n, rho.dim
+    t = min(dim * (low - slack) / 2, FIT_SHIFT)
+    shifted = (rho.entries - np.diag(np.full(dim, t / dim))) / (1 - t)
+    res, terms = _fit_product_decomposition(DensityMatrix.by_construction(n, 2, shifted))
+    bound = _fit_residual_bound(shifted, terms, n, 2)
+    spread = dim * Fraction(bound) * (1 - Fraction(t)) / Fraction(t)  # D delta
+    weight = 2 * spread / (1 + spread)
+    w = _ball_radius(n)
+    if weight < w:
+        return CERTIFIED_FS, {
+            "t": t, "residual": bound, "weight": float(weight), "radius": float(w), "terms": len(terms)
+        }
+    return UNKNOWN, {"t": t, "fit_residual": res}
 
 
-# The certifier's routes in order; decide(rho, slack) returns (verdict,
-# detail) when its route decides, else None.
+# The certifier's routes in order; decide(rho, slack, low) returns
+# (verdict, detail) when its route decides, else None.
 FS_ROUTES = (
     ("ghz-corner", _by_ghz_corner),
     ("npt-cut", _by_npt_cut),
@@ -478,17 +530,52 @@ UNKNOWN_ROUTE = "none"  # the route of an UNKNOWN result
 
 def fs_certificate(rho: DensityMatrix) -> CertResult:
     """Decide full separability by the first row of FS_ROUTES that decides,
-    each given the rounding slack `linalg.eigenvalue_slack(rho.entries)`.
-    Each row checks its theorem's whole hypothesis, so the row order sets
-    only the speed and the route name, never soundness.  The result carries
-    that row's name, or UNKNOWN_ROUTE when the last row returns UNKNOWN;
-    that is a value, not an error."""
+    each given the rounding slack `linalg.eigenvalue_slack(rho.entries)`
+    and rho's smallest computed eigenvalue, read once here.  Each row
+    checks its theorem's whole hypothesis, so the row order sets only the
+    speed and the route name, never soundness.  The result carries that
+    row's name, or UNKNOWN_ROUTE when the last row returns UNKNOWN; that is
+    a value, not an error."""
     slack = eigenvalue_slack(rho.entries)
+    low = float(np.linalg.eigvalsh(rho.entries)[0])
     for name, decide in FS_ROUTES:
-        decided = decide(rho, slack)
+        decided = decide(rho, slack, low)
         if decided is not None:
             verdict, detail = decided
             return CertResult(verdict, name if verdict != UNKNOWN else UNKNOWN_ROUTE, detail)
+
+
+def _next_probe(lo: float, hi: float, misses: list, tol: float) -> float:
+    """The ray search's next point in (lo, hi), from the fit residuals f of
+    the uncertified probes s in `misses`, latest last.
+
+    With t fixed, the fitted target (rho_s - t I/D)/(1 - t) is affine in
+    a = 1/(1 + s), so its distance f to the fit's cone, the residual NNLS
+    reports, is convex in a and 0 from the fit's boundary a* on.  The
+    secant through the last two misses, f_a > f_b > 0, thus meets 0 at
+    some s* <= s(a*): the next probe is s* + tol/2, then hi - tol once hi
+    lies within tol above s*.  Any other case, and a point outside (lo,
+    hi), falls back to the midpoint, so only the number of probes depends
+    on the secant, never the bracket's meaning."""
+    mid = (lo + hi) / 2
+    if len(misses) < 2:
+        return mid
+    (sa, fa), (sb, fb) = misses[-2:]
+    if not fa > fb > 0:
+        return mid
+    aa, ab = 1.0 / (1.0 + sa), 1.0 / (1.0 + sb)
+    root = ab - fb * (aa - ab) / (fa - fb)
+    if root <= 0:
+        return mid
+    s_star = 1.0 / root - 1.0
+    if lo < s_star + tol / 2 < hi:
+        return s_star + tol / 2
+    probe = hi - tol
+    if hi - tol < s_star < hi and lo < probe:
+        # rounded up where hi - probe would exceed tol, so this probe, if
+        # not certified, closes the bracket
+        return probe if hi - probe <= tol else math.nextafter(probe, hi)
+    return mid
 
 
 def robustness_fs_upper_via_mix(
@@ -507,10 +594,12 @@ def robustness_fs_upper_via_mix(
     lo >= S_MAX raises RobustnessCapError at once; otherwise the first probe
     is lo + bisect_tol (at least the next float above lo, at most S_MAX),
     returned when certified.  Else S_MAX must be certified and
-    [probe, S_MAX] is bisected.  s_ppt only places the search: the returned
-    s is always a point fs_certificate certified.
+    [probe, S_MAX] is narrowed: a certified probe becomes hi, any other lo.
+    Probes are midpoints, except where the fit's residuals on two uncertified
+    probes place the fit's boundary (`_next_probe`).  s_ppt only places the
+    search: the returned s is always a point fs_certificate certified.
 
-    The bisection stops once hi - lo <= bisect_tol, or once lo and hi are
+    The search stops once hi - lo <= bisect_tol, or once lo and hi are
     adjacent floats, so it ends for any finite bisect_tol > 0; any other
     bisect_tol is a ValueError.
     """
@@ -525,9 +614,12 @@ def robustness_fs_upper_via_mix(
         raise ValueError(f"mixer not certified fully separable: {cert.verdict}")
 
     def certified(s):
+        """Whether the mixture at s is certified, and the fit's residual
+        when the fit ran on it and did not certify it, else None."""
         m = (psi.entries + s * mixer.entries) / (1.0 + s)
         rho = DensityMatrix.by_construction(psi.n, psi.d, (m + m.conj().T) / 2)
-        return fs_certificate(rho).verdict == CERTIFIED_FS
+        res = fs_certificate(rho)
+        return res.verdict == CERTIFIED_FS, res.detail.get("fit_residual")
 
     if fs_certificate(psi).verdict == CERTIFIED_FS:
         return 0.0
@@ -535,17 +627,23 @@ def robustness_fs_upper_via_mix(
     if lo >= S_MAX:
         raise RobustnessCapError(f"no certified mixture below s = {S_MAX}: NPT up to s = {lo}")
     lo = min(max(lo + bisect_tol, math.nextafter(lo, math.inf)), S_MAX)
-    if certified(lo):
+    ok, residual = certified(lo)
+    if ok:
         return lo
-    if lo >= S_MAX or not certified(S_MAX):
+    if lo >= S_MAX or not certified(S_MAX)[0]:
         raise RobustnessCapError(f"no certified mixture below s = {S_MAX}")
     hi = S_MAX
+    # uncertified probes with a fit residual, in probe order; a probe
+    # without one (an NPT or skipped state) starts the list afresh
+    misses = [(lo, residual)] if residual is not None else []
     while hi - lo > bisect_tol:
-        mid = (lo + hi) / 2
-        if not lo < mid < hi:
+        probe = _next_probe(lo, hi, misses, bisect_tol)
+        if not lo < probe < hi:
             break
-        if certified(mid):
-            hi = mid
+        ok, residual = certified(probe)
+        if ok:
+            hi = probe
         else:
-            lo = mid
+            lo = probe
+            misses = misses + [(probe, residual)] if residual is not None else []
     return hi

@@ -7,6 +7,7 @@ acceptance-test identifiers (AC1..AC12) so reports and tests cross-link.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -60,11 +61,19 @@ def _claim_gbs_ghz_grid(seed):
     return expected, computed, 1e-12
 
 
+@functools.cache
+def _run_w() -> PureState:
+    """The W state the claims of one `run_claims` call share, so that its
+    product-state optimum at the run's seed, kept on the state by
+    `geometric_fs`, is computed once per run; `run_claims` clears it."""
+    return w_state()
+
+
 def _claim_gfs_optimizer(seed):
     expected = [0.5, 5.0 / 9.0]
     computed = [
         geometric_fs(ghz(3, 2), seed).value,
-        geometric_fs(w_state(), seed).value,
+        geometric_fs(_run_w(), seed).value,
     ]
     return expected, computed, 1e-6
 
@@ -209,7 +218,7 @@ def _claim_prop1(seed):
     angle = math.acos(0.5 ** (1 / 3))
     good = conversion.ghz_plus_bound_report(angle, angle, angle)
     cert = conversion.max_probability(
-        w_state(),
+        _run_w(),
         psi_ghz_plus(angle, angle, angle),
         conversion.FSP,
         seed,
@@ -275,23 +284,27 @@ def run_claims(selection, seed: int, timing: bool = False) -> dict:
     if unknown:
         raise KeyError(f"unknown claim id(s): {sorted(unknown)}")
     claims = []
-    for cid, desc, ref, fn in REGISTRY:
-        if selection is not None and cid not in selection:
-            continue
-        t0 = time.perf_counter()
-        expected, computed, tol = fn(seed)
-        entry = {
-            "id": cid,
-            "description": desc,
-            "ref": ref,
-            "expected": expected,
-            "computed": computed,
-            "tolerance": tol,
-            "pass": _compare(expected, computed, tol),
-        }
-        if timing:
-            entry["wall_time"] = time.perf_counter() - t0
-        claims.append(entry)
+    _run_w.cache_clear()
+    try:
+        for cid, desc, ref, fn in REGISTRY:
+            if selection is not None and cid not in selection:
+                continue
+            t0 = time.perf_counter()
+            expected, computed, tol = fn(seed)
+            entry = {
+                "id": cid,
+                "description": desc,
+                "ref": ref,
+                "expected": expected,
+                "computed": computed,
+                "tolerance": tol,
+                "pass": _compare(expected, computed, tol),
+            }
+            if timing:
+                entry["wall_time"] = time.perf_counter() - t0
+            claims.append(entry)
+    finally:
+        _run_w.cache_clear()
     return {
         "schema_version": 1,
         "seed": seed,

@@ -684,6 +684,24 @@ def test_lemma2_claim_ppt_floor_edges(monkeypatch, factor, ppt):
     assert computed[-1] is ppt
 
 
+def test_reproduce_runs_the_w_optimizer_once_per_run(monkeypatch):
+    # gfs-optimizer and prop1-tilted-ghz read one W, whose product-state
+    # optimum at the run's seed is kept on it; each run starts afresh, so a
+    # second run at the same seed optimizes W again
+    from entactic import measures, report
+
+    runs = []
+    optimize = measures.maximize_over_products
+    monkeypatch.setattr(
+        measures, "maximize_over_products",
+        lambda terms, *args: runs.append(np.array_equal(terms[0], w_state().amplitudes)) or optimize(terms, *args),
+    )
+    first = report.run_claims(["gfs-optimizer", "prop1-tilted-ghz"], seed=7)
+    assert runs.count(True) == 1
+    assert report.run_claims(["gfs-optimizer", "prop1-tilted-ghz"], seed=7) == first
+    assert runs.count(True) == 2
+
+
 def test_env_seed_default(monkeypatch, capsys, w_file):
     monkeypatch.setenv("ENTACTIC_SEED", "11")
     rc, data = run_json(capsys, ["measure", "--kind", "gfs", "--in", w_file])

@@ -695,10 +695,14 @@ def test_bsp_sampler_keeps_the_two_sided_law(psi):
 def test_bsp_sampler_below_the_gram_keeps_the_two_sided_law(n, d, parties):
     # m = dS - 1 samples per call draw the smaller side's vectors, not Gram
     # weights; 4000 of them from repeated calls follow the two-sided law,
-    # with its mean 1 / (dA dB); on 5 qubits the smaller side is the columns
+    # with its mean 1 / (dA dB).  The cut matrix is oriented as the audit
+    # orients it, the cut's `side` as rows, so the 5-qubit case draws on the
+    # transpose of its cut matrix
     from scipy.stats import ks_2samp
 
-    a_mat = linalg.cut_matrix(random_state(n, d, 78 + n + d), Bipartition(n, frozenset(parties)))
+    cut = Bipartition(n, frozenset(parties))
+    a_mat = linalg.cut_matrix(random_state(n, d, 78 + n + d), cut)
+    a_mat = a_mat if cut.side == cut.parties else a_mat.T
     m, total = min(a_mat.shape) - 1, 4000
     rng_new, rng_old = np.random.default_rng(n * d), np.random.default_rng(98)
     calls = -(-total // m)

@@ -3,8 +3,9 @@ decomposition fit and on inputs at the edges of its exact routes.
 
 Each case states a fact about the input that holds by construction or by a
 theorem, computed here without the certifier's own routes, and checks that
-no verdict contradicts it.  Wherever the fit certifies, its residual is
-recomputed from the returned terms as the Frobenius distance.
+no verdict contradicts it.  Wherever the fit certifies, its ball proof is
+checked again from the reported t, residual and radius, with the residual
+recomputed from the returned weights and local vectors.
 """
 
 import json
@@ -60,21 +61,61 @@ def min_pt_eigenvalue(m, n):
     return min(np.linalg.eigvalsh(partial_transpose(m, n, side))[0] for side in sides)
 
 
+def product_of(factors):
+    """The Kronecker product of local vectors by np.kron."""
+    w = np.ones(1)
+    for f in factors:
+        w = np.kron(w, f)
+    return w
+
+
+def check_ball_proof(rho, detail, target, terms):
+    """A certified fit, checked apart from the route's own arithmetic:
+    rho' = (rho - t I/D)/(1 - t) from the reported t is the fitted target,
+    the mixture sigma of the returned weights and local vectors is within
+    the reported residual of it, and that residual puts I/D + (1 - t) R/t
+    inside the near-identity ball, in Fractions.  With |(1 - t) R/t|_F <=
+    delta the operator has smallest eigenvalue >= 1/D - delta and trace <=
+    1 + D delta, so its near-identity weight is <= 2 D delta/(1 + D delta)."""
+    dim, t = rho.dim, detail["t"]
+    shifted = (rho.entries - t * np.eye(dim) / dim) / (1 - t)
+    assert np.array_equal(target, shifted)
+    assert len(terms) == detail["terms"] and all(p > 0 for p, _ in terms)
+    sigma = sum(p * np.outer(product_of(f), product_of(f).conj()) for p, f in terms)
+    assert np.linalg.norm(shifted - sigma) <= detail["residual"]
+    w = Fraction(1, 1 + 2 ** (2 * rho.n - 1))
+    assert detail["radius"] == float(w)
+    spread = dim * Fraction(detail["residual"]) * (1 - Fraction(t)) / Fraction(t)
+    assert 2 * spread / (1 + spread) < w
+
+
 def certify(n, m):
-    """The certifier's verdict on m; a certified fit's residual must be the
-    Frobenius distance from rho to the mixture of its returned terms."""
+    """The certifier's verdict on m; every certified fit passes
+    `check_ball_proof`, and no state with a smallest eigenvalue within the
+    rounding slack reaches the fit."""
     rho = DensityMatrix(n, 2, m)
-    res = measures.fs_certificate(rho)
+    fitted = []
+    fit = measures._fit_product_decomposition
+
+    def spy(target):
+        res, terms = fit(target)
+        fitted.append((target.entries, terms))
+        return res, terms
+
+    measures._fit_product_decomposition = spy
+    try:
+        res = measures.fs_certificate(rho)
+    finally:
+        measures._fit_product_decomposition = fit
+    if fitted:
+        assert np.linalg.eigvalsh(rho.entries)[0] > eigenvalue_slack(rho.entries)
     if res.route == "decomposition-fit":
-        residual, terms = measures._fit_product_decomposition(rho)
-        sigma = sum(p * np.outer(v, v.conj()) for p, v in terms)
-        assert residual == res.detail["residual"]
-        assert np.linalg.norm(rho.entries - sigma) == pytest.approx(residual, abs=1e-12)
+        check_ball_proof(rho, res.detail, *fitted[0])
     return res
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.sampled_from([2, 3]), st.sampled_from([2, 3]), st.sampled_from([0.0, 0.05, 0.3]), SEEDS)
+@given(st.sampled_from([2, 3]), st.sampled_from([2, 3]), st.sampled_from([0.0, 0.05, 0.3, 0.7]), SEEDS)
 def test_product_mixtures_are_never_certified_entangled(n, count, noise, seed):
     rng = np.random.default_rng(seed)
     vectors = [product_vector(rng, n) for _ in range(count)]
@@ -334,4 +375,99 @@ def test_symmetric_ppt_checks_its_own_ppt_premise():
     # W lies in the symmetric subspace but is NPT on every cut
     w = w_state().density()
     assert measures._weight_outside_symmetric(w) <= eigenvalue_slack(w.entries)
-    assert measures._by_symmetric_ppt(w, eigenvalue_slack(w.entries)) is None
+    low = np.linalg.eigvalsh(w.entries)[0]
+    assert measures._by_symmetric_ppt(w, eigenvalue_slack(w.entries), low) is None
+
+
+def with_min_eigenvalue(mu):
+    """diag(mu, r, ..., r) on three qubits, r = (1 - mu)/7, with the
+    coherence 2^-9 on |011><101|: off the GHZ corner and the symmetric
+    subspace, and with smallest eigenvalue mu, alone on |000>.  Every
+    partial transpose moves the coherence to a pair of basis states other
+    than |000>, both of diagonal r, so no cut is NPT, and for small mu only
+    the fit's row can decide it."""
+    m = np.diag([mu] + [(1 - mu) / 7] * 7)
+    m[3, 5] = m[5, 3] = 2.0**-9
+    return DensityMatrix(3, 2, m)
+
+
+def spied_fit(monkeypatch):
+    """Record each target the fit is given, and run it."""
+    targets = []
+    fit = measures._fit_product_decomposition
+    monkeypatch.setattr(measures, "_fit_product_decomposition", lambda rho: targets.append(rho) or fit(rho))
+    return targets
+
+
+@pytest.mark.parametrize("factor,fitted", [(0.5, False), (2.0, True)])
+def test_the_fit_runs_only_above_the_slack(monkeypatch, factor, fitted):
+    # the row reads the smallest eigenvalue once, against the slack: at or
+    # below it no ball exists to be found, and the fit is not run
+    slack = eigenvalue_slack(with_min_eigenvalue(0.0).entries)
+    rho = with_min_eigenvalue(factor * slack)
+    assert np.linalg.eigvalsh(rho.entries)[0] == pytest.approx(factor * slack, rel=1e-3)
+    targets = spied_fit(monkeypatch)
+    res = measures.fs_certificate(rho)
+    assert (res.verdict, res.route) == (measures.UNKNOWN, "none")
+    assert bool(targets) is fitted
+    assert ("t" in res.detail) is fitted
+
+
+@pytest.mark.parametrize("factor,capped", [(0.5, False), (2.0, True)])
+def test_fit_shift_edges(monkeypatch, factor, capped):
+    # t = min(D (low - slack)/2, FIT_SHIFT), here with D (low - slack)/2
+    # placed at factor FIT_SHIFT; the fitted target is (rho - t I/D)/(1 - t)
+    slack = eigenvalue_slack(with_min_eigenvalue(0.0).entries)
+    rho = with_min_eigenvalue(slack + factor * measures.FIT_SHIFT / 4)
+    low, slack = np.linalg.eigvalsh(rho.entries)[0], eigenvalue_slack(rho.entries)
+    targets = spied_fit(monkeypatch)
+    res = measures.fs_certificate(rho)
+    t = res.detail["t"]
+    assert t == min(8 * (low - slack) / 2, measures.FIT_SHIFT)
+    assert (t == measures.FIT_SHIFT) is capped
+    assert t == pytest.approx(min(factor, 1.0) * measures.FIT_SHIFT, rel=1e-6)
+    assert np.array_equal(targets[0].entries, (rho.entries - t * np.eye(8) / 8) / (1 - t))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([3, 4]), st.booleans(), SEEDS)
+def test_rank_deficient_product_states_skip_the_fit(n, pure, seed):
+    # fewer product terms than D leave the smallest eigenvalue at 0, where
+    # no separable ball around I/D fits, so the fit never runs on them
+    def fit(rho):
+        raise AssertionError("the fit ran on a rank-deficient state")
+
+    rng = np.random.default_rng(seed)
+    terms = 1 if pure else 2 * n
+    vectors = [product_vector(rng, n) for _ in range(terms)]
+    m = sum(w * np.outer(v, v.conj()) for w, v in zip(rng.dirichlet(np.ones(terms)), vectors))
+    rho = through_json(n, m)
+    saved = measures._fit_product_decomposition
+    measures._fit_product_decomposition = fit
+    try:
+        res = measures.fs_certificate(rho)
+    finally:
+        measures._fit_product_decomposition = saved
+    assert (res.verdict, res.route) == (measures.UNKNOWN, "none")
+    assert res.detail["min_eigenvalue"] <= eigenvalue_slack(rho.entries)
+
+
+def test_qudits_skip_the_fit(monkeypatch):
+    # the row has a ball only for qubits, so a qudit state never reaches the fit
+    def fit(rho):
+        raise AssertionError("the fit ran on qudits")
+
+    monkeypatch.setattr(measures, "_fit_product_decomposition", fit)
+    res = measures.fs_certificate(DensityMatrix(2, 3, np.eye(9) / 9))
+    assert (res.verdict, res.route, res.detail) == (measures.UNKNOWN, "none", {})
+
+
+@pytest.mark.parametrize("n,noise", [(3, 0.6), (3, 0.8), (4, 0.95)])
+def test_noisy_product_mixtures_certified_by_the_fit_pass_its_ball_check(n, noise):
+    # 2n product terms in heavy white noise, beyond near-identity's ball:
+    # the fit certifies them, and `certify` checks each proof again
+    rng = np.random.default_rng(n)
+    vectors = [product_vector(rng, n) for _ in range(2 * n)]
+    m = sum(w * np.outer(v, v.conj()) for w, v in zip(rng.dirichlet(np.ones(2 * n)), vectors))
+    res = certify(n, mix_with_white(m, noise))
+    assert (res.verdict, res.route) == (measures.CERTIFIED_FS, "decomposition-fit")

@@ -258,9 +258,22 @@ def test_geometric_fs_local_unitary_invariance(seed):
     assert abs(a - b) < 2e-6
 
 
+def test_geometric_fs_is_kept_on_the_state_per_seed(monkeypatch):
+    psi = random_state(3, 2, 24)
+    runs = []
+    optimize = measures.maximize_over_products
+    monkeypatch.setattr(measures, "maximize_over_products", lambda *args: runs.append(args[4]) or optimize(*args))
+    first = measures.geometric_fs(psi, 11)
+    assert measures.geometric_fs(psi, seed=11) is first
+    assert measures.geometric_fs(psi, 12) is not first
+    assert measures.geometric_fs(random_state(3, 2, 24), 11) is not first
+    assert runs == [11, 12, 11]
+
+
 def test_geometric_fs_deterministic_for_fixed_seed():
-    psi = random_state(3, 2, 23)
-    assert measures.geometric_fs(psi, 11).value == measures.geometric_fs(psi, 11).value
+    # two states of equal amplitudes, so neither reads the other's kept result
+    a, b = random_state(3, 2, 23), random_state(3, 2, 23)
+    assert measures.geometric_fs(a, 11).value == measures.geometric_fs(b, 11).value
 
 
 # --- the optimizer's outputs, pinned bit for bit ---------------------------
@@ -715,12 +728,30 @@ def product_mixture(n, terms, noise, seed):
     return DensityMatrix(n, 2, (1 - noise) * m + noise * np.eye(2**n) / 2**n)
 
 
+# |0>, |+> unnormalized, |0>: the product vector |0+0> times sqrt(2)
+ZERO_PLUS_ZERO = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
 def reaches_the_fit():
-    """|0+><0+|, |00><00| with a Hadamard on the last qubit, in exact
-    entries: its coherence |00><01| lies off the GHZ corner, and its partial
-    transpose has the eigenvalue 0, below the rounding slack, so no route
-    before the fit decides it."""
-    return DensityMatrix(2, 2, np.kron(np.diag([1.0, 0.0]), np.full((2, 2), 0.5)))
+    """|0+0><0+0|/2 + I/16, in exact entries: full rank (smallest
+    eigenvalue 1/16), its coherence |000><010| lies off the GHZ corner, it
+    is a product mixture so no cut is NPT, its near-identity weight is 1/2,
+    and it lies off the symmetric subspace, so no route before the fit
+    decides it."""
+    v = kron_vectors(list(ZERO_PLUS_ZERO))
+    return DensityMatrix(3, 2, np.outer(v, v.conj()) / 4 + np.eye(8) / 16)
+
+
+def sigma_of(terms):
+    """sum_i x_i |w_i><w_i|, each w_i the Kronecker product of term i's
+    local vectors by np.kron."""
+    out = 0
+    for p, factors in terms:
+        w = np.ones(1)
+        for f in factors:
+            w = np.kron(w, f)
+        out = out + p * np.outer(w, w.conj())
+    return out
 
 
 def test_decomposition_fit_is_pinned():
@@ -730,23 +761,27 @@ def test_decomposition_fit_is_pinned():
     rho = product_mixture(2, 4, 0.0, seed=2)
     assert measures.fs_certificate(rho).route == "two-qubit-ppt"
     res, terms = measures._fit_product_decomposition(rho)
-    assert len(terms) == 16
-    # an exact 16-term fit: the residual is rounding noise, not a figure
-    assert res < 1e-15
-    # this input passes every earlier route and reaches the fit
+    assert len(terms) == 13
+    assert res == pytest.approx(0.02176002404230289, rel=1e-6)
+    # this input passes every earlier route and reaches the fit, which
+    # fits it shifted by t = FIT_SHIFT
     res = measures.fs_certificate(product_mixture(3, 6, 0.1, seed=3))
     assert (res.verdict, res.route) == (measures.UNKNOWN, "none")
-    assert res.detail["fit_residual"] == pytest.approx(0.0014989839326515649, rel=1e-6)
+    assert res.detail["t"] == measures.FIT_SHIFT
+    assert res.detail["fit_residual"] == pytest.approx(0.07703096967381365, rel=1e-6)
 
 
 def test_certified_fits_report_the_frobenius_distance():
-    # the certified fits of this module: the pinned input above and |00><00|
-    # at the NPT route's tolerance edge
-    for rho in (product_mixture(2, 4, 0.0, seed=2), DensityMatrix(2, 2, np.diag([1.0, 0, 0, 0]))):
-        res, terms = measures._fit_product_decomposition(rho)
-        sigma = sum(p * np.outer(v, v.conj()) for p, v in terms)
-        assert res < measures.FIT_TOL
-        assert np.linalg.norm(rho.entries - sigma) == pytest.approx(res, abs=1e-12)
+    # the reported residual bounds the Frobenius distance from the shifted
+    # state to the mixture of the returned weights and local vectors
+    for rho in (product_mixture(3, 6, 0.6, seed=0), w_with_white(0.1)):
+        res = measures.fs_certificate(rho)
+        assert (res.verdict, res.route) == (measures.CERTIFIED_FS, "decomposition-fit")
+        t = res.detail["t"]
+        shifted = (rho.entries - t * np.eye(8) / 8) / (1 - t)
+        _, terms = measures._fit_product_decomposition(DensityMatrix.by_construction(3, 2, shifted))
+        assert len(terms) == res.detail["terms"]
+        assert np.linalg.norm(shifted - sigma_of(terms)) <= res.detail["residual"] < 1e-12
 
 
 def fake_nnls(monkeypatch, weights, residual):
@@ -766,32 +801,54 @@ def fake_nnls(monkeypatch, weights, residual):
     return calls
 
 
+def exact_terms_of_reaches_the_fit(t):
+    """Weights and local vectors of a product decomposition of
+    (rho - t I/8)/(1 - t) for rho = reaches_the_fit(): |0+0> (as
+    ZERO_PLUS_ZERO, of squared norm 2) and the eight basis products."""
+    basis = np.eye(2, dtype=complex)[np.indices((2, 2, 2)).reshape(3, -1).T]
+    white = (1 / 2 - t) / (8 * (1 - t))
+    return [(1 / (4 * (1 - t)), ZERO_PLUS_ZERO)] + [(white, f) for f in basis]
+
+
 @pytest.mark.parametrize("factor,certified", [(0.5, True), (2.0, False)])
 def test_fit_tolerance_edges(monkeypatch, factor, certified):
-    calls = fake_nnls(monkeypatch, [1.0], factor * measures.FIT_TOL)
+    # a fit whose residual is factor times the ball's edge: |R|_F = r puts
+    # I/D + (1 - t) R/t at near-identity weight 2 D delta/(1 + D delta),
+    # delta = (1 - t) r/t, which meets w = 1/33 at r = t w/((1 - t) D (2 - w))
+    t, w = measures.FIT_SHIFT, 1 / 33
+    edge = t * w / ((1 - t) * 8 * (2 - w))
+    terms = exact_terms_of_reaches_the_fit(t)
+    # moving |000>'s weight by factor * edge leaves R = -factor edge |000><000|
+    p, f = terms[1]
+    terms[1] = (p + factor * edge, f)
+    monkeypatch.setattr(measures, "_fit_product_decomposition", lambda rho: (0.0, terms))
     res = measures.fs_certificate(reaches_the_fit())
+    assert (res.verdict == measures.CERTIFIED_FS) is certified
     if certified:
-        assert (res.verdict, res.route, len(calls)) == (measures.CERTIFIED_FS, "decomposition-fit", 1)
-        assert res.detail == {"residual": factor * measures.FIT_TOL, "terms": 1}
-    else:
-        assert (res.verdict, res.route, len(calls)) == (measures.UNKNOWN, "none", measures.FIT_ROUNDS)
+        assert res.detail["residual"] == pytest.approx(factor * edge, rel=1e-4)
+        spread = factor * w / (2 - w)  # D delta
+        assert res.detail["weight"] == pytest.approx(2 * spread / (1 + spread), rel=1e-4)
 
 
-@pytest.mark.parametrize("factor,counted", [(0.5, False), (2.0, True)])
-def test_fit_weight_floor_edges(monkeypatch, factor, counted):
-    rho = reaches_the_fit()
-    floor = measures.FIT_WEIGHT_FLOOR
-    # reported: a certified fit counts only the terms above the floor
-    fake_nnls(monkeypatch, [1.0, factor * floor], 0.0)
-    assert measures.fs_certificate(rho).detail["terms"] == 1 + counted
-    # kept: the next round's dictionary starts with the terms above the
-    # floor, here |00> alone, and draws the rest afresh
-    calls = fake_nnls(monkeypatch, [factor * floor], 1.0)
-    measures._fit_product_decomposition(rho)
-    first, second = calls[:2]
-    # one row per real coordinate of a 4 x 4 Hermitian matrix
-    assert first.flags.c_contiguous and first.shape == (16, measures.FIT_DICTIONARY)
-    assert np.array_equal(second[:, 0], first[:, 0]) is counted
+def test_the_fit_verdict_never_trusts_the_residual_nnls_reports(monkeypatch):
+    # NNLS reports 0.0 for the weight 1 on |000><000| alone, which is far
+    # from the state: the residual recomputed from the terms decides
+    calls = fake_nnls(monkeypatch, [1.0], 0.0)
+    res = measures.fs_certificate(reaches_the_fit())
+    assert (res.verdict, res.route, len(calls)) == (measures.UNKNOWN, "none", 1)
+    assert res.detail == {"t": measures.FIT_SHIFT, "fit_residual": 0.0}
+
+
+def test_fit_returns_every_positive_weight(monkeypatch):
+    # sigma is the mixture NNLS fitted, so no positive weight is dropped,
+    # however small, and no zero weight is kept
+    fake_nnls(monkeypatch, [1.0, 5e-324, 0.0, 1e-300], 0.0)
+    _, terms = measures._fit_product_decomposition(reaches_the_fit())
+    assert [p for p, _ in terms] == [1.0, 5e-324, 1e-300]
+    # with the local vectors of dictionary entries 0, 1 and 3: |000>, |001>, |011>
+    basis = np.eye(2, dtype=complex)
+    for (_, f), bits in zip(terms, [(0, 0, 0), (0, 0, 1), (0, 1, 1)]):
+        assert np.array_equal(f, basis[list(bits)])
 
 
 def test_fit_with_no_room_for_draws_uses_the_basis_alone(monkeypatch):
@@ -800,12 +857,11 @@ def test_fit_with_no_room_for_draws_uses_the_basis_alone(monkeypatch):
     calls = fake_nnls(monkeypatch, [], 1.0)
     res, terms = measures._fit_product_decomposition(product_mixture(2, 4, 0.0, seed=2))
     assert (res, terms) == (1.0, [])
-    # the diagonal comes first among the coordinates, so |k><k| maps to e_k
-    basis = np.eye(16, 4)
-    assert np.array_equal(calls[0], basis)
-    # nothing is kept either, so every later round draws a whole dictionary
-    assert len(calls) == measures.FIT_ROUNDS
-    assert all(a.shape == (16, 4) and not np.array_equal(a, basis) for a in calls[1:])
+    # the diagonal comes first among the coordinates, so |k><k| maps to e_k;
+    # one NNLS over that dictionary, with one row per real coordinate of a
+    # 4 x 4 Hermitian matrix
+    assert len(calls) == 1
+    assert calls[0].flags.c_contiguous and np.array_equal(calls[0], np.eye(16, 4))
 
 
 def random_hermitian(dim, rng):
@@ -1025,8 +1081,8 @@ ROUTE_INPUTS = {
     "near-identity": (lambda: w_with_white(RADIUS3 / 2), FS, ["radius", "weight"]),
     "symmetric-ppt": (measures.w_robustness_boundary, FS, []),
     "single-party": (lambda: DensityMatrix(1, 3, np.diag([0.5, 0.3, 0.2])), FS, []),
-    "decomposition-fit": (lambda: product_mixture(3, 6, 0.3, seed=0), FS, ["residual", "terms"]),
-    "none": (lambda: product_mixture(3, 6, 0.1, seed=3), measures.UNKNOWN, ["fit_residual"]),
+    "decomposition-fit": (lambda: w_with_white(0.1), FS, ["radius", "residual", "t", "terms", "weight"]),
+    "none": (lambda: product_mixture(3, 6, 0.1, seed=3), measures.UNKNOWN, ["fit_residual", "t"]),
 }
 
 
@@ -1049,7 +1105,8 @@ def test_cli_import_leaves_scipy_unloaded_until_the_fit():
         "import sys, numpy as np; import entactic.cli; "
         "from entactic import measures; from entactic.linalg import DensityMatrix; "
         "print('scipy.optimize' in sys.modules); "
-        "measures.fs_certificate(DensityMatrix(2, 2, np.kron(np.diag([1.0, 0]), np.full((2, 2), 0.5)))); "
+        "v = np.kron(np.kron([1.0, 0.0], [1.0, 1.0]), [1.0, 0.0]); "
+        "measures.fs_certificate(DensityMatrix(3, 2, np.outer(v, v) / 4 + np.eye(8) / 16)); "
         "print('scipy.optimize' in sys.modules)"
     )
     src = str(Path(measures.__file__).parents[1])
@@ -1212,30 +1269,41 @@ def noisy_ghz(p):
 
 
 @pytest.mark.parametrize(
-    "psi,s_ppt",
+    "psi,s_ppt,exact",
     [
-        (ghz(3, 2).density(), 4.0),
-        (w_state().density(), 8 * math.sqrt(2) / 3),
-        (noisy_ghz(0.6), 2.0),
-        (noisy_ghz(0.77), 5 * 0.77 - 1),
+        (ghz(3, 2).density(), 4.0, True),
+        (w_state().density(), 8 * math.sqrt(2) / 3, False),
+        (noisy_ghz(0.6), 2.0, True),
+        (noisy_ghz(0.77), 5 * 0.77 - 1, True),
     ],
     ids=["ghz", "w", "ghz-0.6", "ghz-0.77"],
 )
-def test_search_starts_just_below_the_ppt_threshold(monkeypatch, psi, s_ppt):
+def test_search_starts_just_below_the_ppt_threshold(monkeypatch, psi, s_ppt, exact):
     assert ppt_threshold(psi, WHITE) == pytest.approx(s_ppt, abs=1e-12)
     lo = ppt_threshold(psi, WHITE) * (1 - measures.THRESHOLD_MARGIN)
     m = (psi.entries + lo * WHITE.entries) / (1 + lo)
     lowest = min(np.linalg.eigvalsh(linalg.partial_transpose(DensityMatrix(3, 2, m), sorted(cut.parties)))[0]
                  for cut in all_bipartitions(3))
     assert lowest < 0
-    # the mixer, psi, then the first probe at lo + bisect_tol, certified
+    # the mixer, psi, then the first probe at lo + bisect_tol, which the
+    # GHZ rays' exact corner route certifies.  The W ray's probe is within
+    # 1e-6 of the PPT boundary, where the fit's finitely many products
+    # leave no exact decomposition, so the search goes on above it
     calls = []
     certify = measures.fs_certificate
     monkeypatch.setattr(measures, "fs_certificate", lambda rho: calls.append(rho) or certify(rho))
     s = measures.robustness_fs_upper_via_mix(psi, WHITE)
-    assert len(calls) == 3
-    assert s == lo + 1e-6
-    assert abs(s - s_ppt) <= 1e-6
+    probe = (psi.entries + (lo + 1e-6) * WHITE.entries) / (1 + lo + 1e-6)
+    assert np.array_equal(calls[2].entries, (probe + probe.conj().T) / 2)
+    if exact:
+        assert len(calls) == 3
+        assert s == lo + 1e-6
+        assert abs(s - s_ppt) <= 1e-6
+    else:
+        assert s > lo + 1e-6
+        mix = (psi.entries + s * WHITE.entries) / (1 + s)
+        rho = DensityMatrix.by_construction(3, 2, (mix + mix.conj().T) / 2)
+        assert certify(rho).verdict == measures.CERTIFIED_FS
 
 
 def skewed_mixer():
