@@ -34,14 +34,15 @@ class ShapeError(ValueError):
 @dataclass(frozen=True)
 class PureState:
     """Normalized amplitude vector over n parties of local dimension d, held
-    as a read-only copy; its cut purities, its Schmidt spectra and the
-    results of the measures that walk its cuts are kept on it once computed."""
+    as a read-only copy; its Schmidt spectra, its array of cut purities
+    (`cut_purities`) and the results of the measures that walk its cuts are
+    kept on it once computed."""
 
     n: int
     d: int
     amplitudes: np.ndarray
     _cuts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _purities: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _purities: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _measures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -250,23 +251,26 @@ def schmidt_spectrum(psi: PureState, cut: Bipartition) -> np.ndarray:
     return vals
 
 
-def cut_purity(psi: PureState, cut: Bipartition) -> float:
-    """tr rho_A^2 of the cut's marginal, over the squared trace of the
-    marginal it is read from so that it matches the normalized spectrum.
+def cut_purities(psi: PureState) -> np.ndarray:
+    """tr rho_A^2 of every cut's marginal, in `all_bipartitions` order, as
+    one read-only array built cover by cover on the first call and kept on
+    the state.  Each purity is over the squared trace of the marginal it is
+    read from, so that it matches the normalized spectrum.
 
-    It is read from the marginal of the cover `cover_plan` assigns the cut
-    (a set of parties holding party 1 and the cut's `side` S): with
-    rho_C expanded in an orthogonal product operator basis {P} whose local
-    factors include the identity and with tr P^dag P = d^|C|,
+    A cut's purity is read from the marginal of the cover `cover_plan`
+    assigns it (a set of parties holding party 1 and the cut's `side` S):
+    with rho_C expanded in an orthogonal product operator basis {P} whose
+    local factors include the identity and with tr P^dag P = d^|C|,
     tr rho_S^2 = d^-|S| sum over supp P within S of |tr(rho_C P)|^2.  So one
     Gram product and one transform of that marginal give the purity of every
-    cut assigned to the cover, and all of them are kept on the state."""
-    p = psi._purities.get(cut)
-    if p is None:
-        cover = cover_plan(psi.n, psi.d).cover_of[cut]
-        psi._purities.update(zip(cover.cuts, _cover_purities(psi, cover).tolist()))
-        p = psi._purities[cut]
-    return p
+    cut assigned to the cover."""
+    if psi._purities is None:
+        out = np.empty(2 ** (psi.n - 1) - 1)
+        for cover in cover_plan(psi.n, psi.d):
+            out[cover.idx] = _cover_purities(psi, cover)
+        out.setflags(write=False)
+        object.__setattr__(psi, "_purities", out)
+    return psi._purities
 
 
 # Cut purities from cover marginals.  A cover of c parties costs about
@@ -281,22 +285,14 @@ COVER_S = 3e-5
 @dataclass(frozen=True, eq=False)
 class Cover:
     """A set of parties holding party 1 (ascending) and the cuts whose purity
-    is read from its marginal: each one's `side` as a bit mask over
-    the cover's parties (the first one most significant) and the factor
-    d^-|side|."""
+    is read from its marginal: their indices in `all_bipartitions`, each
+    one's `side` as a bit mask over the cover's parties (the first one most
+    significant) and the factor d^-|side|."""
 
     parties: tuple
-    cuts: tuple
+    idx: np.ndarray = field(repr=False)
     masks: np.ndarray = field(repr=False)
     scale: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True, eq=False)
-class CoverPlan:
-    """The covers of `cover_plan` and the cover each cut is assigned to."""
-
-    covers: tuple
-    cover_of: dict = field(repr=False)
 
 
 def _sets_holding_one(n: int, k: int) -> np.ndarray:
@@ -346,9 +342,9 @@ def _greedy_cover(sets: np.ndarray, cands: np.ndarray) -> np.ndarray:
 
 
 @cache
-def cover_plan(n: int, d: int) -> CoverPlan:
+def cover_plan(n: int, d: int) -> tuple[Cover, ...]:
     """Covers for the cut purities of an n-party system, built once per
-    (n, d), and the cover each cut is assigned to.
+    (n, d); each cut is assigned to exactly one of them.
 
     A cut's `side` lies within an r-set holding party 1, r = ceil(n/2), so
     c-sets holding party 1 (r <= c < n) that cover every r-set holding it
@@ -366,10 +362,9 @@ def cover_plan(n: int, d: int) -> CoverPlan:
             found = sets if c == r else _greedy_cover(sets, _sets_holding_one(n, c))
             if len(found) * cost < best:
                 best, covers, size = len(found) * cost, found, c
-    cuts = all_bipartitions(n)
-    held = np.concatenate([_sets_holding_one(n, k) for k in range(1, n)])  # as in cuts
+    held = np.concatenate([_sets_holding_one(n, k) for k in range(1, n)])  # all_bipartitions order
     sides = np.where(2 * np.bitwise_count(held) <= n, held, held ^ ((1 << n) - 1))  # cut.side
-    owner = np.full(len(cuts), -1)
+    owner = np.full(len(held), -1)
     for k, cover in enumerate(covers):
         owner[(owner < 0) & ((sides & ~cover) == 0)] = k
     # local[k, p - 1]: party p's bit in cover k's masks, 0 outside the cover
@@ -382,9 +377,8 @@ def cover_plan(n: int, d: int) -> CoverPlan:
     for k, cover in enumerate(covers.tolist()):
         idx = np.flatnonzero(owner == k)
         parties = tuple(p for p in range(1, n + 1) if cover >> (p - 1) & 1)
-        plan.append(Cover(parties, tuple(cuts[i] for i in idx), masks[idx], scale[idx]))
-    cover_of = {cut: plan[k] for cut, k in zip(cuts, owner.tolist())}
-    return CoverPlan(tuple(plan), cover_of)
+        plan.append(Cover(parties, idx, masks[idx], scale[idx]))
+    return tuple(plan)
 
 
 @cache
@@ -481,10 +475,11 @@ def eigenvalue_slack(a: np.ndarray) -> float:
     return EIGVAL_ROUNDING * len(a) * sys.float_info.epsilon * math.sqrt(np.vdot(a, a).real)
 
 
-def is_ppt(rho: DensityMatrix, subset: Sequence[int], tol: float = PSD_TOL) -> bool:
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    return min_pt_eigenvalue(rho, subset) >= -tol
+def is_ppt(rho: DensityMatrix, subset: Sequence[int]) -> bool:
+    """Whether the partial transpose on subset has no eigenvalue below
+    -eigenvalue_slack(rho): `npt_cut`'s rule, so a cut is PPT here exactly
+    when that sweep would pass it."""
+    return min_pt_eigenvalue(rho, subset) >= -eigenvalue_slack(rho.entries)
 
 
 def min_pt_eigenvalue(rho: DensityMatrix, subset: Sequence[int]) -> float:

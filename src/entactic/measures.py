@@ -25,7 +25,7 @@ from .linalg import (
     PureState,
     ShapeError,
     all_bipartitions,
-    cut_purity,
+    cut_purities,
     eigenvalue_slack,
     haar_vector_draws,
     is_permutation_invariant,
@@ -88,17 +88,16 @@ class RobustnessCapError(RuntimeError):
 def _best_cut(psi: PureState, score, bound) -> tuple[float, Bipartition]:
     """The smallest score(psi, cut) over all cuts and the first cut attaining it.
 
-    bound(P, r) is a lower bound on a cut's score from its purity
-    P = tr rho_A^2 and the dimension r of its `side`.  The one-party
-    cuts seed the best score; any other cut is scored only when its bound
-    comes within PRUNE_TOL of the best so far.  A skipped cut thus scores
-    strictly above the minimum, and the result is the one full enumeration
-    gives.  Cuts are bounded by descending side size until those the
-    bound failed to rule out outnumber those it ruled out by two (all cuts
-    of GHZ tie); the rest are scored without bounding.  A purity is read
-    from its cover's marginal (`cut_purity`), which is built on the first
-    bound read from it and gives the purities of all the cover's cuts at
-    once; bounding that stops after two cuts thus builds at most two.
+    bound(P, r), given the arrays of every cut's purity P = tr rho_A^2
+    (`cut_purities`) and the dimension r of its `side`, returns a lower
+    bound on each cut's score.  Cuts are scored in ascending order of their
+    bound (a stable argsort) up to the first whose bound exceeds the best
+    score so far by more than PRUNE_TOL: it and every later cut score above
+    the minimum plus PRUNE_TOL, while a cut attaining the minimum has a
+    bound at most the best score so far and so comes before it.  The least
+    (score, index) over the scored cuts is then full enumeration's result,
+    a tie going to the first cut in `all_bipartitions` order.  With n <= 3
+    every cut is a one-party cut, and all are scored with no purity read.
 
     A state whose amplitude tensor is bit for bit invariant under every
     permutation of the parties (`linalg.is_permutation_invariant`) has one
@@ -116,26 +115,25 @@ def _best_cut(psi: PureState, score, bound) -> tuple[float, Bipartition]:
         firsts = (Bipartition(n, frozenset(range(1, m + 1))) for m in range(1, n))
         return min(((score(psi, cut), cut) for cut in firsts), key=lambda t: t[0])
     cuts = all_bipartitions(n)
-    sides = [len(cut.side) for cut in cuts]
-    scores = [None] * len(cuts)
-    best = math.inf
-    pruned = kept = 0
-    for i in sorted(range(len(cuts)), key=lambda i: (sides[i] > 1, -sides[i])):
-        if sides[i] > 1 and kept < pruned + 2:
-            if bound(cut_purity(psi, cuts[i]), psi.d ** sides[i]) > best + PRUNE_TOL:
-                pruned += 1
-                continue
-            kept += 1
-        scores[i] = score(psi, cuts[i])
-        best = min(best, scores[i])
-    return min(((s, cut) for s, cut in zip(scores, cuts) if s is not None), key=lambda t: t[0])
+    if n <= 3:
+        bounds = np.full(len(cuts), -math.inf)
+    else:
+        bounds = bound(cut_purities(psi), psi.d ** np.array([len(cut.side) for cut in cuts]))
+    scored, best = [], math.inf
+    for i in np.argsort(bounds, kind="stable").tolist():
+        if bounds[i] > best + PRUNE_TOL:
+            break
+        scored.append((score(psi, cuts[i]), i))
+        best = min(best, scored[-1][0])
+    value, i = min(scored)
+    return value, cuts[i]
 
 
-def top_schmidt_bound(p: float, r: int) -> float:
+def top_schmidt_bound(p, r):
     """Largest top value of a spectrum of length r with purity p = sum l^2:
     (1 + sqrt((r-1)(rp-1)))/r, attained by one value above r-1 equal ones;
-    it never exceeds sqrt(p)."""
-    return (1.0 + math.sqrt(max(0.0, (r - 1) * (r * p - 1)))) / r
+    it never exceeds sqrt(p).  p and r may be arrays."""
+    return (1.0 + np.sqrt(np.maximum(0.0, (r - 1) * (r * p - 1)))) / r
 
 
 def _kept_on_state(measure):

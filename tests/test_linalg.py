@@ -224,8 +224,11 @@ def purity_inputs():
 @pytest.mark.parametrize("make", purity_inputs())
 def test_cut_purity_matches_the_per_cut_gram_formula(make):
     psi = make()
-    for cut in all_bipartitions(psi.n):
-        assert abs(linalg.cut_purity(psi, cut) - gram_purity(psi, cut)) <= 1e-14
+    purities = linalg.cut_purities(psi)
+    assert linalg.cut_purities(psi) is purities and not purities.flags.writeable
+    assert purities.shape == (len(all_bipartitions(psi.n)),)
+    for p, cut in zip(purities, all_bipartitions(psi.n)):
+        assert abs(p - gram_purity(psi, cut)) <= 1e-14
 
 
 # the cover counts a greedy search reached for c = ceil(n/2) + 1 on qubits
@@ -237,19 +240,19 @@ COVER_COUNT_CAP = {9: 22, 10: 30, 11: 59, 12: 110}
 def test_cover_plan_covers_every_cut_once(n, d):
     plan = linalg.cover_plan(n, d)
     assert linalg.cover_plan(n, d) is plan
-    seen = []
-    for cover in plan.covers:
+    cuts, seen = all_bipartitions(n), []
+    for cover in plan:
         assert cover.parties[0] == 1 and list(cover.parties) == sorted(set(cover.parties))
         assert len(cover.parties) < n
-        for cut, mask, scale in zip(cover.cuts, cover.masks, cover.scale):
+        for i, mask, scale in zip(cover.idx.tolist(), cover.masks, cover.scale):
+            cut = cuts[i]
             assert cut.side <= set(cover.parties)
-            assert plan.cover_of[cut] is cover
             bits = [cover.parties[len(cover.parties) - 1 - j] for j in range(len(cover.parties)) if mask >> j & 1]
             assert set(bits) == cut.side and scale == float(d) ** -len(cut.side)
-            seen.append(cut)
-    assert sorted(seen, key=str) == sorted(all_bipartitions(n), key=str)
+            seen.append(i)
+    assert sorted(seen) == list(range(len(cuts)))
     if d == 2 and n in COVER_COUNT_CAP:
-        assert len(plan.covers) <= COVER_COUNT_CAP[n]
+        assert len(plan) <= COVER_COUNT_CAP[n]
 
 
 def test_cover_plan_needs_a_cut():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entactic import linalg, measures, witnesses
-from entactic.catalog import cluster_state, four_qubit_phi, ghz, ghz_minus, w_bar, w_state
+from entactic.catalog import ame_4_3, cluster_state, four_qubit_phi, ghz, ghz_minus, w_bar, w_state
 from entactic.ghz_symmetric import GhzSymmetricParams, params_to_density
 from entactic.linalg import (
     NORM_TOL,
@@ -377,15 +377,26 @@ def fresh(psi):
 
 
 def enumerate_cuts(psi):
-    """Both cut measures by full enumeration, scored as the measures score."""
+    """Both cut measures by scoring every cut as the measures score, each
+    the least (score, index) over the cuts, as (value, cut)."""
     cuts = all_bipartitions(psi.n)
-    neg_l1, gbs_cut = min(
-        ((-float(schmidt_spectrum(psi, c)[0]), c) for c in cuts), key=lambda t: t[0]
-    )
-    rbs, rbs_cut = min(
-        ((measures.robustness_bipartite_pure(psi, c), c) for c in cuts), key=lambda t: t[0]
-    )
-    return (1.0 + neg_l1, gbs_cut), (rbs, rbs_cut)
+
+    def least(score):
+        value, i = min((score(psi, cut), i) for i, cut in enumerate(cuts))
+        return value, cuts[i]
+
+    neg_l1, gbs_cut = least(lambda psi, cut: -float(schmidt_spectrum(psi, cut)[0]))
+    return (1.0 + neg_l1, gbs_cut), least(measures.robustness_bipartite_pure)
+
+
+def assert_equals_every_cut(psi):
+    """geometric_bs and robustness_bs_upper equal `enumerate_cuts` bit for
+    bit (float.hex) and pick the same cut; returns geometric_bs's result."""
+    (gbs, gbs_cut), (rbs, rbs_cut) = enumerate_cuts(fresh(psi))
+    gres, rres = measures.geometric_bs(fresh(psi)), measures.robustness_bs_upper(fresh(psi))
+    assert (gres.value.hex(), gres.certificate) == (gbs.hex(), gbs_cut)
+    assert (rres.value.hex(), rres.certificate) == (rbs.hex(), rbs_cut)
+    return gres
 
 
 def product_of_blocks(sizes, d, seed):
@@ -422,15 +433,65 @@ def pruning_input(kind, n, d):
 @pytest.mark.parametrize("kind,n,d", PRUNING_INPUTS)
 def test_pruned_cut_measures_match_full_enumeration_bit_for_bit(kind, n, d):
     psi = pruning_input(kind, n, d)
-    (gbs, gbs_cut), (rbs, rbs_cut) = enumerate_cuts(fresh(psi))
-    gres, rres = measures.geometric_bs(fresh(psi)), measures.robustness_bs_upper(fresh(psi))
-    assert (gres.value, gres.certificate) == (gbs, gbs_cut)
-    assert (rres.value, rres.certificate) == (rbs, rbs_cut)
+    gres = assert_equals_every_cut(psi)
     if kind == "blocks":
         # the cut between the first block and the rest wins strictly, and no
         # one-party cut can: a multi-party cut the seed cannot supply
         assert gres.value == pytest.approx(0.0, abs=1e-12)
         assert gres.certificate == Bipartition(psi.n, frozenset(range(1, n[0] + 1)))
+
+
+def tied_blocks(pattern, d, seed):
+    """The product of Haar blocks in the order `pattern` names them, a, b
+    and c being blocks of 1, 2 and 3 parties; a repeated letter repeats its
+    block bit for bit, so cuts tie."""
+    rng = np.random.default_rng(seed)
+    blocks = {}
+    v = np.ones(1, dtype=complex)
+    for name in pattern:
+        if name not in blocks:
+            blocks[name] = haar_vector_draws(rng, d ** (1 + "abc".index(name)))
+        v = np.kron(v, blocks[name])
+    return PureState(round(math.log(len(v), d)), d, v)
+
+
+def local_unitary_image(psi, seed):
+    """psi with a random unitary applied to each party."""
+    rng = np.random.default_rng(seed)
+    t = psi.tensor()
+    for k in range(psi.n):
+        u = np.linalg.qr(haar_vector_draws(rng, psi.d, (psi.d,)))[0]
+        t = np.moveaxis(np.tensordot(u, t, axes=([1], [k])), 0, k)
+    v = t.reshape(-1)
+    return PureState(psi.n, psi.d, v / np.linalg.norm(v))
+
+
+BRUTE_FORCE_INPUTS = {
+    **{f"haar-{n}-{d}-{seed}": (lambda n=n, d=d, seed=seed: random_state(n, d, 100 * n + 10 * d + seed))
+       for d, sizes in [(2, range(2, 12)), (3, range(2, 7)), (4, range(2, 5))]
+       for n in sizes for seed in ((0, 1, 2) if d == 2 and n <= 7 else (0, 1))},
+    **{f"cluster-{n}": (lambda n=n: cluster_state(n)) for n in range(3, 11)},
+    **{f"ghz-x-{n}-{d}": (lambda n=n, d=d: ghz_flipped_on_party_2(n, d))
+       for n, d in [*((n, 2) for n in range(3, 11)), (3, 3), (4, 3), (5, 3)]},
+    **{f"blocks-{pattern}-{d}": (lambda pattern=pattern, d=d: tied_blocks(pattern, d, 7))
+       for pattern, d in [("bb", 2), ("cc", 2), ("bbb", 2), ("bb", 3), ("bab", 2), ("abab", 2),
+                          ("bcb", 2), ("aab", 3)]},
+    **{f"four-qubit-phi-{p}": (lambda p=p: four_qubit_phi(p)) for p in (0.0, 0.1, 0.25, 0.75, 1.0)},
+    "ame-4-3": ame_4_3,
+    **{f"lu-{name}": (lambda make=make, k=k: local_unitary_image(make(), k))
+       for k, (name, make) in enumerate([
+           *((f"cluster-{n}", lambda n=n: cluster_state(n)) for n in range(4, 9)),
+           ("four-qubit-phi", lambda: four_qubit_phi(0.25)), ("ame-4-3", ame_4_3),
+           ("ghz-x-5", lambda: ghz_flipped_on_party_2(5)), ("ghz-4-2", lambda: ghz(4, 2)),
+           ("ghz-3-3", lambda: ghz(3, 3)), ("w", w_state)])},
+}
+
+
+@pytest.mark.parametrize("name", list(BRUTE_FORCE_INPUTS))
+def test_cut_measures_equal_scoring_every_cut(name):
+    psi = BRUTE_FORCE_INPUTS[name]()
+    assert not linalg.is_permutation_invariant(psi)
+    assert_equals_every_cut(psi)
 
 
 @settings(max_examples=200, deadline=None)
@@ -452,17 +513,25 @@ def test_top_schmidt_bound_is_attained():
     assert measures.top_schmidt_bound(0.25, 4) == pytest.approx(0.25, abs=1e-15)
 
 
+def test_top_schmidt_bound_takes_arrays_at_both_ends():
+    # a flat spectrum, p = 1/r, has top value 1/r; a pure one, p = 1, has 1
+    r = np.array([d**k for d in (2, 3, 4) for k in range(1, 6)])
+    assert np.array_equal(measures.top_schmidt_bound(1.0 / r, r), 1.0 / r)
+    assert np.array_equal(measures.top_schmidt_bound(np.ones(len(r)), r), np.ones(len(r)))
+
+
 @pytest.mark.parametrize("factor,pruned", [(0.5, False), (2.0, True)])
 def test_prune_tolerance_edges(factor, pruned):
-    # every multi-party cut's bound sits factor * PRUNE_TOL above the seed's
-    # best score: within the tolerance it is scored, beyond it skipped
+    # the one-party cuts (r = 2) are bounded by -inf, so they are scored
+    # first; every multi-party cut's bound sits factor * PRUNE_TOL above
+    # their best score: within the tolerance it is scored, beyond it skipped
     psi = random_state(4, 2, 21)
-    one_party = [c for c in all_bipartitions(4) if min(len(c.parties), 4 - len(c.parties)) == 1]
+    one_party = [c for c in all_bipartitions(4) if len(c.side) == 1]
     best = min(measures.robustness_bipartite_pure(fresh(psi), c) for c in one_party)
     measures._best_cut(
         psi,
         measures.robustness_bipartite_pure,
-        lambda p, r: best + factor * measures.PRUNE_TOL,
+        lambda p, r: np.where(r == 2, -math.inf, best + factor * measures.PRUNE_TOL),
     )
     assert len(psi._cuts) == (4 if pruned else 7)
 
@@ -481,12 +550,15 @@ def count_spectrum_svds(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_haar_10_qubits_needs_only_the_one_party_spectra(monkeypatch, seed):
+    # a one-party qubit cut's purity bound is its exact top Schmidt value,
+    # so geometric_bs stops after the first; robustness_bs_upper's bound is
+    # looser but still rules out every multi-party cut
     svds = count_spectrum_svds(monkeypatch)
     psi = random_state(10, 2, seed)
     measures.geometric_bs(psi)
-    assert len(svds) == 10
     measures.robustness_bs_upper(psi)
-    assert len(svds) == 10
+    assert 0 < len(svds) <= 10
+    assert all(min(shape) == 2 for shape in svds)
 
 
 def count_marginal_grams(monkeypatch):
@@ -500,29 +572,37 @@ def count_marginal_grams(monkeypatch):
     return calls
 
 
-def ghz_flipped_on_party_2(n):
-    """GHZ_n with X applied to party 2: the purities and ties of GHZ on
-    every cut, but not invariant under swapping parties 1 and 2."""
-    t = ghz(n, 2).tensor()[:, ::-1]
-    return PureState(n, 2, t.reshape(-1))
-
-
-def test_ghz_stops_bounding_after_two_cuts_it_cannot_rule_out(monkeypatch):
-    # every cut of GHZ with X on party 2 has purity 1/2 and ties: two bounds
-    # are read, from at most two cover marginals, then the remaining cuts are
-    # scored as full enumeration scores them
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_two_or_three_parties_read_no_purity(monkeypatch, n, d):
+    # every cut is a one-party cut, so all are scored with no cover marginal
     grams = count_marginal_grams(monkeypatch)
     svds = count_spectrum_svds(monkeypatch)
+    psi = random_state(n, d, 5)
+    measures.geometric_bs(psi)
+    measures.robustness_bs_upper(psi)
+    assert grams == [] and psi._purities is None
+    assert len(svds) == len(all_bipartitions(n))
+
+
+def ghz_flipped_on_party_2(n, d=2):
+    """GHZ(n, d) with party 2's basis reversed (X on a qubit): the purities
+    and ties of GHZ on every cut, but not invariant under swapping parties 1
+    and 2."""
+    t = ghz(n, d).tensor()[:, ::-1]
+    return PureState(n, d, t.reshape(-1))
+
+
+def test_ghz_with_x_on_party_2_scores_every_cut(monkeypatch):
+    # every cut of GHZ with X on party 2 has purity 1/2 and ties, so no
+    # bound rules a cut out and every cut is scored once
+    svds = count_spectrum_svds(monkeypatch)
     for n in (8, 12):
-        grams.clear()
         svds.clear()
         psi = ghz_flipped_on_party_2(n)
         assert not linalg.is_permutation_invariant(psi)
         measures.geometric_bs(psi)
-        assert len(grams) <= 2
         assert len(svds) == len(all_bipartitions(n))
         measures.robustness_bs_upper(psi)
-        assert len(grams) <= 2
         assert len(svds) == len(all_bipartitions(n))
 
 
@@ -977,6 +1057,8 @@ def test_npt_route_tolerance_edges(factor, npt):
     rho = two_qubit_pt_min(-factor * SLACK2)
     assert min_pt_eigenvalue(rho, [1]) == -factor * SLACK2
     assert (measures.fs_certificate(rho).route == "npt-cut") is npt
+    # is_ppt decides a cut by the same rule
+    assert linalg.is_ppt(rho, [1]) is not npt
 
 
 def no_fit(monkeypatch):
